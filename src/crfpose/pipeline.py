@@ -12,12 +12,11 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .posefit import (IcpConfig, cluster_hypotheses, icp_refine,
                       pose_correct, select_best)
 from .posemodel import (HyperParams, STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS,
-                        build_stage_one_model, build_stage_two_master)
+                        build_stage_one_model, build_stage_two_master,
+                        pairwise_distances)
 from .qpbo import count_infinite_pairs
 from .submodels import (SubmodelSpec, connected_components, enumerate_submodels,
                         filter_components, per_node_submodels, solve_decomposed,
@@ -170,9 +169,8 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
                 for s in enumerate_submodels(components, scene)
             ]
         else:
-            specs = per_node_submodels(
-                np.array([scene.nodes[g].x for g in master_grid_nodes]),
-                scene.object_diameter)
+            specs = per_node_submodels(scene.points()[master_grid_nodes],
+                                       scene.object_diameter)
         specs = [s for s in specs if len(s.node_set) >= 3]
         zero_master, _ = to_zero_form(master)
         results = solve_decomposed(zero_master, specs)
@@ -251,16 +249,14 @@ def _geometric_violations(results, scene, master_grid_nodes) -> int:
     """Label-1 node pairs (within one result) further apart than the diameter.
 
     Partial labelings index master nodes; map back to grid nodes for the
-    camera points.
+    camera points.  The count is 0 by construction: the master's inf costs
+    read the same distances, and QPBO labels no pair that realizes one.
     """
     count = 0
     points = scene.points()
     for partial, _ in results:
         ones = [master_grid_nodes[k] for k, a in enumerate(partial.assignment) if a == 1]
-        if len(ones) < 2:
-            continue
-        p = points[ones]
-        dist = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=2)
+        dist = pairwise_distances(points[ones])
         count += int((dist > scene.object_diameter).sum()) // 2
     return count
 

@@ -4,7 +4,9 @@ Stage one is a sparse multi-label model over the full node grid (each node is
 a 2x2 pixel block carrying up to 12 correspondence candidates plus an outlier
 label, always last).  Stage two is a fully-connected two-label master model
 over the stage-one inlier nodes, label 1 meaning "keep the stage-one
-candidate" and label 0 meaning outlier.
+candidate" and label 0 meaning outlier.  Stage one's pairwise tables are
+lazy; the master's are built up front, and every stage-two test of "within
+the object diameter" reads ``pairwise_distances``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class Candidate:
         if not 0 <= self.source_tree <= 2:
             raise ContractViolation("source_tree outside 0..2")
         object.__setattr__(self, "coord", tuple(float(x) for x in self.coord))
+        if not np.isfinite(self.coord).all():
+            raise ContractViolation("object coordinate l is not finite")
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,8 @@ class NodeObservation:
         if len(self.candidates) > MAX_CANDIDATES:
             raise ContractViolation(f"more than {MAX_CANDIDATES} candidates")
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        if not np.isfinite(self.x).all():
+            raise ContractViolation("camera point x is not finite")
         object.__setattr__(self, "candidates", tuple(self.candidates))
 
     @property
@@ -81,8 +87,8 @@ class SceneObservation:
             raise ContractViolation("grid dimensions must be >= 1")
         if len(self.nodes) != self.grid_width * self.grid_height:
             raise ContractViolation("node count does not match the grid")
-        if not self.object_diameter > 0:
-            raise ContractViolation("object diameter must be positive")
+        if not 0 < self.object_diameter < INF:
+            raise ContractViolation("object_diameter must be positive and finite")
 
     @property
     def node_count(self) -> int:
@@ -101,20 +107,27 @@ class SceneObservation:
         return np.array([n.outlier_label for n in self.nodes], dtype=np.int64)
 
 
-def pairwise_cost(l_u, l_v, x_u, x_v, diameter: float) -> float:
-    """Geometric compatibility of two correspondences.
+def pairwise_distances(points) -> np.ndarray:
+    """(m, m) Euclidean distances between the rows of an (m, 3) point array,
+    in the arithmetic of ``synth.object_diameter``."""
+    points = np.asarray(points, dtype=float)
+    return np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
 
-    The absolute difference between the object-frame and camera-frame point
-    distances, or inf when the camera points are further apart than the
-    object diameter.
+
+def pairwise_cost(coords, points, diameter: float) -> np.ndarray:
+    """Geometric compatibility of every pair of correspondences.
+
+    Entry (i, j) is the absolute difference between the object-frame distance
+    of ``coords[i]``, ``coords[j]`` and the camera-frame distance of
+    ``points[i]``, ``points[j]``, or inf when the camera points are further
+    apart than the object diameter (exactly one diameter stays finite).
     """
     if not diameter > 0:
         raise ContractViolation("diameter must be positive")
-    x_dist = float(np.linalg.norm(np.asarray(x_u, dtype=float) - np.asarray(x_v, dtype=float)))
-    if x_dist > diameter:
-        return INF
-    l_dist = float(np.linalg.norm(np.asarray(l_u, dtype=float) - np.asarray(l_v, dtype=float)))
-    return abs(l_dist - x_dist)
+    x_dist = pairwise_distances(points)
+    cost = np.abs(pairwise_distances(coords) - x_dist)
+    cost[x_dist > diameter] = INF
+    return cost
 
 
 def build_sparse_neighborhood(grid_width: int, grid_height: int,
@@ -176,6 +189,8 @@ def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
         table = np.full((ku + 1, kv + 1), hp.gamma)
         table[ku, kv] = 0.0
         if ku and kv:
+            # a 1-D norm, not pairwise_distances: the two differ in the last
+            # bit on ~10% of pairs, which would move every TRW-S bound_history
             x_dist = float(np.linalg.norm(points[u] - points[v]))
             if x_dist > diameter:
                 table[:ku, :kv] = INF
@@ -199,38 +214,33 @@ def build_stage_two_master(scene: SceneObservation, hp: HyperParams,
     """Fully-connected binary master over the stage-one inlier nodes.
 
     Master node k corresponds to ``sorted(inliers)[k]``; label 1 keeps that
-    node's stage-one candidate, label 0 is the outlier.  With the default
+    node's stage-one candidate, label 0 is the outlier.  Every table is built
+    here, with the ``pairwise_cost`` entry at (1,1).  With the default
     gamma = 0 the construction is already in zero form.
     """
     grid_nodes = sorted(set(int(u) for u in inliers))
     if not grid_nodes:
         raise ContractViolation("stage two needs at least one inlier")
-    retained = []
+    unary, coords = [], []
     for g in grid_nodes:
         node = scene.nodes[g]
         l = int(stage_one_labels[g])
         if not 0 <= l < len(node.candidates):
             raise ContractViolation(f"inlier node {g} has no stage-one candidate")
-        retained.append(node.candidates[l])
-    m = len(grid_nodes)
-    unary = []
-    for g, cand in zip(grid_nodes, retained):
-        unary.append(np.array([_outlier_unary(scene.nodes[g], hp),
-                               _inlier_unary(cand, hp)]))
-    edges = tuple((i, j) for i in range(m) for j in range(i + 1, m))
-    coords = np.array([c.coord for c in retained])
-    points = np.array([scene.nodes[g].x for g in grid_nodes])
-
-    def table_fn(i, j):
-        c11 = pairwise_cost(coords[i], coords[j], points[i], points[j],
-                            scene.object_diameter)
-        return np.array([[0.0, hp.gamma], [hp.gamma, c11]])
-
+        unary.append(np.array([_outlier_unary(node, hp),
+                               _inlier_unary(node.candidates[l], hp)]))
+        coords.append(node.candidates[l].coord)
+    cost = pairwise_cost(coords, [scene.nodes[g].x for g in grid_nodes],
+                         scene.object_diameter)
+    rows, cols = np.triu_indices(len(grid_nodes), 1)
+    tables = np.zeros((rows.size, 2, 2))
+    tables[:, 0, 1] = tables[:, 1, 0] = hp.gamma
+    tables[:, 1, 1] = cost[rows, cols]
     return GraphicalModel(
-        labels_per_node=(2,) * m,
+        labels_per_node=(2,) * len(grid_nodes),
         unary=unary,
-        edges=edges,
-        table_fn=table_fn,
+        edges=tuple(zip(rows.tolist(), cols.tolist())),
+        pairwise=list(tables),
         pairwise_weight=hp.beta,
     )
 

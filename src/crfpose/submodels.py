@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import (ContractViolation, GraphicalModel, PartialLabeling,
                     extend_partial, induce_submodel)
-from .posemodel import SceneObservation
+from .posemodel import SceneObservation, pairwise_distances
 from .qpbo import qpbo, require_binary
 
 MIN_COMPONENT_SIZE = 3
@@ -79,25 +79,22 @@ def filter_components(components, min_size: int = MIN_COMPONENT_SIZE) -> list[Co
     return [Component(serial=i, nodes=c.nodes) for i, c in enumerate(kept)]
 
 
-def _component_distance(points: np.ndarray, a: Component, b: Component) -> float:
-    pa = points[sorted(a.nodes)]
-    pb = points[sorted(b.nodes)]
-    return float(np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2).max())
-
-
 def enumerate_submodels(components, scene: SceneObservation) -> list[SubmodelSpec]:
     """One spec per component: itself plus every later component whose nodes
     are all within the object diameter of all of the seed's nodes (max
     pairwise camera-space distance)."""
-    points = scene.points()
+    dist = pairwise_distances(
+        scene.points()[[u for c in components for u in sorted(c.nodes)]])
+    bounds = np.cumsum([0] + [len(c) for c in components])
     specs = []
-    for f in components:
+    for a, f in enumerate(components):
         members = {f.serial}
         nodes = set(f.nodes)
-        for g in components:
+        for b, g in enumerate(components):
             if g.serial <= f.serial:
                 continue
-            if _component_distance(points, f, g) <= scene.object_diameter:
+            block = dist[bounds[a]:bounds[a + 1], bounds[b]:bounds[b + 1]]
+            if block.max() <= scene.object_diameter:
                 members.add(g.serial)
                 nodes.update(g.nodes)
         specs.append(SubmodelSpec(
@@ -111,15 +108,9 @@ def enumerate_submodels(components, scene: SceneObservation) -> list[SubmodelSpe
 def per_node_submodels(points: np.ndarray, diameter: float) -> list[SubmodelSpec]:
     """Alternative scheme: one spec per node, containing every node within
     camera distance ``diameter`` of it."""
-    points = np.asarray(points, dtype=float)
-    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    specs = []
-    for u in range(points.shape[0]):
-        nodes = frozenset(int(v) for v in np.nonzero(dist[u] <= diameter)[0])
-        specs.append(SubmodelSpec(seed_component=u,
-                                  member_components=frozenset(),
-                                  node_set=nodes))
-    return specs
+    return [SubmodelSpec(seed_component=u, member_components=frozenset(),
+                         node_set=frozenset(np.flatnonzero(row <= diameter).tolist()))
+            for u, row in enumerate(pairwise_distances(points))]
 
 
 def is_zero_form(model: GraphicalModel) -> bool:

@@ -339,8 +339,8 @@ def scene_from_dict(doc: dict) -> SceneBundle:
     object_points = None
     if "object_points" in doc:
         object_points = np.asarray(doc["object_points"], dtype=float)
-        if object_points.ndim != 2 or object_points.shape[1] != 3:
-            raise SceneFormatError("field 'object_points' must be an Nx3 list")
+        if object_points.shape[1:] != (3,) or not np.isfinite(object_points).all():
+            raise SceneFormatError("field 'object_points' must be an Nx3 list of finite numbers")
     ground_truth = None
     if "ground_truth" in doc:
         g = doc["ground_truth"]

@@ -76,6 +76,17 @@ def test_easy_scene_solves_correctly(easy_bundle, easy_report):
     assert r["geometric_violations"] == 0
 
 
+def test_pair_at_the_diameter_is_no_violation():
+    # grid nodes 176 and 591 carry the two object points that define the
+    # diameter; once posed they lie within one rounding step of it
+    bundle = generate_bundle(default_scenario(
+        seed=853263472000, inlier_rate=0.85, visible_fraction=0.8,
+        coord_noise_sigma=1e-4))
+    r = solve_scene(bundle, desk_scale_config())
+    assert r["geometric_violations"] == 0
+    assert r["evaluation"]["correct"] is True
+
+
 def test_report_schema(easy_report):
     r = easy_report
     assert r["format"] == "crfpose-report"

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from crfpose.model import INF, ContractViolation, evaluate_energy
+from crfpose.model import INF, ContractViolation, PartialLabeling, evaluate_energy
+from crfpose.pipeline import _geometric_violations
 from crfpose.posemodel import (Candidate, HyperParams, MAX_CANDIDATES,
                                NodeObservation, STAGE_ONE_DEFAULTS,
                                STAGE_TWO_DEFAULTS, SceneObservation,
                                build_sparse_neighborhood, build_stage_one_model,
                                build_stage_two_master, pairwise_cost,
-                               pose_consistent_pixels)
-from crfpose.submodels import is_zero_form
+                               pairwise_distances, pose_consistent_pixels)
+from crfpose.submodels import (Component, enumerate_submodels, is_zero_form,
+                               per_node_submodels)
 
 
 def cand(coord, p=0.5, pixel=0, tree=0):
@@ -27,18 +29,49 @@ def tiny_scene(xs, cand_lists, width=None, diameter=1.0):
 
 
 def test_pairwise_cost_equal_distances():
-    assert pairwise_cost((0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 0, 2), 2.0) == 0.0
+    cost = pairwise_cost([(0, 0, 0), (1, 0, 0)], [(0, 0, 1), (0, 0, 2)], 2.0)
+    assert np.array_equal(cost, np.zeros((2, 2)))
 
 
 def test_pairwise_cost_infinite_beyond_diameter():
-    assert pairwise_cost((0, 0, 0), (0, 0, 0), (0, 0, 0), (3, 0, 0), 2.0) == INF
+    cost = pairwise_cost([(0, 0, 0), (0, 0, 0)], [(0, 0, 0), (3, 0, 0)], 2.0)
+    assert cost[0, 1] == cost[1, 0] == INF
+    assert cost[0, 0] == cost[1, 1] == 0.0
     # boundary is inclusive: exactly the diameter stays finite
-    assert pairwise_cost((0, 0, 0), (2, 0, 0), (0, 0, 0), (2, 0, 0), 2.0) == 0.0
+    cost = pairwise_cost([(0, 0, 0), (2, 0, 0)], [(0, 0, 0), (2, 0, 0)], 2.0)
+    assert np.array_equal(cost, np.zeros((2, 2)))
 
 
 def test_pairwise_cost_absolute_difference():
-    got = pairwise_cost((0, 0, 0), (0.5, 0, 0), (0, 0, 0), (0.3, 0, 0), 1.0)
-    assert got == pytest.approx(0.2, abs=1e-12)
+    cost = pairwise_cost([(0, 0, 0), (0.5, 0, 0)], [(0, 0, 0), (0.3, 0, 0)], 1.0)
+    assert cost[0, 1] == cost[1, 0] == pytest.approx(0.2, abs=1e-12)
+
+
+def test_stage_two_diameter_decisions_agree():
+    # Pair (0, 2) lies exactly one diameter apart in pairwise_distances, while
+    # a 1-D norm of the same difference comes out one ulp larger.
+    rng = np.random.default_rng(0)
+    points = rng.uniform(-0.03, 0.03, (8, 3)) + (0.0, 0.0, 1.0)
+    diameter = float(pairwise_distances(points)[0, 2])
+    assert float(np.linalg.norm(points[0] - points[2])) != diameter
+    scene = tiny_scene(points, [[cand((0, 0, 0))] for _ in points], diameter=diameter)
+    master = build_stage_two_master(scene, STAGE_TWO_DEFAULTS, range(8), [0] * 8)
+    enumerated = enumerate_submodels(
+        [Component(serial=k, nodes=frozenset({k})) for k in range(8)], scene)
+    per_node = per_node_submodels(points, diameter)
+    decisions = set()
+    for e, (i, j) in enumerate(master.edges):
+        ones = PartialLabeling(tuple(int(k in (i, j)) for k in range(8)))
+        beyond = {
+            master.edge_table(e)[1, 1] == INF,
+            j not in enumerated[i].node_set,
+            j not in per_node[i].node_set and i not in per_node[j].node_set,
+            _geometric_violations([(ones, None)], scene, list(range(8))) == 1,
+        }
+        assert len(beyond) == 1, (i, j)
+        decisions |= beyond
+    assert decisions == {True, False}
+    assert 2 in enumerated[0].node_set
 
 
 def test_neighborhood_single_node_grid():

@@ -150,6 +150,26 @@ def test_confidence_out_of_range_rejected():
         scene_from_dict(doc)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    (("nodes", 3, "x", 0), float("nan"), r"nodes\[3\]: camera point x"),
+    (("nodes", 0, "candidates", 2, "l", 1), float("inf"),
+     r"nodes\[0\]\.candidates\[2\]: object coordinate l"),
+    (("object_diameter",), float("inf"), "object_diameter"),
+    (("object_points", 0, 0), float("nan"), "object_points"),
+])
+def test_non_finite_scene_input_rejected(tmp_path, field, value, message):
+    doc = scene_to_dict(generate_bundle(default_scenario(
+        seed=10, grid_width=20, grid_height=15)))
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))  # written as NaN / Infinity literals
+    with pytest.raises(SceneFormatError, match=message):
+        load_scene(path)
+
+
 def test_load_xyz(tmp_path):
     path = tmp_path / "cloud.xyz"
     path.write_text("# comment\n0 0 0\n1.5 2 3\n")
