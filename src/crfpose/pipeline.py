@@ -270,18 +270,23 @@ def _strip_timings(obj):
 
 
 def canonical_report(report: dict) -> str:
-    """Byte-stable rendering: timings stripped, keys sorted, compact separators."""
+    """Byte-stable strict JSON: timings stripped, keys sorted, compact separators.
+
+    A non-finite number raises ``ValueError`` instead of being written as a
+    token that JSON does not have.
+    """
     return json.dumps(_strip_timings(report), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+                      separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def write_report(report: dict, path, canonical: bool = False) -> None:
+    """Write the report as strict JSON; nothing is written if it holds a NaN."""
+    if canonical:
+        text = canonical_report(report)
+    else:
+        text = json.dumps(report, indent=1, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        if canonical:
-            fh.write(canonical_report(report))
-        else:
-            json.dump(report, fh, indent=1)
-            fh.write("\n")
+        fh.write(text)
 
 
 def summary_line(report: dict) -> str:

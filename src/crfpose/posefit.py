@@ -30,6 +30,9 @@ class Pose:
         t = np.asarray(self.translation, dtype=float)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ContractViolation("pose needs a 3x3 rotation and a 3-vector")
+        for name, value in (("rotation", r), ("translation", t)):
+            if not np.isfinite(value).all():
+                raise ContractViolation(f"{name} is not finite")
         if np.linalg.norm(r.T @ r - np.eye(3)) > ORTHONORMALITY_TOL:
             raise ContractViolation("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:

@@ -348,7 +348,7 @@ def scene_from_dict(doc: dict) -> SceneBundle:
             pose = Pose(np.asarray(_require(g, "rotation", "ground_truth."), dtype=float),
                         np.asarray(_require(g, "translation", "ground_truth."), dtype=float))
         except ContractViolation as exc:
-            raise SceneFormatError(f"invalid ground_truth pose: {exc}") from None
+            raise SceneFormatError(f"invalid pose at ground_truth: {exc}") from None
         ground_truth = GroundTruth(pose=pose,
                                    labels=tuple(int(l) for l in _require(g, "labels", "ground_truth.")))
     return SceneBundle(observation=obs, object_points=object_points,

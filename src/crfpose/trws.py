@@ -7,7 +7,9 @@ A sweep visits nodes in order, refreshes the chain DP messages entering the
 node, and averages the per-chain min-marginals; the dual bound is the sum of
 chain minima read off at the end of each backward sweep.  Averaging never
 decreases the bound, infinities propagate as infinities (never NaN), and the
-whole routine is deterministic.
+whole routine is deterministic.  Every pairwise table is held once, β-weighted
+and INF-padded, in one (E, Lmax, Lmax) array that the sweeps and the rounding
+pass index by edge id.
 """
 
 from __future__ import annotations
@@ -56,28 +58,39 @@ def monotone_chains(node_count: int, edges) -> list[list[int]]:
 
 
 class _Compiled:
-    """Chain structure flattened into padded arrays for per-node batching."""
+    """Chain structure flattened into arrays for per-node batching.
+
+    ``tables[e]`` is edge e's β-weighted table, INF-padded to (Lmax, Lmax),
+    INF wherever the model's entry is inf (also at β = 0).  Chain links are
+    edge ids.  Edges are stored as (u, v) with u < v and chains climb the
+    node order, so a link from a predecessor is always (v, u) with v < u and
+    one to a successor (u, v) with u < v: no table is ever transposed.
+    """
 
     def __init__(self, model: GraphicalModel):
         n = model.node_count
         labels = model.labels_per_node
         self.labels = labels
+        self.lmax = max(labels)
         w = model.pairwise_weight
-        table_of = {}
+        self.tables = np.full((model.edge_count, self.lmax, self.lmax), INF)
+        edge_id = {}
         for e, (u, v) in enumerate(model.edges):
             t = model.edge_table(e)
-            table_of[(u, v)] = np.where(np.isinf(t), INF, w * t)
+            self.tables[e, : labels[u], : labels[v]] = np.where(np.isinf(t), INF, w * t)
+            edge_id[(u, v)] = e
 
-        chains = monotone_chains(n, model.edges)
-        self.chains = chains
-        slot_node, slot_prev, slot_next = [], [], []
+        # per slot: its node, neighbouring slots and the edge id of the link
+        # from its predecessor (-1 where there is none)
+        slot_node, slot_prev, slot_next, slot_edge = [], [], [], []
         head_slots = []
-        for chain in chains:
+        for chain in monotone_chains(n, model.edges):
             first = len(slot_node)
             for i, u in enumerate(chain):
                 slot_node.append(u)
                 slot_prev.append(first + i - 1 if i > 0 else -1)
                 slot_next.append(first + i + 1 if i + 1 < len(chain) else -1)
+                slot_edge.append(edge_id[(chain[i - 1], u)] if i > 0 else -1)
             head_slots.append(first)
         self.slot_count = len(slot_node)
         self.slot_node = slot_node
@@ -89,7 +102,6 @@ class _Compiled:
         self.slots_at = [np.array(s, dtype=np.int64) for s in slots_at]
         self.isolated = [u for u in range(n) if not slots_at[u]]
 
-        self.lmax = max(labels)
         # per-node message blocks, padded cross-node store for gathering
         self.fwd = [np.zeros((len(slots_at[u]), labels[u])) for u in range(n)]
         self.bwd = [np.zeros((len(slots_at[u]), labels[u])) for u in range(n)]
@@ -102,45 +114,19 @@ class _Compiled:
         self.out_b = np.full((self.slot_count, self.lmax), INF)
 
         # rows within the node block that have a predecessor / successor,
-        # the matching remote slot ids, and stacked padded tables
-        self.prev_rows, self.prev_slots, self.prev_tables = [], [], []
-        self.next_rows, self.next_slots, self.next_tables = [], [], []
-        for u in range(n):
-            prows, pslots, pnodes = [], [], []
-            nrows, nslots, nnodes = [], [], []
-            for row, s in enumerate(slots_at[u]):
-                p = slot_prev[s]
-                if p >= 0:
-                    prows.append(row)
-                    pslots.append(p)
-                    pnodes.append(slot_node[p])
-                nx = slot_next[s]
-                if nx >= 0:
-                    nrows.append(row)
-                    nslots.append(nx)
-                    nnodes.append(slot_node[nx])
-            self.prev_rows.append(np.array(prows, dtype=np.int64))
-            self.prev_slots.append(np.array(pslots, dtype=np.int64))
-            if prows:
-                stack = np.full((len(prows), self.lmax, labels[u]), INF)
-                for i, vp in enumerate(pnodes):
-                    key = (vp, u) if vp < u else (u, vp)
-                    t = table_of[key] if vp < u else table_of[key].T
-                    stack[i, : labels[vp], :] = t
-                self.prev_tables.append(stack)
-            else:
-                self.prev_tables.append(None)
-            self.next_rows.append(np.array(nrows, dtype=np.int64))
-            self.next_slots.append(np.array(nslots, dtype=np.int64))
-            if nrows:
-                stack = np.full((len(nrows), labels[u], self.lmax), INF)
-                for i, vn in enumerate(nnodes):
-                    key = (u, vn) if u < vn else (vn, u)
-                    t = table_of[key] if u < vn else table_of[key].T
-                    stack[i, :, : labels[vn]] = t
-                self.next_tables.append(stack)
-            else:
-                self.next_tables.append(None)
+        # the matching remote slot ids, and the edge ids of those links
+        slot_prev, slot_next, slot_edge = (np.array(a, dtype=np.int64)
+                                           for a in (slot_prev, slot_next, slot_edge))
+        self.prev_rows, self.prev_slots, self.prev_edges = [], [], []
+        self.next_rows, self.next_slots, self.next_edges = [], [], []
+        for slots in self.slots_at:
+            prev, nxt = slot_prev[slots], slot_next[slots]
+            self.prev_rows.append(np.flatnonzero(prev >= 0))
+            self.prev_slots.append(prev[prev >= 0])
+            self.prev_edges.append(slot_edge[slots][prev >= 0])
+            self.next_rows.append(np.flatnonzero(nxt >= 0))
+            self.next_slots.append(nxt[nxt >= 0])
+            self.next_edges.append(slot_edge[nxt[nxt >= 0]])
 
 
 def _average(comp: _Compiled, u: int, flagged: set[int]) -> None:
@@ -172,8 +158,8 @@ def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResu
             rows = comp.prev_rows[u]
             if rows.size:
                 gathered = comp.out_f[comp.prev_slots[u]]
-                msg = (gathered[:, :, None] + comp.prev_tables[u]).min(axis=1)
-                comp.fwd[u][rows] = msg
+                tables = comp.tables[comp.prev_edges[u], :, : labels[u]]
+                comp.fwd[u][rows] = (gathered[:, :, None] + tables).min(axis=1)
             _average(comp, u, flagged)
             comp.out_f[comp.slots_at[u], : labels[u]] = comp.fwd[u] + comp.theta[u]
         for u in range(n - 1, -1, -1):  # backward sweep
@@ -182,8 +168,8 @@ def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResu
             rows = comp.next_rows[u]
             if rows.size:
                 gathered = comp.out_b[comp.next_slots[u]]
-                msg = (comp.next_tables[u] + gathered[:, None, :]).min(axis=2)
-                comp.bwd[u][rows] = msg
+                tables = comp.tables[comp.next_edges[u], : labels[u], :]
+                comp.bwd[u][rows] = (tables + gathered[:, None, :]).min(axis=2)
             _average(comp, u, flagged)
             comp.out_b[comp.slots_at[u], : labels[u]] = comp.bwd[u] + comp.theta[u]
         bound = model.constant
@@ -204,7 +190,7 @@ def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResu
             for i in range(comp.prev_rows[u].size):
                 prev_slot = comp.prev_slots[u][i]
                 l_prev = labeling[comp.slot_node[prev_slot]]
-                score += comp.prev_tables[u][i][l_prev, :]
+                score += comp.tables[comp.prev_edges[u][i], l_prev, : labels[u]]
         if np.isfinite(score).any():
             labeling.append(int(np.argmin(score)))
         else:

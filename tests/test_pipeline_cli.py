@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from crfpose.cli import main
 from crfpose.pipeline import (ConfigError, PipelineConfig, canonical_report,
-                              desk_scale_config, parse_config, solve_scene)
+                              desk_scale_config, parse_config, solve_scene,
+                              write_report)
 from crfpose.posemodel import STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS
 from crfpose.synth import default_scenario, generate_bundle
 
@@ -115,6 +117,29 @@ def test_canonical_report_strips_timings_and_is_stable(easy_bundle):
     b = canonical_report(solve_scene(easy_bundle, desk_scale_config()))
     assert a == b
     assert "timings" not in a
+
+
+def test_canonical_report_digest_is_pinned():
+    # Pins the whole solve, stage-one bound history included, byte for byte.
+    # A declared behaviour change (ROADMAP items 2 and 3) must re-record it.
+    bundle = generate_bundle(default_scenario(
+        seed=0, grid_width=20, grid_height=15, inlier_rate=0.85,
+        visible_fraction=0.8, coord_noise_sigma=1e-4))
+    text = canonical_report(solve_scene(bundle, desk_scale_config()))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "c19c71e45c248cc77e5a4d7424c852f0b0b9f1083306bd7c423dc72bd4bc178e"
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_report_with_nan_is_never_written(tmp_path, canonical):
+    report = {"status": "ok", "evaluation": {"average_distance": float("nan")},
+              "timings": {}}
+    with pytest.raises(ValueError):
+        canonical_report(report)
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_report(report, path, canonical=canonical)
+    assert not path.exists()
 
 
 def test_per_node_scheme_also_finds_the_pose(easy_bundle):

@@ -22,6 +22,12 @@ def test_pose_validates_rotation():
         Pose(np.eye(3) * 2.0, np.zeros(3))
     with pytest.raises(ContractViolation):
         Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # reflection
+    nan_rotation = np.eye(3)
+    nan_rotation[0, 1] = np.nan  # every comparison with NaN is False
+    with pytest.raises(ContractViolation, match="rotation is not finite"):
+        Pose(nan_rotation, np.zeros(3))
+    with pytest.raises(ContractViolation, match="translation is not finite"):
+        Pose(np.eye(3), np.array([0.0, np.inf, 0.0]))
     p = Pose.identity()
     assert np.array_equal(p.apply(np.ones((2, 3))), np.ones((2, 3)))
 

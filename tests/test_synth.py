@@ -156,6 +156,12 @@ def test_confidence_out_of_range_rejected():
      r"nodes\[0\]\.candidates\[2\]: object coordinate l"),
     (("object_diameter",), float("inf"), "object_diameter"),
     (("object_points", 0, 0), float("nan"), "object_points"),
+    (("ground_truth", "rotation", 1, 2), float("nan"),
+     r"ground_truth: rotation is not finite"),
+    (("ground_truth", "translation", 0), float("nan"),
+     r"ground_truth: translation is not finite"),
+    (("ground_truth", "translation", 2), float("-inf"),
+     r"ground_truth: translation is not finite"),
 ])
 def test_non_finite_scene_input_rejected(tmp_path, field, value, message):
     doc = scene_to_dict(generate_bundle(default_scenario(

@@ -110,6 +110,28 @@ def test_infinite_entries_do_not_produce_nan():
             or evaluate_energy(m, res.labeling) == INF
 
 
+def test_padded_infinite_tables_at_zero_pairwise_weight():
+    # mixed label counts make the sweeps read the INF padding of the shared
+    # edge array; at weight 0 an inf entry must stay inf, never 0 * inf = NaN.
+    # No inf touches label 0, so the rounding pass can always keep a finite
+    # energy: label 0 is compatible with every neighbour's label.
+    labels = (2, 4, 3, 2, 4, 3)
+    for rng in _spawn(41, 12):
+        edges = tuple((u, v) for u in range(6) for v in range(u + 1, 6)
+                      if v == u + 1 or rng.random() < 0.5)
+        tables = []
+        for u, v in edges:
+            t = rng.uniform(0, 3, (labels[u], labels[v]))
+            t[1:, 1:][rng.random((labels[u] - 1, labels[v] - 1)) < 0.5] = INF
+            tables.append(t)
+        m = GraphicalModel(labels, [rng.uniform(0, 3, k) for k in labels], edges,
+                           pairwise=tables, pairwise_weight=0.0)
+        res = solve_trws(m, TrwsConfig(iterations=8))
+        assert not np.isnan(res.bound_history).any()
+        assert res.lower_bound <= brute_force(m).optimal_energy + 1e-9
+        assert np.isfinite(evaluate_energy(m, res.labeling))
+
+
 def test_extract_inliers():
     m = GraphicalModel((2,) * 4, [np.zeros(2) for _ in range(4)], ())
     assert extract_inliers(m, [1, 1, 1, 1], 1) == set()
