@@ -2,7 +2,9 @@
 
 Reports are plain dicts serialized as versioned JSON.  The canonical form
 drops wall-clock timings and fixes key order, so identical inputs produce
-byte-identical canonical reports.
+byte-identical canonical reports.  Reports are strict JSON: a score of inf
+(no association survived ICP's gate) is written as ``null``, and any other
+non-finite number is refused rather than written.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
+from .model import INF
 from .posefit import (IcpConfig, cluster_hypotheses, icp_refine,
                       pose_correct, select_best)
 from .posemodel import (HyperParams, STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS,
@@ -223,7 +226,7 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
         "hypotheses": [
             {"seed_serial": h.seed_serial,
              "correspondence_count": h.correspondence_count,
-             "score": float(h.score), "refined": h.refined}
+             "score": _score(h.score), "refined": h.refined}
             for h in refined
         ],
         "selected": None,
@@ -233,7 +236,7 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
     if best is not None:
         report["selected"] = {
             "pose": _pose_dict(best.pose),
-            "score": float(best.score),
+            "score": _score(best.score),
             "correspondence_count": best.correspondence_count,
             "seed_serial": best.seed_serial,
             "low_confidence": best.low_confidence,
@@ -243,6 +246,11 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
                                         bundle.object_points, scene.object_diameter)
             report["evaluation"] = {"correct": correct, "average_distance": float(avg)}
     return report
+
+
+def _score(score: float) -> float | None:
+    """A hypothesis score as JSON: ``None`` for inf, which JSON has no token for."""
+    return None if score == INF else float(score)
 
 
 def _geometric_violations(results, scene, master_grid_nodes) -> int:
@@ -272,15 +280,16 @@ def _strip_timings(obj):
 def canonical_report(report: dict) -> str:
     """Byte-stable strict JSON: timings stripped, keys sorted, compact separators.
 
-    A non-finite number raises ``ValueError`` instead of being written as a
-    token that JSON does not have.
+    A NaN or an infinity raises ``ValueError`` instead of being written as a
+    token that JSON does not have; ``solve_scene`` writes an inf score as null.
     """
     return json.dumps(_strip_timings(report), sort_keys=True,
                       separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def write_report(report: dict, path, canonical: bool = False) -> None:
-    """Write the report as strict JSON; nothing is written if it holds a NaN."""
+    """Write the report as strict JSON; nothing is written if it holds a
+    NaN or an infinity."""
     if canonical:
         text = canonical_report(report)
     else:
@@ -295,7 +304,8 @@ def summary_line(report: dict) -> str:
              f"submodels={report['stage_two']['submodel_count']}",
              f"inliers={report['stage_one']['inlier_count']}"]
     if report["selected"] is not None:
-        parts.append(f"score={report['selected']['score']:.4g}")
+        score = report["selected"]["score"]
+        parts.append("score=inf" if score is None else f"score={score:.4g}")
     if "evaluation" in report:
         parts.append(f"correct={report['evaluation']['correct']}")
         parts.append(f"avg_distance={report['evaluation']['average_distance']:.4g}")

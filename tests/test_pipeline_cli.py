@@ -1,9 +1,12 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from crfpose import pipeline
 from crfpose.cli import main
+from crfpose.model import INF
 from crfpose.pipeline import (ConfigError, PipelineConfig, canonical_report,
                               desk_scale_config, parse_config, solve_scene,
                               write_report)
@@ -175,6 +178,38 @@ def test_cli_generate_and_solve(tmp_path, capsys):
     assert "status=ok" in out
     doc = json.loads(report.read_text())
     assert doc["evaluation"]["correct"] is True
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_solve_writes_inf_scores_as_null(tmp_path, capsys, monkeypatch):
+    # ICP scores a hypothesis inf when no association survives its gate;
+    # the report must still be written, as strict JSON.
+    monkeypatch.setattr(pipeline, "icp_refine",
+                        lambda h, points, cfg: replace(h, score=INF, refined=True))
+    scenario = write_scenario(tmp_path)
+    scene = tmp_path / "scene.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DESK_CFG)
+    report = tmp_path / "report.json"
+    assert main(["generate", "--config", str(scenario), "--out", str(scene)]) == 0
+    assert main(["solve", "--scene", str(scene), "--config", str(cfg),
+                 "--out", str(report)]) == 0
+    assert "score=inf" in capsys.readouterr().out
+    doc = _strict_json(report.read_text())
+    assert doc["hypotheses"]
+    assert all(h["score"] is None for h in doc["hypotheses"])
+    assert doc["selected"]["score"] is None
+    assert doc["selected"]["low_confidence"] is True
+    assert _strict_json(canonical_report(doc))["selected"]["score"] is None
+    doc["selected"]["score"] = float("nan")
+    with pytest.raises(ValueError):
+        write_report(doc, tmp_path / "nan.json")
+    assert not (tmp_path / "nan.json").exists()
 
 
 def test_cli_generate_is_seed_deterministic(tmp_path):
