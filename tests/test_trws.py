@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,76 @@ def test_stage_one_recovers_planted_inliers():
     inliers = extract_inliers(model, res.labeling, scene.outlier_labels())
     planted = {u for u, l in enumerate(truth) if l != 12}
     assert len(planted & inliers) >= 0.8 * len(planted)
+
+
+def _pinned_sparse_model(rng):
+    # label counts 1-5, costs over six orders of magnitude, inf entries in
+    # half the models, β = 0 in a quarter, and isolated nodes wherever the
+    # edge density leaves them
+    n = int(rng.integers(1, 11))
+    labels = tuple(int(k) for k in rng.integers(1, 6, n))
+    density = float(rng.choice([0.15, 0.4, 0.8]))
+    edges = tuple((u, v) for u in range(n) for v in range(u + 1, n)
+                  if rng.random() < density)
+    inf_share = float(rng.choice([0.0, 0.3]))
+
+    def costs(shape):
+        t = rng.uniform(0.0, 3.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+        t[rng.random(shape) < inf_share] = INF
+        return t
+
+    unary = [costs(k) for k in labels]
+    for t in unary:
+        t[int(rng.integers(t.size))] = rng.uniform(0.0, 3.0)  # some label stays finite
+    weight = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.5, 2.5))
+    return GraphicalModel(labels, unary, edges,
+                          pairwise=[costs((labels[u], labels[v])) for u, v in edges],
+                          pairwise_weight=weight)
+
+
+def _pinned_star_model(rng, hub_labels):
+    # a tree whose hub heads one chain per leaf, more rows than numpy sums
+    # row by row when the hub has a single label
+    leaves = int(rng.integers(9, 15))
+    labels = (hub_labels,) + tuple(int(k) for k in rng.integers(1, 5, leaves))
+    edges = tuple((0, v) for v in range(1, leaves + 1))
+    return GraphicalModel(
+        labels, [rng.uniform(0.0, 3.0, k) * 10.0 ** rng.integers(-3, 4, k) for k in labels],
+        edges, pairwise=[rng.uniform(0.0, 3.0, (hub_labels, labels[v])) for _, v in edges],
+        pairwise_weight=float(rng.uniform(0.5, 2.5)))
+
+
+def _solve_digest(models, iterations):
+    h = hashlib.sha256()
+    for m in models:
+        res = solve_trws(m, TrwsConfig(iterations=iterations))
+        h.update(repr((res.labeling, [float(b).hex() for b in res.bound_history],
+                       sorted(res.diagnostics.items()))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solver_output_is_pinned_on_random_models():
+    # Pins labeling, bound history and diagnostics to the last bit; a change
+    # of the solver's schedule or summation order shows here.
+    rngs = _spawn(2718, 120)
+    models = [_pinned_sparse_model(rng) for rng in rngs[:80]]
+    models += [sample_tree_model(rng) for rng in rngs[80:100]]
+    models += [_pinned_star_model(rng, hub_labels=1 + i % 3)
+               for i, rng in enumerate(rngs[100:])]
+    assert _solve_digest(models, iterations=7) == \
+        "227ccb5883ca8d0c2c6618d5368b4673a650f016f3b930de06e0fef3f93814c9"
+
+
+def test_solver_output_is_pinned_on_a_stage_one_model():
+    from crfpose.pipeline import DESK_SCALE_STAGE_ONE
+    from crfpose.posemodel import build_stage_one_model
+    from crfpose.synth import default_scenario, generate_bundle
+
+    # the scene of test_canonical_report_digest_is_pinned
+    bundle = generate_bundle(default_scenario(
+        seed=0, grid_width=20, grid_height=15, inlier_rate=0.85,
+        visible_fraction=0.8, coord_noise_sigma=1e-4))
+    model = build_stage_one_model(bundle.observation, DESK_SCALE_STAGE_ONE)
+    assert _solve_digest([model], iterations=10) == \
+        "8c480b75d47eec61d399adc8c7a2258822d9ad7e2eec82626598ac0ba6aace00"
