@@ -58,6 +58,8 @@ class GraphicalModel:
         for u, t in enumerate(self.unary):
             if t.shape != (self.labels_per_node[u],):
                 raise ContractViolation(f"unary table of node {u} has wrong length")
+            if np.isnan(t).any():
+                raise ContractViolation(f"unary table of node {u} has a NaN cost")
         seen = set()
         canon = []
         for u, v in self.edges:
@@ -85,6 +87,8 @@ class GraphicalModel:
             u, v = self.edges[e]
             if table.shape != (self.labels_per_node[u], self.labels_per_node[v]):
                 raise ContractViolation(f"pairwise table of edge {self.edges[e]} has wrong shape")
+            if np.isnan(table).any():
+                raise ContractViolation(f"pairwise table of edge {self.edges[e]} has a NaN cost")
             self.pairwise[e] = table
             # where both representations exist they must agree
             if self.table_fn is not None:
@@ -110,6 +114,8 @@ class GraphicalModel:
             table = np.asarray(self.table_fn(u, v), dtype=float)
             if table.shape != (self.labels_per_node[u], self.labels_per_node[v]):
                 raise ContractViolation(f"table_fn returned wrong shape for edge {(u, v)}")
+            if np.isnan(table).any():
+                raise ContractViolation(f"table_fn returned a NaN cost for edge {(u, v)}")
             self.pairwise[e] = table
         return table
 
@@ -131,6 +137,19 @@ def _check_labeling(model: GraphicalModel, labeling: Sequence[int]) -> None:
     for u, l in enumerate(labeling):
         if not 0 <= int(l) < model.labels_per_node[u]:
             raise ContractViolation(f"label {l} out of range at node {u}")
+
+
+def weighted_table(table: np.ndarray, weight: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``weight * table`` with every ±inf entry +inf, also at weight 0.
+
+    Only the finite entries are multiplied, so ``0 * inf`` never runs.
+    Writes into ``out`` (an array of the table's shape) when given.
+    """
+    if out is None:
+        out = np.empty(table.shape)
+    out[...] = INF
+    np.multiply(weight, table, out=out, where=np.isfinite(table))
+    return out
 
 
 def evaluate_energy(model: GraphicalModel, labeling: Sequence[int]) -> float:

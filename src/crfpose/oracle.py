@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (INF, ContractViolation, GraphicalModel, PartialLabeling,
-                    UNLABELED, evaluate_energy, extend_partial, induce_submodel)
+                    UNLABELED, evaluate_energy, extend_partial, induce_submodel,
+                    weighted_table)
 
 STATE_SPACE_GUARD = 10 ** 7
 _CHUNK = 1 << 15
@@ -34,12 +35,8 @@ def _guard(model: GraphicalModel) -> int:
 
 
 def _weighted_tables(model: GraphicalModel) -> list[np.ndarray]:
-    # inf entries stay inf no matter the weight; 0 * inf must not produce nan
-    out = []
-    for e in range(model.edge_count):
-        t = model.edge_table(e)
-        out.append(np.where(np.isinf(t), INF, model.pairwise_weight * t))
-    return out
+    return [weighted_table(model.edge_table(e), model.pairwise_weight)
+            for e in range(model.edge_count)]
 
 
 def _labeling_block(model: GraphicalModel, start: int, stop: int) -> np.ndarray:
@@ -148,6 +145,33 @@ def sample_sparse_model(rng: np.random.Generator, max_nodes: int = 10,
     )
 
 
+def sample_hard_model(rng: np.random.Generator, max_nodes: int = 8,
+                      max_labels: int = 4, edge_prob: float = 0.4) -> GraphicalModel:
+    """Random model with hard constraints: inf costs, single-label nodes, β = 0.
+
+    Label counts are 1..``max_labels``; about 30% of the unary and pairwise
+    entries are inf, but never one on label 0, so label 0 stays compatible
+    with every neighbour and a finite optimum exists.  A quarter of the
+    models have pairwise weight 0.
+    """
+    n = int(rng.integers(2, max_nodes + 1))
+    labels = tuple(int(rng.integers(1, max_labels + 1)) for _ in range(n))
+    edges = _random_edges(rng, n, edge_prob)
+
+    def costs(shape):
+        t = rng.uniform(0.0, 3.0, size=shape)
+        t[(rng.random(shape) < 0.3) & (np.indices(shape) > 0).all(axis=0)] = INF
+        return t
+
+    return GraphicalModel(
+        labels_per_node=labels,
+        unary=[costs((k,)) for k in labels],
+        edges=tuple(edges),
+        pairwise=[costs((labels[u], labels[v])) for u, v in edges],
+        pairwise_weight=0.0 if rng.random() < 0.25 else float(rng.uniform(0.5, 2.5)),
+    )
+
+
 def sample_tree_model(rng: np.random.Generator, max_nodes: int = 8,
                       max_labels: int = 4) -> GraphicalModel:
     """Random tree-structured model (uniform random tree via random parents)."""
@@ -241,14 +265,20 @@ class SuiteReport:
 
 def verify_trws_bounds(trials: int = 100, tree_trials: int | None = None,
                        seed: int = 0, tolerance: float = 1e-9) -> SuiteReport:
-    """Bound sandwich on random sparse models plus exactness on trees."""
+    """Bound sandwich on random sparse models and on half as many
+    hard-constraint models, plus exactness on trees.
+
+    Both samplers always leave a finite optimum, so the rounded labeling
+    must have finite energy too.
+    """
     from .trws import TrwsConfig, solve_trws
 
     if tree_trials is None:
         tree_trials = max(1, trials // 2)
-    report = SuiteReport("trws-bounds", trials + tree_trials, 0)
-    for t, rng in enumerate(_spawn(seed, trials)):
-        m = sample_sparse_model(rng, max_nodes=10, max_labels=4)
+    hard_trials = max(1, trials // 2)
+    report = SuiteReport("trws-bounds", trials + tree_trials + hard_trials, 0)
+
+    def sandwich(kind, t, m):
         res = solve_trws(m, TrwsConfig(iterations=10))
         opt = brute_force(m).optimal_energy
         rounded = evaluate_energy(m, res.labeling)
@@ -260,10 +290,15 @@ def verify_trws_bounds(trials: int = 100, tree_trials: int | None = None,
             problems.append(f"bound {res.lower_bound} above optimum {opt}")
         if not opt <= rounded + tolerance:
             problems.append("optimum above rounded energy")
+        if not np.isfinite(rounded):
+            problems.append("infinite rounded energy")
         if problems:
-            report.failures.append(f"sparse trial {t}: " + "; ".join(problems))
+            report.failures.append(f"{kind} trial {t}: " + "; ".join(problems))
         else:
             report.passes += 1
+
+    for t, rng in enumerate(_spawn(seed, trials)):
+        sandwich("sparse", t, sample_sparse_model(rng, max_nodes=10, max_labels=4))
     for t, rng in enumerate(_spawn(seed + 1, tree_trials)):
         m = sample_tree_model(rng, max_nodes=8, max_labels=4)
         res = solve_trws(m, TrwsConfig(iterations=50))
@@ -273,6 +308,8 @@ def verify_trws_bounds(trials: int = 100, tree_trials: int | None = None,
         else:
             report.failures.append(
                 f"tree trial {t}: gap {abs(res.lower_bound - opt):.3e}")
+    for t, rng in enumerate(_spawn(seed + 2, hard_trials)):
+        sandwich("hard", t, sample_hard_model(rng))
     return report
 
 

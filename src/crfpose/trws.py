@@ -1,15 +1,32 @@
-"""Sequential tree-reweighted message passing on monotone chains.
+"""Tree-reweighted message passing on monotone chains, one dependency level at a time.
 
 The edge set is decomposed into monotone chains w.r.t. the fixed row-major
 node order (greedy smallest-successor extension).  Each chain owns its edges'
 full pairwise costs and an equal share of every member node's unary cost.
-A sweep visits nodes in order, refreshes the chain DP messages entering the
-node, and averages the per-chain min-marginals; the dual bound is the sum of
-chain minima read off at the end of each backward sweep.  Averaging never
-decreases the bound, infinities propagate as infinities (never NaN), and the
-whole routine is deterministic.  Every pairwise table is held once, β-weighted
-and INF-padded, in one (E, Lmax, Lmax) array that the sweeps and the rounding
-pass index by edge id.
+The forward sweep visits nodes in increasing order, refreshes the chain DP
+messages entering each node from its predecessors and averages the per-chain
+min-marginals; the backward sweep does the same in decreasing order.  The
+dual bound is the sum of chain minima read off at the end of each backward
+sweep.  Averaging never decreases the bound, infinities propagate as
+infinities (never NaN), and the whole routine is deterministic.
+
+A node's update reads only its chain neighbours, which are graph neighbours.
+So each node gets a level, 1 + the largest level among its lower-index
+neighbours: no edge joins two nodes of one level, and every lower-index
+neighbour sits in an earlier level.  A sweep updates a whole level in one
+array step, and the final rounding pass labels a whole level at once; both
+give the node-by-node result to the last bit.  That holds because every sum
+keeps the order numpy gives a single node's (slots, labels) block: rows
+added one by one, except that a single-label node's lone column of 8 or
+more rows is added pairwise.  Rounding adds the predecessor rows in slot
+order.  Minima are exact in any order.
+
+Every pairwise table is held once, β-weighted and INF-padded, in one
+(E, Lmax, Lmax) array indexed by edge id.  The per-slot messages and unary
+shares are (Lmax, S) arrays, INF past each node's label count, with the
+slots numbered by (level, node, chain order) so that a level is one column
+range.  What a slot passes on along its chain is recomputed as message +
+share where it is read, not stored.
 """
 
 from __future__ import annotations
@@ -18,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import INF, ContractViolation, GraphicalModel
+from .model import INF, ContractViolation, GraphicalModel, weighted_table
 
 
 @dataclass(frozen=True)
@@ -57,87 +74,137 @@ def monotone_chains(node_count: int, edges) -> list[list[int]]:
     return chains
 
 
+def node_levels(node_count: int, edges) -> np.ndarray:
+    """Per node, 1 + the largest level among its lower-index neighbours (1 if none)."""
+    level = [1] * node_count
+    ends = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    # by upper end: a lower end's level is final before any edge leaves it
+    ends = ends[np.argsort(ends[:, 1], kind="stable")]
+    for u, v in ends.tolist():
+        level[v] = max(level[v], level[u] + 1)
+    return np.array(level, dtype=np.int64)
+
+
+class _Level:
+    """Index arrays of one level, whose slots are the column range ``cols``."""
+
+    def __init__(self, cols, slot_node, rank, prev, next_, prev_edge, labels):
+        lo = cols.start
+        self.cols = cols
+        self.rank = rank[cols]
+        starts = np.flatnonzero(self.rank == 0)
+        self.nodes = slot_node[lo + starts]
+        self.count = np.diff(np.append(starts, self.rank.size))
+        self.kmax = int(self.count.max())
+        self.local = np.cumsum(self.rank == 0) - 1  # position of each slot's node
+        # single-label nodes with >= 8 slots, grouped by slot count
+        lone = (labels[self.nodes] == 1) & (self.count >= 8)
+        self.lone_columns = [np.flatnonzero(lone & (self.count == k))
+                             for k in np.unique(self.count[lone])]
+        self.prev_rows = np.flatnonzero(prev[cols] >= 0)
+        self.prev_at = lo + self.prev_rows
+        self.prev_slots = prev[self.prev_at]
+        self.prev_edges = prev_edge[self.prev_at]
+        self.next_at = lo + np.flatnonzero(next_[cols] >= 0)
+        self.next_slots = next_[self.next_at]
+        self.next_edges = prev_edge[self.next_slots]
+
+
+def _chain_slots(model: GraphicalModel, labels: np.ndarray):
+    """Chain slots numbered by (level, node, chain order), split into levels.
+
+    Returns per slot its node, the chain heads' slots in chain order, the
+    levels and the isolated nodes.
+    """
+    n = model.node_count
+    # slots in chain order: node, neighbouring slots, edge id of the link
+    # from the predecessor (-1 where there is none)
+    edge_id = {uv: e for e, uv in enumerate(model.edges)}
+    old_node, old_edge, heads = [], [], []
+    for chain in monotone_chains(n, model.edges):
+        heads.append(len(old_node))
+        old_node += chain
+        old_edge += [-1] + [edge_id[link] for link in zip(chain, chain[1:])]
+    old_node, old_edge = np.array(old_node, np.int64), np.array(old_edge, np.int64)
+    index = np.arange(old_node.size)
+    is_head = np.isin(index, heads)
+    old_prev = np.where(is_head, -1, index - 1)
+    old_next = np.where(np.append(is_head[1:], True), -1, index + 1)
+
+    # renumber by (level, node, chain order); lexsort is stable
+    level = node_levels(n, model.edges)
+    perm = np.lexsort((old_node, level[old_node]))
+    new = np.empty_like(perm)
+    new[perm] = index
+    slot_node = old_node[perm]
+    prev = np.where(old_prev[perm] >= 0, new[old_prev[perm]], -1)
+    next_ = np.where(old_next[perm] >= 0, new[old_next[perm]], -1)
+    prev_edge = old_edge[perm]
+    # a node's slots are contiguous; rank is the row within them
+    starts = np.diff(slot_node, prepend=-1) != 0
+    rank = index - np.maximum.accumulate(np.where(starts, index, 0))
+    bounds = np.append(np.unique(level[slot_node], return_index=True)[1], index.size)
+    levels = [_Level(slice(lo, hi), slot_node, rank, prev, next_, prev_edge, labels)
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    isolated = np.setdiff1d(np.arange(n), slot_node).tolist()
+    return slot_node, new[heads], levels, isolated
+
+
 class _Compiled:
-    """Chain structure flattened into arrays for per-node batching.
+    """Chain structure flattened into level-ordered slot arrays.
 
     ``tables[e]`` is edge e's β-weighted table, INF-padded to (Lmax, Lmax),
-    INF wherever the model's entry is inf (also at β = 0).  Chain links are
-    edge ids.  Edges are stored as (u, v) with u < v and chains climb the
-    node order, so a link from a predecessor is always (v, u) with v < u and
-    one to a successor (u, v) with u < v: no table is ever transposed.
+    INF wherever the model's entry is ±inf (also at β = 0).  Edges are stored
+    as (u, v) with u < v and chains climb the node order, so a link from a
+    predecessor is always (v, u) with v < u and one to a successor (u, v)
+    with u < v: no table is ever transposed.
     """
 
     def __init__(self, model: GraphicalModel):
         n = model.node_count
-        labels = model.labels_per_node
-        self.labels = labels
-        self.lmax = max(labels)
-        w = model.pairwise_weight
-        self.tables = np.full((model.edge_count, self.lmax, self.lmax), INF)
-        edge_id = {}
+        labels = np.array(model.labels_per_node, dtype=np.int64)
+        self.lmax = lmax = int(labels.max())
+        self.tables = np.full((model.edge_count, lmax, lmax), INF)
         for e, (u, v) in enumerate(model.edges):
-            t = model.edge_table(e)
-            self.tables[e, : labels[u], : labels[v]] = np.where(np.isinf(t), INF, w * t)
-            edge_id[(u, v)] = e
+            weighted_table(model.edge_table(e), model.pairwise_weight,
+                           out=self.tables[e, : labels[u], : labels[v]])
+        self.unary = np.full((lmax, n), INF)
+        for u, t in enumerate(model.unary):
+            self.unary[: labels[u], u] = t
 
-        # per slot: its node, neighbouring slots and the edge id of the link
-        # from its predecessor (-1 where there is none)
-        slot_node, slot_prev, slot_next, slot_edge = [], [], [], []
-        head_slots = []
-        for chain in monotone_chains(n, model.edges):
-            first = len(slot_node)
-            for i, u in enumerate(chain):
-                slot_node.append(u)
-                slot_prev.append(first + i - 1 if i > 0 else -1)
-                slot_next.append(first + i + 1 if i + 1 < len(chain) else -1)
-                slot_edge.append(edge_id[(chain[i - 1], u)] if i > 0 else -1)
-            head_slots.append(first)
-        self.slot_count = len(slot_node)
-        self.slot_node = slot_node
-        self.head_slots = np.array(head_slots, dtype=np.int64) if head_slots else np.empty(0, np.int64)
+        self.slot_node, self.head_slots, self.levels, self.isolated = \
+            _chain_slots(model, labels)
+        slot_node = self.slot_node
+        self.fwd = np.where(np.arange(lmax)[:, None] < labels[slot_node], 0.0, INF)
+        self.bwd = self.fwd.copy()
+        self.theta = self.unary[:, slot_node] / np.bincount(slot_node, minlength=n)[slot_node]
 
-        slots_at = [[] for _ in range(n)]
-        for s, u in enumerate(slot_node):
-            slots_at[u].append(s)
-        self.slots_at = [np.array(s, dtype=np.int64) for s in slots_at]
-        self.isolated = [u for u in range(n) if not slots_at[u]]
+    def outgoing(self, msg: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """What ``slots`` pass on along their chains in the current sweep.
 
-        # per-node message blocks, padded cross-node store for gathering
-        self.fwd = [np.zeros((len(slots_at[u]), labels[u])) for u in range(n)]
-        self.bwd = [np.zeros((len(slots_at[u]), labels[u])) for u in range(n)]
-        self.theta = []
-        for u in range(n):
-            k = len(slots_at[u])
-            share = np.asarray(model.unary[u], dtype=float) / max(k, 1)
-            self.theta.append(np.tile(share, (k, 1)))
-        self.out_f = np.full((self.slot_count, self.lmax), INF)
-        self.out_b = np.full((self.slot_count, self.lmax), INF)
+        ``msg + theta`` is final once the slots' level is done in the sweep.
+        """
+        return msg[:, slots] + self.theta[:, slots]
 
-        # rows within the node block that have a predecessor / successor,
-        # the matching remote slot ids, and the edge ids of those links
-        slot_prev, slot_next, slot_edge = (np.array(a, dtype=np.int64)
-                                           for a in (slot_prev, slot_next, slot_edge))
-        self.prev_rows, self.prev_slots, self.prev_edges = [], [], []
-        self.next_rows, self.next_slots, self.next_edges = [], [], []
-        for slots in self.slots_at:
-            prev, nxt = slot_prev[slots], slot_next[slots]
-            self.prev_rows.append(np.flatnonzero(prev >= 0))
-            self.prev_slots.append(prev[prev >= 0])
-            self.prev_edges.append(slot_edge[slots][prev >= 0])
-            self.next_rows.append(np.flatnonzero(nxt >= 0))
-            self.next_slots.append(nxt[nxt >= 0])
-            self.next_edges.append(slot_edge[nxt[nxt >= 0]])
+    def node_sums(self, values: np.ndarray, lv: _Level) -> np.ndarray:
+        """(Lmax, nodes) sums of a level's per-slot columns, in slot order."""
+        block = np.zeros((lv.kmax, self.lmax, lv.nodes.size))
+        block[lv.rank, :, lv.local] = values.T
+        sums = block.sum(axis=0)  # row by row
+        for cols in lv.lone_columns:
+            k = lv.count[cols[0]]
+            sums[0, cols] = np.ascontiguousarray(block[:k, 0, cols].T).sum(axis=1)
+        return sums
 
-
-def _average(comp: _Compiled, u: int, flagged: set[int]) -> None:
-    fwd, bwd = comp.fwd[u], comp.bwd[u]
-    m = fwd + comp.theta[u] + bwd
-    mbar = m.sum(axis=0) / m.shape[0]
-    finite = np.isfinite(mbar)
-    if not finite.any():
-        flagged.add(u)
-    with np.errstate(invalid="ignore"):
-        comp.theta[u] = np.where(finite[None, :], mbar[None, :] - fwd - bwd, INF)
+    def average(self, lv: _Level, flagged: np.ndarray) -> None:
+        """Replace the level's unary shares by averaged min-marginals."""
+        fwd, bwd = self.fwd[:, lv.cols], self.bwd[:, lv.cols]
+        mbar = self.node_sums(fwd + self.theta[:, lv.cols] + bwd, lv) / lv.count
+        finite = np.isfinite(mbar)
+        flagged[lv.nodes[~finite.any(axis=0)]] = True
+        with np.errstate(invalid="ignore"):
+            self.theta[:, lv.cols] = np.where(finite[:, lv.local],
+                                              mbar[:, lv.local] - fwd - bwd, INF)
 
 
 def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResult:
@@ -147,63 +214,54 @@ def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResu
     if n == 0:
         raise ContractViolation("empty model")
     comp = _Compiled(model)
-    labels = comp.labels
-    flagged: set[int] = set()
+    tables = comp.tables
+    flagged = np.zeros(n, dtype=bool)
 
     bound_history = []
     for _ in range(cfg.iterations):
-        for u in range(n):  # forward sweep
-            if comp.slots_at[u].size == 0:
-                continue
-            rows = comp.prev_rows[u]
-            if rows.size:
-                gathered = comp.out_f[comp.prev_slots[u]]
-                tables = comp.tables[comp.prev_edges[u], :, : labels[u]]
-                comp.fwd[u][rows] = (gathered[:, :, None] + tables).min(axis=1)
-            _average(comp, u, flagged)
-            comp.out_f[comp.slots_at[u], : labels[u]] = comp.fwd[u] + comp.theta[u]
-        for u in range(n - 1, -1, -1):  # backward sweep
-            if comp.slots_at[u].size == 0:
-                continue
-            rows = comp.next_rows[u]
-            if rows.size:
-                gathered = comp.out_b[comp.next_slots[u]]
-                tables = comp.tables[comp.next_edges[u], : labels[u], :]
-                comp.bwd[u][rows] = (tables + gathered[:, None, :]).min(axis=2)
-            _average(comp, u, flagged)
-            comp.out_b[comp.slots_at[u], : labels[u]] = comp.bwd[u] + comp.theta[u]
+        for lv in comp.levels:  # forward sweep
+            if lv.prev_at.size:
+                t = np.ascontiguousarray(tables[lv.prev_edges].transpose(1, 2, 0))
+                t += comp.outgoing(comp.fwd, lv.prev_slots)[:, None, :]
+                comp.fwd[:, lv.prev_at] = t.min(axis=0)
+            comp.average(lv, flagged)
+        for lv in reversed(comp.levels):  # backward sweep
+            if lv.next_at.size:
+                t = np.ascontiguousarray(tables[lv.next_edges].transpose(1, 2, 0))
+                t += comp.outgoing(comp.bwd, lv.next_slots)[None, :, :]
+                comp.bwd[:, lv.next_at] = t.min(axis=1)
+            comp.average(lv, flagged)
         bound = model.constant
         for u in comp.isolated:
             bound += float(model.unary[u].min())
         if comp.head_slots.size:
-            bound += float(comp.out_b[comp.head_slots].min(axis=1).sum())
+            bound += float(comp.outgoing(comp.bwd, comp.head_slots).min(axis=0).sum())
         bound_history.append(bound)
 
-    # final forward pass: sequential conditional minimization on the original
-    # costs, future guidance through the backward messages
-    labeling = []
-    fallback_nodes = []
-    for u in range(n):
-        score = np.asarray(model.unary[u], dtype=float).copy()
-        if comp.slots_at[u].size:
-            score += comp.bwd[u].sum(axis=0)
-            for i in range(comp.prev_rows[u].size):
-                prev_slot = comp.prev_slots[u][i]
-                l_prev = labeling[comp.slot_node[prev_slot]]
-                score += comp.tables[comp.prev_edges[u][i], l_prev, : labels[u]]
-        if np.isfinite(score).any():
-            labeling.append(int(np.argmin(score)))
-        else:
-            labeling.append(int(np.argmin(model.unary[u])))
-            fallback_nodes.append(u)
+    # final forward pass: conditional minimization on the original costs,
+    # future guidance through the backward messages; a node with no finite
+    # score, isolated ones included, keeps its unary argmin
+    labeling = comp.unary.argmin(axis=0)
+    fallback = ~np.isfinite(comp.unary).any(axis=0)
+    for lv in comp.levels:
+        score = comp.unary[:, lv.nodes] + comp.node_sums(comp.bwd[:, lv.cols], lv)
+        rows = np.zeros((lv.kmax, comp.lmax, lv.nodes.size))
+        prev_labels = labeling[comp.slot_node[lv.prev_slots]]
+        rows[lv.rank[lv.prev_rows], :, lv.local[lv.prev_rows]] = \
+            tables[lv.prev_edges, prev_labels]
+        for row in rows:  # predecessor rows in slot order; + 0.0 is exact
+            score += row
+        finite = np.isfinite(score).any(axis=0)
+        labeling[lv.nodes] = np.where(finite, score.argmin(axis=0), labeling[lv.nodes])
+        fallback[lv.nodes] = ~finite
 
     diagnostics = {}
-    if flagged:
-        diagnostics["infinite_min_marginal_nodes"] = sorted(flagged)
-    if fallback_nodes:
-        diagnostics["unary_fallback_nodes"] = fallback_nodes
+    if flagged.any():
+        diagnostics["infinite_min_marginal_nodes"] = np.flatnonzero(flagged).tolist()
+    if fallback.any():
+        diagnostics["unary_fallback_nodes"] = np.flatnonzero(fallback).tolist()
     return TrwsResult(
-        labeling=tuple(labeling),
+        labeling=tuple(labeling.tolist()),
         lower_bound=bound_history[-1],
         bound_history=tuple(bound_history),
         diagnostics=diagnostics,

@@ -73,7 +73,7 @@ def test_criterion_3_trws_bounds():
     elapsed = time.perf_counter() - t0
     ok = rep.ok and elapsed < 120.0
     assert report(3, "TRW-S bound sandwich and tree exactness",
-                  ok, f"{rep.passes}/150 trials, {elapsed:.1f}s"), rep.failures[:5]
+                  ok, f"{rep.passes}/{rep.trials} trials, {elapsed:.1f}s"), rep.failures[:5]
 
 
 def test_criterion_4_zero_form_preserves_energies():

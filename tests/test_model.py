@@ -97,6 +97,29 @@ def test_model_construction_contracts():
         GraphicalModel((2, 2), [np.zeros(2), np.zeros(2)], ((0, 1),))
 
 
+def test_nan_unary_cost_is_rejected_naming_the_node():
+    with pytest.raises(ContractViolation, match="node 1"):
+        GraphicalModel((2, 2), [np.zeros(2), np.array([0.0, math.nan])], ())
+
+
+def test_nan_materialized_pairwise_cost_is_rejected_naming_the_edge():
+    table = np.zeros((2, 2))
+    table[1, 0] = math.nan
+    with pytest.raises(ContractViolation, match=r"\(0, 2\)"):
+        GraphicalModel((2, 2, 2), [np.zeros(2)] * 3, ((0, 1), (2, 0)),
+                       pairwise=[np.zeros((2, 2)), table])
+
+
+def test_nan_lazy_pairwise_cost_is_rejected_naming_the_edge():
+    def table_fn(u, v):
+        return np.full((2, 2), math.nan if (u, v) == (1, 2) else 1.0)
+
+    m = GraphicalModel((2, 2, 2), [np.zeros(2)] * 3, ((0, 1), (1, 2)), table_fn=table_fn)
+    assert m.edge_cost(0, 1, 1) == 1.0
+    with pytest.raises(ContractViolation, match=r"\(1, 2\)"):
+        m.edge_table(1)
+
+
 def test_lazy_and_materialized_tables_agree():
     rng = np.random.default_rng(7)
     for _ in range(20):

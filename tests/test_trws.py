@@ -1,13 +1,16 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
 from crfpose.model import (INF, ContractViolation, GraphicalModel,
                            evaluate_energy)
-from crfpose.oracle import (brute_force, sample_sparse_model, sample_tree_model,
-                            _spawn)
-from crfpose.trws import TrwsConfig, extract_inliers, monotone_chains, solve_trws
+from crfpose.oracle import (brute_force, sample_hard_model, sample_sparse_model,
+                            sample_tree_model, _spawn)
+from crfpose.posemodel import build_sparse_neighborhood
+from crfpose.trws import (TrwsConfig, extract_inliers, monotone_chains, node_levels,
+                          solve_trws)
 
 
 def test_single_node_exact():
@@ -132,6 +135,61 @@ def test_padded_infinite_tables_at_zero_pairwise_weight():
         assert not np.isnan(res.bound_history).any()
         assert res.lower_bound <= brute_force(m).optimal_energy + 1e-9
         assert np.isfinite(evaluate_energy(m, res.labeling))
+
+
+def test_zero_pairwise_weight_with_inf_entries_raises_no_warning():
+    # valid input: β = 0 must not multiply an inf entry (0 * inf = NaN)
+    t = np.array([[0.0, INF], [2.0, -INF]])
+    m = GraphicalModel((2, 2, 1), [np.array([1.0, 0.5]), np.array([0.0, 3.0]),
+                                   np.array([2.0])],
+                       ((0, 1), (1, 2)), pairwise=[t, np.array([[1.0], [INF]])],
+                       pairwise_weight=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_trws(m, TrwsConfig(iterations=4))
+        opt = brute_force(m).optimal_energy
+    assert res.labeling == (1, 0, 0)
+    assert res.lower_bound == opt == evaluate_energy(m, res.labeling) == 2.5
+
+
+def test_hard_model_sampler_reaches_the_inf_regimes():
+    models = [sample_hard_model(rng) for rng in _spawn(8, 60)]
+    assert any(1 in m.labels_per_node for m in models)
+    assert any(m.pairwise_weight == 0.0 for m in models)
+    assert any(np.isinf(m.edge_table(e)).any() for m in models for e in range(m.edge_count))
+    for m in models:  # label 0 is never forbidden
+        assert all(np.isfinite(t[0]) for t in m.unary)
+        for e in range(m.edge_count):
+            t = m.edge_table(e)
+            assert np.isfinite(t[0]).all() and np.isfinite(t[:, 0]).all()
+
+
+def _assert_levels(node_count, edges):
+    level = node_levels(node_count, edges)
+    lower = [[] for _ in range(node_count)]
+    for u, v in edges:
+        lower[max(u, v)].append(min(u, v))
+        assert level[u] != level[v]
+    for v in range(node_count):
+        assert level[v] == 1 + max((level[u] for u in lower[v]), default=0)
+    return level
+
+
+def test_levels_on_random_edge_sets():
+    for rng in _spawn(91, 40):
+        n = int(rng.integers(1, 30))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < rng.choice([0.05, 0.3, 0.9])]
+        rng.shuffle(edges)
+        _assert_levels(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+
+
+@pytest.mark.parametrize("width, height, levels", [(20, 15, None), (32, 24, 91),
+                                                   (64, 48, 179)])
+def test_levels_on_sparse_grids(width, height, levels):
+    level = _assert_levels(width * height, build_sparse_neighborhood(width, height))
+    if levels is not None:
+        assert level.max() == levels
 
 
 def test_extract_inliers():
