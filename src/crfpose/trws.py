@@ -190,7 +190,7 @@ class _Compiled:
         """(Lmax, nodes) sums of a level's per-slot columns, in slot order."""
         block = np.zeros((lv.kmax, self.lmax, lv.nodes.size))
         block[lv.rank, :, lv.local] = values.T
-        sums = block.sum(axis=0)  # row by row
+        sums = block.sum(axis=0)  # adds the rows one by one; zero padding is exact
         for cols in lv.lone_columns:
             k = lv.count[cols[0]]
             sums[0, cols] = np.ascontiguousarray(block[:k, 0, cols].T).sum(axis=1)
@@ -249,7 +249,7 @@ def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResu
         prev_labels = labeling[comp.slot_node[lv.prev_slots]]
         rows[lv.rank[lv.prev_rows], :, lv.local[lv.prev_rows]] = \
             tables[lv.prev_edges, prev_labels]
-        for row in rows:  # predecessor rows in slot order; + 0.0 is exact
+        for row in rows:  # predecessor rows in slot order; zero rows change no score
             score += row
         finite = np.isfinite(score).any(axis=0)
         labeling[lv.nodes] = np.where(finite, score.argmin(axis=0), labeling[lv.nodes])
