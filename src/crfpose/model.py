@@ -9,7 +9,7 @@ the call sites where it could occur.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,24 +28,37 @@ def is_inf(value: float) -> bool:
     return math.isinf(value)
 
 
+def _check_costs(table: np.ndarray, what: str) -> None:
+    if not (table > -INF).all():  # false for NaN as well as -inf
+        kind = "NaN" if np.isnan(table).any() else "-inf"
+        raise ContractViolation(f"{what} has a {kind} cost")
+
+
 @dataclass
 class GraphicalModel:
     """A pairwise model: per-node label sets, unary tables, weighted edges.
 
-    ``pairwise`` may be a list of materialized (Lu, Lv) tables (one per edge,
-    ``None`` entries allowed) and/or a deterministic ``table_fn(u, v)``
-    callback building the table lazily.  Built tables are memoized; the
-    callback must be idempotent.  Models are treated as immutable after
-    construction apart from that memoization.
+    ``edges`` may be given in either orientation; each is stored as (u, v)
+    with u < v, its table transposed where the caller gave (v, u).
+    ``ends`` holds the stored edges as an (E, 2) array.
+
+    ``pairwise`` may be one (E, a, b) array, a list of (Lu, Lv) tables (one
+    per edge, ``None`` entries allowed) and/or a deterministic
+    ``table_fn(u, v)`` callback building the table lazily.  Materialized
+    tables that all share one shape are stored as one (E, a, b) array; the
+    rest stay a list whose lazily built entries are memoized (the callback
+    must be idempotent).  Models are treated as immutable after construction
+    apart from that memoization.  Costs may be +inf, never NaN or -inf.
     """
 
     labels_per_node: tuple[int, ...]
     unary: list[np.ndarray]
     edges: tuple[tuple[int, int], ...]
-    pairwise: list | None = None
+    pairwise: list | np.ndarray | None = None
     table_fn: Callable[[int, int], np.ndarray] | None = None
     pairwise_weight: float = 1.0
     constant: float = 0.0
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.labels_per_node = tuple(int(k) for k in self.labels_per_node)
@@ -58,45 +71,80 @@ class GraphicalModel:
         for u, t in enumerate(self.unary):
             if t.shape != (self.labels_per_node[u],):
                 raise ContractViolation(f"unary table of node {u} has wrong length")
-            if np.isnan(t).any():
-                raise ContractViolation(f"unary table of node {u} has a NaN cost")
-        seen = set()
-        canon = []
-        for u, v in self.edges:
-            if u == v:
-                raise ContractViolation(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ContractViolation(f"edge ({u},{v}) out of range")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ContractViolation(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            canon.append((u, v))
-        self.edges = tuple(canon)
-        if self.pairwise is None:
-            self.pairwise = [None] * len(self.edges)
-        else:
-            self.pairwise = list(self.pairwise)
-        if len(self.pairwise) != len(self.edges):
+            _check_costs(t, f"unary table of node {u}")
+        given = self._set_edges(n)
+        swapped = given[:, 0] > given[:, 1]
+        tables = [None] * len(given) if self.pairwise is None else self.pairwise
+        if len(tables) != len(given):
             raise ContractViolation("one pairwise slot per edge required")
-        for e, table in enumerate(self.pairwise):
-            if table is None:
-                continue
-            table = np.asarray(table, dtype=float)
-            u, v = self.edges[e]
-            if table.shape != (self.labels_per_node[u], self.labels_per_node[v]):
-                raise ContractViolation(f"pairwise table of edge {self.edges[e]} has wrong shape")
-            if np.isnan(table).any():
-                raise ContractViolation(f"pairwise table of edge {self.edges[e]} has a NaN cost")
-            self.pairwise[e] = table
-            # where both representations exist they must agree
-            if self.table_fn is not None:
-                lazy = np.asarray(self.table_fn(u, v), dtype=float)
-                if lazy.shape != table.shape or not np.array_equal(lazy, table, equal_nan=True):
-                    raise ContractViolation(f"lazy and materialized tables disagree on edge {self.edges[e]}")
-        if self.table_fn is None and any(t is None for t in self.pairwise):
-            raise ContractViolation("edges without tables need a table_fn")
+        if (not isinstance(tables, np.ndarray) and len(tables)
+                and all(t is not None for t in tables)
+                and len({np.shape(t) for t in tables}) == 1):
+            tables = np.array(tables, dtype=float)
+        if isinstance(tables, np.ndarray) and tables.ndim == 3 and (
+                tables.shape[1] == tables.shape[2] or not swapped.any()):
+            self.pairwise = self._checked_stack(np.asarray(tables, dtype=float), given, swapped)
+        else:  # lazy tables, or shapes that differ once transposed
+            self.pairwise = [self._checked_table(e, t, given[e], swapped[e])
+                             for e, t in enumerate(tables)]
+            if self.table_fn is None and any(t is None for t in self.pairwise):
+                raise ContractViolation("edges without tables need a table_fn")
+        if self.table_fn is not None:  # where both representations exist they must agree
+            for e, table in enumerate(self.pairwise):
+                if table is not None and not np.array_equal(
+                        np.asarray(self.table_fn(*self.edges[e]), dtype=float), table):
+                    raise ContractViolation(
+                        f"lazy and materialized tables disagree on edge {self.edges[e]}")
+
+    def _set_edges(self, n: int) -> np.ndarray:
+        """Check the edges, store them as (u, v) with u < v, and return them
+        as given."""
+        given = np.asarray(self.edges, dtype=np.int64)
+        if given.size == 0:
+            given = given.reshape(0, 2)
+        if given.ndim != 2 or given.shape[1] != 2:
+            raise ContractViolation("edges must be (u, v) pairs")
+        loops = np.flatnonzero(given[:, 0] == given[:, 1])
+        if loops.size:
+            raise ContractViolation(f"self-loop at node {given[loops[0], 0]}")
+        outside = np.flatnonzero(((given < 0) | (given >= n)).any(axis=1))
+        if outside.size:
+            raise ContractViolation(f"edge {tuple(given[outside[0]].tolist())} out of range")
+        self.ends = np.sort(given, axis=1)
+        keys = self.ends[:, 0] * n + self.ends[:, 1]
+        order = np.argsort(keys, kind="stable")
+        repeated = order[1:][np.diff(keys[order]) == 0]
+        if repeated.size:
+            u, v = self.ends[repeated.min()].tolist()
+            raise ContractViolation(f"duplicate edge ({u},{v})")
+        # one int object per node, not two per edge: about 5 MB less at 78k edges
+        node = list(range(n)).__getitem__
+        self.edges = tuple(zip(map(node, self.ends[:, 0].tolist()),
+                               map(node, self.ends[:, 1].tolist())))
+        return given
+
+    def _checked_stack(self, tables, given, swapped) -> np.ndarray:
+        labels = np.array(self.labels_per_node)
+        wrong = (labels[given] != tables.shape[1:]).any(axis=1)
+        if wrong.any():
+            e = int(np.flatnonzero(wrong)[0])
+            raise ContractViolation(f"pairwise table of edge {self.edges[e]} has wrong shape")
+        bad = np.flatnonzero(~(tables > -INF).all(axis=(1, 2)))  # NaN compares false too
+        if bad.size:
+            _check_costs(tables[bad[0]], f"pairwise table of edge {self.edges[bad[0]]}")
+        if swapped.any():
+            tables = tables.copy()
+            tables[swapped] = tables[swapped].transpose(0, 2, 1)
+        return tables
+
+    def _checked_table(self, e, table, given, swapped):
+        if table is None:
+            return None
+        table = np.asarray(table, dtype=float)
+        if table.shape != (self.labels_per_node[given[0]], self.labels_per_node[given[1]]):
+            raise ContractViolation(f"pairwise table of edge {self.edges[e]} has wrong shape")
+        _check_costs(table, f"pairwise table of edge {self.edges[e]}")
+        return table.T if swapped else table
 
     @property
     def node_count(self) -> int:
@@ -114,8 +162,7 @@ class GraphicalModel:
             table = np.asarray(self.table_fn(u, v), dtype=float)
             if table.shape != (self.labels_per_node[u], self.labels_per_node[v]):
                 raise ContractViolation(f"table_fn returned wrong shape for edge {(u, v)}")
-            if np.isnan(table).any():
-                raise ContractViolation(f"table_fn returned a NaN cost for edge {(u, v)}")
+            _check_costs(table, f"table_fn's table for edge {(u, v)}")
             self.pairwise[e] = table
         return table
 
@@ -139,15 +186,12 @@ def _check_labeling(model: GraphicalModel, labeling: Sequence[int]) -> None:
             raise ContractViolation(f"label {l} out of range at node {u}")
 
 
-def weighted_table(table: np.ndarray, weight: float, out: np.ndarray | None = None) -> np.ndarray:
+def weighted_table(table: np.ndarray, weight: float) -> np.ndarray:
     """``weight * table`` with every ±inf entry +inf, also at weight 0.
 
     Only the finite entries are multiplied, so ``0 * inf`` never runs.
-    Writes into ``out`` (an array of the table's shape) when given.
     """
-    if out is None:
-        out = np.empty(table.shape)
-    out[...] = INF
+    out = np.full(table.shape, INF)
     np.multiply(weight, table, out=out, where=np.isfinite(table))
     return out
 
@@ -177,27 +221,30 @@ def evaluate_energy(model: GraphicalModel, labeling: Sequence[int]) -> float:
 def induce_submodel(model: GraphicalModel, keep) -> tuple[GraphicalModel, tuple[int, ...]]:
     """Restrict ``model`` to the node set ``keep``.
 
-    Keeps all edges internal to ``keep`` with unchanged unary and pairwise
-    costs.  Returns the submodel and the node map (new index -> old index).
-    The submodel's constant is 0: its energy is exactly the master's unary
-    sum over ``keep`` plus the weighted internal pairwise sum.
+    Keeps all edges internal to ``keep``, in the model's edge order, with
+    unchanged unary and pairwise costs.  Returns the submodel and the node
+    map (new index -> old index).  The submodel's constant is 0: its energy
+    is exactly the master's unary sum over ``keep`` plus the weighted
+    internal pairwise sum.
     """
-    keep = sorted(set(int(u) for u in keep))
-    if not keep:
+    keep = np.unique(np.array([int(u) for u in keep], dtype=np.int64))
+    if not keep.size:
         raise ContractViolation("cannot induce a submodel on an empty node set")
     if keep[0] < 0 or keep[-1] >= model.node_count:
         raise ContractViolation("keep contains nodes outside the model")
-    old_to_new = {old: new for new, old in enumerate(keep)}
-    edges = []
-    tables = []
-    for e, (u, v) in enumerate(model.edges):
-        if u in old_to_new and v in old_to_new:
-            edges.append((old_to_new[u], old_to_new[v]))
-            tables.append(model.edge_table(e).copy())
+    new_index = np.full(model.node_count, -1)
+    new_index[keep] = np.arange(keep.size)
+    local = new_index[model.ends]
+    internal = np.flatnonzero((local >= 0).all(axis=1))
+    if isinstance(model.pairwise, np.ndarray):
+        tables = model.pairwise[internal]
+    else:
+        tables = [model.edge_table(e).copy() for e in internal.tolist()]
+    keep = keep.tolist()
     sub = GraphicalModel(
         labels_per_node=tuple(model.labels_per_node[u] for u in keep),
         unary=[model.unary[u].copy() for u in keep],
-        edges=tuple(edges),
+        edges=local[internal],
         pairwise=tables,
         pairwise_weight=model.pairwise_weight,
         constant=0.0,

@@ -138,19 +138,43 @@ def build_sparse_neighborhood(grid_width: int, grid_height: int,
     broken by row-major index; the closest ``skip`` are excluded and the next
     ``keep`` connected.  The returned edge set is the symmetric union,
     deduplicated and canonically ordered (u < v).
+
+    Neighbour (r + dr, c + dc) has index node + dr * W + dc, so the grid
+    offsets are ranked once by (dr² + dc², dr * W + dc) and each node takes
+    its in-bounds offsets ranked skip + 1 .. skip + keep (rank 0 is the node
+    itself).  Every node has a grid quadrant ⌊H/2⌋ rows by ⌊W/2⌋ columns
+    deep, so only offsets within the radius whose quarter disc holds
+    skip + keep of that quadrant's offsets need ranking.  Nodes are handled
+    in blocks to bound the temporaries.
     """
     if grid_width < 1 or grid_height < 1:
         raise ContractViolation("grid dimensions must be >= 1")
-    n = grid_width * grid_height
-    rows, cols = np.divmod(np.arange(n), grid_width)
-    edges = set()
-    for u in range(n):
-        d2 = (rows - rows[u]) ** 2 + (cols - cols[u]) ** 2
-        order = np.lexsort((np.arange(n), d2))  # distance, then row-major index
-        ranked = order[1:]  # drop the node itself (unique zero distance)
-        for v in ranked[skip:skip + keep]:
-            edges.add((min(u, int(v)), max(u, int(v))))
-    return tuple(sorted(edges))
+    width, height = grid_width, grid_height
+    n = width * height
+    dr, dc = (a.ravel() for a in np.meshgrid(np.arange(1 - height, height, dtype=np.int32),
+                                             np.arange(1 - width, width, dtype=np.int32),
+                                             indexing="ij"))
+    d2 = dr.astype(np.int64) ** 2 + dc.astype(np.int64) ** 2
+    quadrant = np.sort(d2[(dr >= 0) & (dr <= height // 2) & (dc >= 0) & (dc <= width // 2)])
+    radius2 = quadrant[skip + keep] if quadrant.size > skip + keep else d2.max()
+    near = np.flatnonzero(d2 <= radius2)
+    near = near[np.lexsort((dr[near] * width + dc[near], d2[near]))]
+    dr, dc = dr[near], dc[near]
+
+    nodes = np.arange(n, dtype=np.int32)
+    keys = []
+    block = max(1, (1 << 17) // dr.size)
+    for lo in range(0, n, block):
+        u = nodes[lo:lo + block, None]
+        r, c = u // width + dr, u % width + dc
+        inside = (r >= 0) & (r < height) & (c >= 0) & (c < width)
+        rank = np.cumsum(inside, axis=1, dtype=np.int32) - 1
+        pick = inside & (rank > skip) & (rank <= skip + keep)
+        v = (r * width + c)[pick].astype(np.int64)
+        u = np.broadcast_to(u, pick.shape)[pick]
+        keys.append(np.minimum(u, v) * n + np.maximum(u, v))
+    lower, upper = np.divmod(np.unique(np.concatenate(keys)), n)
+    return tuple(zip(lower.tolist(), upper.tolist()))
 
 
 def _inlier_unary(candidate: Candidate, hp: HyperParams) -> float:
@@ -239,8 +263,8 @@ def build_stage_two_master(scene: SceneObservation, hp: HyperParams,
     return GraphicalModel(
         labels_per_node=(2,) * len(grid_nodes),
         unary=unary,
-        edges=tuple(zip(rows.tolist(), cols.tolist())),
-        pairwise=list(tables),
+        edges=np.stack([rows, cols], axis=1),
+        pairwise=tables,
         pairwise_weight=hp.beta,
     )
 

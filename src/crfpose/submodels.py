@@ -19,7 +19,7 @@ import numpy as np
 from .model import (ContractViolation, GraphicalModel, PartialLabeling,
                     extend_partial, induce_submodel)
 from .posemodel import SceneObservation, pairwise_distances
-from .qpbo import qpbo, require_binary
+from .qpbo import binary_tables, qpbo
 
 MIN_COMPONENT_SIZE = 3
 
@@ -114,12 +114,7 @@ def per_node_submodels(points: np.ndarray, diameter: float) -> list[SubmodelSpec
 
 
 def is_zero_form(model: GraphicalModel) -> bool:
-    require_binary(model)
-    for e in range(model.edge_count):
-        t = model.edge_table(e)
-        if t[0, 0] != 0.0 or t[0, 1] != 0.0 or t[1, 0] != 0.0:
-            return False
-    return True
+    return not binary_tables(model).reshape(-1, 4)[:, :3].any()
 
 
 def to_zero_form(model: GraphicalModel) -> tuple[GraphicalModel, float]:
@@ -129,30 +124,29 @@ def to_zero_form(model: GraphicalModel) -> tuple[GraphicalModel, float]:
     Already-zero-form models are returned unchanged with shift 0.  Otherwise
     the pairwise weight is folded into the tables (output weight 1) and the
     moved mass lands in the unaries and the constant; the returned shift is
-    the constant added.  Infinite entries are only allowed at (1,1).
+    the constant added, summed in edge order.  Infinite entries are only
+    allowed at (1,1).
     """
     if is_zero_form(model):
         return model, 0.0
-    w = model.pairwise_weight
-    unary = [u.copy() for u in model.unary]
-    shift = 0.0
-    tables = []
-    for e, (u, v) in enumerate(model.edges):
-        t = model.edge_table(e)
-        a, b, c, d = (float(t[0, 0]), float(t[0, 1]), float(t[1, 0]), float(t[1, 1]))
-        if any(np.isinf(x) for x in (a, b, c)):
-            raise ContractViolation(
-                f"edge {model.edges[e]} has an infinite cost outside (1,1); cannot zero it")
-        wa, wb, wc, wd = w * a, w * b, w * c, w * d
-        # w*T(x,y) = wa + (wc-wa)x + (wb-wa)y + (wa+wd-wb-wc)xy
-        shift += wa
-        unary[u][1] += wc - wa
-        unary[v][1] += wb - wa
-        tables.append(np.array([[0.0, 0.0], [0.0, wa + wd - wb - wc]]))
+    t = binary_tables(model)
+    outside = np.flatnonzero(np.isinf(t.reshape(-1, 4)[:, :3]).any(axis=1))
+    if outside.size:
+        raise ContractViolation(f"edge {model.edges[outside[0]]} has an infinite "
+                                "cost outside (1,1); cannot zero it")
+    wa, wb, wc, wd = (model.pairwise_weight * t.reshape(-1, 4)).T
+    # w*T(x,y) = wa + (wc-wa)x + (wb-wa)y + (wa+wd-wb-wc)xy
+    shift = float(np.cumsum(np.append(0.0, wa))[-1])
+    unary = np.array(model.unary, dtype=float).reshape(-1, 2)
+    # per edge u before v, in edge order
+    np.add.at(unary[:, 1], model.ends.reshape(-1),
+              np.stack([wc - wa, wb - wa], axis=1).reshape(-1))
+    tables = np.zeros(t.shape)
+    tables[:, 1, 1] = wa + wd - wb - wc
     out = GraphicalModel(
         labels_per_node=model.labels_per_node,
-        unary=unary,
-        edges=model.edges,
+        unary=list(unary),
+        edges=model.ends,
         pairwise=tables,
         pairwise_weight=1.0,
         constant=model.constant + shift,

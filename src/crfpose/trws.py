@@ -35,7 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import INF, ContractViolation, GraphicalModel, weighted_table
+from .model import INF, ContractViolation, GraphicalModel
+
+#: edges weighted per step when the edge tensor is built
+WEIGHT_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -165,9 +168,15 @@ class _Compiled:
         labels = np.array(model.labels_per_node, dtype=np.int64)
         self.lmax = lmax = int(labels.max())
         self.tables = np.full((model.edge_count, lmax, lmax), INF)
+        k = model.labels_per_node
         for e, (u, v) in enumerate(model.edges):
-            weighted_table(model.edge_table(e), model.pairwise_weight,
-                           out=self.tables[e, : labels[u], : labels[v]])
+            self.tables[e, : k[u], : k[v]] = model.edge_table(e)
+        # weighted as weighted_table does, in chunks: no full-size mask
+        for lo in range(0, model.edge_count, WEIGHT_CHUNK):
+            block = self.tables[lo:lo + WEIGHT_CHUNK]
+            finite = np.isfinite(block)
+            np.multiply(model.pairwise_weight, block, out=block, where=finite)
+            block[np.logical_not(finite, out=finite)] = INF
         self.unary = np.full((lmax, n), INF)
         for u, t in enumerate(model.unary):
             self.unary[: labels[u], u] = t

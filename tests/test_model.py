@@ -120,6 +120,61 @@ def test_nan_lazy_pairwise_cost_is_rejected_naming_the_edge():
         m.edge_table(1)
 
 
+def test_negative_infinite_unary_is_rejected():
+    # the layers disagreed on what -inf means: evaluate_energy read it as
+    # +inf, TRW-S chose it, brute force added inf and -inf
+    with pytest.raises(ContractViolation, match="node 0 has a -inf cost"):
+        GraphicalModel((2, 2), [np.array([-INF, 0.0]), np.zeros(2)], ((0, 1),),
+                       pairwise=[np.zeros((2, 2))])
+
+
+def test_negative_infinite_pairwise_costs_are_rejected_naming_the_edge():
+    table = np.zeros((2, 2))
+    table[0, 1] = -INF
+    for pairwise in ([np.zeros((2, 2)), table], np.stack([np.zeros((2, 2)), table])):
+        with pytest.raises(ContractViolation, match=r"edge \(0, 2\) has a -inf cost"):
+            GraphicalModel((2, 2, 2), [np.zeros(2)] * 3, ((0, 1), (2, 0)), pairwise=pairwise)
+    m = GraphicalModel((2, 2, 2), [np.zeros(2)] * 3, ((0, 1), (1, 2)),
+                       table_fn=lambda u, v: table if (u, v) == (1, 2) else np.zeros((2, 2)))
+    assert m.edge_cost(0, 1, 1) == 0.0
+    with pytest.raises(ContractViolation, match=r"\(1, 2\) has a -inf cost"):
+        m.edge_table(1)
+
+
+@pytest.mark.parametrize("labels", [(2, 2), (2, 3)])
+def test_reversed_edge_keeps_the_callers_table(labels):
+    # an edge given as (1, 0) carries a table indexed [label of 1, label of 0]
+    table = np.arange(labels[1] * labels[0], dtype=float).reshape(labels[1], labels[0]) ** 2
+    for pairwise in ([table], table[None]):
+        m = GraphicalModel(labels, [np.zeros(k) for k in labels], ((1, 0),), pairwise=pairwise)
+        assert m.edges == ((0, 1),)
+        for l0 in range(labels[0]):
+            for l1 in range(labels[1]):
+                assert evaluate_energy(m, (l0, l1)) == table[l1, l0]
+
+
+def test_table_stack_and_table_list_give_one_model():
+    rng = np.random.default_rng(4)
+    edges = ((0, 1), (3, 1), (2, 0), (1, 2))
+    tables = rng.uniform(0.0, 3.0, (4, 2, 2))
+    tables[1, 0, 1] = INF
+    unary = [rng.uniform(0.0, 3.0, 2) for _ in range(4)]
+    stacked = GraphicalModel((2,) * 4, unary, edges, pairwise=tables, pairwise_weight=1.5)
+    listed = GraphicalModel((2,) * 4, unary, edges, pairwise=list(tables), pairwise_weight=1.5)
+    assert isinstance(stacked.pairwise, np.ndarray) and isinstance(listed.pairwise, np.ndarray)
+    assert stacked.edges == listed.edges == ((0, 1), (1, 3), (0, 2), (1, 2))
+    assert np.array_equal(stacked.pairwise, listed.pairwise)
+    assert np.array_equal(stacked.ends, np.array(stacked.edges))
+    for keep in ({0, 1, 2}, {1, 3}, {0, 3}):
+        a, map_a = induce_submodel(stacked, keep)
+        b, map_b = induce_submodel(GraphicalModel(
+            (2,) * 4, unary, edges, table_fn=lambda u, v: stacked.edge_table(
+                stacked.edges.index((u, v))), pairwise_weight=1.5), keep)
+        assert map_a == map_b and a.edges == b.edges
+        assert all(np.array_equal(a.edge_table(e), b.edge_table(e))
+                   for e in range(a.edge_count))
+
+
 def test_lazy_and_materialized_tables_agree():
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -103,6 +103,30 @@ def test_neighborhood_boundary_nodes_connect_to_what_exists():
     assert edges == ()
 
 
+def _neighborhood_by_lexsort(grid_width, grid_height, keep, skip):
+    # the per-node definition: rank every node by (distance, row-major index)
+    n = grid_width * grid_height
+    rows, cols = np.divmod(np.arange(n), grid_width)
+    edges = set()
+    for u in range(n):
+        d2 = (rows - rows[u]) ** 2 + (cols - cols[u]) ** 2
+        ranked = np.lexsort((np.arange(n), d2))[1:]
+        for v in ranked[skip:skip + keep]:
+            edges.add((min(u, int(v)), max(u, int(v))))
+    return tuple(sorted(edges))
+
+
+_GRIDS = [(3, 3), (5, 4), (17, 9), (20, 15), (32, 24), (1, 30), (2, 40), (40, 2)]
+
+
+@pytest.mark.parametrize("grid, keep, skip",
+                         [(g, 48, 8) for g in _GRIDS + [(64, 48)]]
+                         + [(g, keep, skip) for g in _GRIDS for keep, skip in ((4, 0), (20, 30))])
+def test_neighborhood_matches_the_per_node_ranking(grid, keep, skip):
+    assert build_sparse_neighborhood(*grid, keep=keep, skip=skip) == \
+        _neighborhood_by_lexsort(*grid, keep, skip)
+
+
 def test_stage_one_unaries():
     # one candidate with p=0.4 at alpha=0.2 -> inlier unary 0.12
     hp = HyperParams(alpha=0.2, beta=1.0, gamma=0.0)

@@ -183,7 +183,11 @@ def _qpbo_digest(models, monkeypatch):
 
     def recording_max_flow(net):
         result = solve(net)
-        networks.append(_network_record(net, result))
+        record = _network_record(net, result)
+        # the same network rebuilt from a tuple list solves alike
+        rebuilt = FlowNetwork(net.node_count, net.source, net.sink, net.arcs.tolist())
+        assert _network_record(rebuilt, solve(rebuilt)) == record
+        networks.append(record)
         return result
 
     monkeypatch.setattr(qpbo_module, "max_flow", recording_max_flow)
@@ -223,6 +227,11 @@ def test_max_flow_is_pinned_on_random_networks():
     for rng in _spawn(3141, 200):
         n, arcs = _random_network(rng)
         net = FlowNetwork(n, 0, n - 1, arcs)
-        h.update(repr(_network_record(net, max_flow(net))).encode())
+        record = _network_record(net, max_flow(net))
+        tails, heads, caps = zip(*arcs) if arcs else ((), (), ())
+        from_arrays = FlowNetwork.from_arrays(n, 0, n - 1, np.array(tails, dtype=np.int64),
+                                              np.array(heads, dtype=np.int64), np.array(caps))
+        assert _network_record(from_arrays, max_flow(from_arrays)) == record
+        h.update(repr(record).encode())
     assert h.hexdigest() == \
         "95b1702989ef565d92f345dc20aa1a4602b50908bf2080fe83592d92d622ef25"

@@ -139,7 +139,7 @@ def test_padded_infinite_tables_at_zero_pairwise_weight():
 
 def test_zero_pairwise_weight_with_inf_entries_raises_no_warning():
     # valid input: β = 0 must not multiply an inf entry (0 * inf = NaN)
-    t = np.array([[0.0, INF], [2.0, -INF]])
+    t = np.array([[0.0, INF], [2.0, INF]])
     m = GraphicalModel((2, 2, 1), [np.array([1.0, 0.5]), np.array([0.0, 3.0]),
                                    np.array([2.0])],
                        ((0, 1), (1, 2)), pairwise=[t, np.array([[1.0], [INF]])],
