@@ -85,7 +85,7 @@ class GraphicalModel:
                 tables.shape[1] == tables.shape[2] or not swapped.any()):
             self.pairwise = self._checked_stack(np.asarray(tables, dtype=float), given, swapped)
         else:  # lazy tables, or shapes that differ once transposed
-            self.pairwise = [self._checked_table(e, t, given[e], swapped[e])
+            self.pairwise = [t if t is None else self._checked_table(e, t, given[e], swapped[e])
                              for e, t in enumerate(tables)]
             if self.table_fn is None and any(t is None for t in self.pairwise):
                 raise ContractViolation("edges without tables need a table_fn")
@@ -138,8 +138,6 @@ class GraphicalModel:
         return tables
 
     def _checked_table(self, e, table, given, swapped):
-        if table is None:
-            return None
         table = np.asarray(table, dtype=float)
         if table.shape != (self.labels_per_node[given[0]], self.labels_per_node[given[1]]):
             raise ContractViolation(f"pairwise table of edge {self.edges[e]} has wrong shape")

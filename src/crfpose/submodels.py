@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ContractViolation, GraphicalModel, PartialLabeling,
-                    extend_partial, induce_submodel)
+                    extend_partial, induce_submodel, weighted_table)
 from .posemodel import SceneObservation, pairwise_distances
 from .qpbo import binary_tables, qpbo
 
@@ -134,7 +134,7 @@ def to_zero_form(model: GraphicalModel) -> tuple[GraphicalModel, float]:
     if outside.size:
         raise ContractViolation(f"edge {model.edges[outside[0]]} has an infinite "
                                 "cost outside (1,1); cannot zero it")
-    wa, wb, wc, wd = (model.pairwise_weight * t.reshape(-1, 4)).T
+    wa, wb, wc, wd = weighted_table(t, model.pairwise_weight).reshape(-1, 4).T
     # w*T(x,y) = wa + (wc-wa)x + (wb-wa)y + (wa+wd-wb-wc)xy
     shift = float(np.cumsum(np.append(0.0, wa))[-1])
     unary = np.array(model.unary, dtype=float).reshape(-1, 2)

@@ -52,6 +52,8 @@ def test_network_contracts():
     with pytest.raises(ContractViolation):
         FlowNetwork(2, 0, 1, [(0, 1, -1.0)])
     with pytest.raises(ContractViolation):
+        FlowNetwork(2, 0, 1, [(0, 1, float("nan"))])
+    with pytest.raises(ContractViolation):
         FlowNetwork(2, 0, 1, [(0, 5, 1.0)])
     net = FlowNetwork(2, 0, 1, [])
     with pytest.raises(ContractViolation):

@@ -199,13 +199,14 @@ def test_zero_form_rejects_infinite_zeroable_entries():
 
 def test_zero_form_allows_infinite_1_1():
     t = np.array([[1.0, 0.5], [0.25, INF]])
-    m = GraphicalModel((2, 2), [np.zeros(2), np.zeros(2)], ((0, 1),),
-                       pairwise=[t], pairwise_weight=2.0)
-    out, _ = to_zero_form(m)
-    assert out.edge_table(0)[1, 1] == INF
-    for l in [(0, 0), (0, 1), (1, 0)]:
-        assert evaluate_energy(out, l) == pytest.approx(evaluate_energy(m, l), abs=1e-12)
-    assert evaluate_energy(out, (1, 1)) == INF == evaluate_energy(m, (1, 1))
+    for weight in (2.0, 0.0):  # at weight 0 the inf entry stays inf, not 0 * inf
+        m = GraphicalModel((2, 2), [np.zeros(2), np.zeros(2)], ((0, 1),),
+                           pairwise=[t], pairwise_weight=weight)
+        out, _ = to_zero_form(m)
+        assert out.edge_table(0)[1, 1] == INF
+        for l in [(0, 0), (0, 1), (1, 0)]:
+            assert evaluate_energy(out, l) == pytest.approx(evaluate_energy(m, l), abs=1e-12)
+        assert evaluate_energy(out, (1, 1)) == INF == evaluate_energy(m, (1, 1))
 
 
 # ---------------------------------------------------------------------------
