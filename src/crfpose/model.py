@@ -28,10 +28,11 @@ def is_inf(value: float) -> bool:
     return math.isinf(value)
 
 
-def _check_costs(table: np.ndarray, what: str) -> None:
-    if not (table > -INF).all():  # false for NaN as well as -inf
+def _check_costs(table: np.ndarray, what: str, where) -> None:
+    """Raise unless every cost is finite or +inf; names ``what`` ``where``."""
+    if not table.min() > -INF:  # the minimum is NaN if any entry is
         kind = "NaN" if np.isnan(table).any() else "-inf"
-        raise ContractViolation(f"{what} has a {kind} cost")
+        raise ContractViolation(f"{what} {where} has a {kind} cost")
 
 
 @dataclass
@@ -71,7 +72,7 @@ class GraphicalModel:
         for u, t in enumerate(self.unary):
             if t.shape != (self.labels_per_node[u],):
                 raise ContractViolation(f"unary table of node {u} has wrong length")
-            _check_costs(t, f"unary table of node {u}")
+            _check_costs(t, "unary table of node", u)
         given = self._set_edges(n)
         swapped = given[:, 0] > given[:, 1]
         tables = [None] * len(given) if self.pairwise is None else self.pairwise
@@ -131,7 +132,7 @@ class GraphicalModel:
             raise ContractViolation(f"pairwise table of edge {self.edges[e]} has wrong shape")
         bad = np.flatnonzero(~(tables > -INF).all(axis=(1, 2)))  # NaN compares false too
         if bad.size:
-            _check_costs(tables[bad[0]], f"pairwise table of edge {self.edges[bad[0]]}")
+            _check_costs(tables[bad[0]], "pairwise table of edge", self.edges[bad[0]])
         if swapped.any():
             tables = tables.copy()
             tables[swapped] = tables[swapped].transpose(0, 2, 1)
@@ -141,7 +142,7 @@ class GraphicalModel:
         table = np.asarray(table, dtype=float)
         if table.shape != (self.labels_per_node[given[0]], self.labels_per_node[given[1]]):
             raise ContractViolation(f"pairwise table of edge {self.edges[e]} has wrong shape")
-        _check_costs(table, f"pairwise table of edge {self.edges[e]}")
+        _check_costs(table, "pairwise table of edge", self.edges[e])
         return table.T if swapped else table
 
     @property
@@ -160,7 +161,7 @@ class GraphicalModel:
             table = np.asarray(self.table_fn(u, v), dtype=float)
             if table.shape != (self.labels_per_node[u], self.labels_per_node[v]):
                 raise ContractViolation(f"table_fn returned wrong shape for edge {(u, v)}")
-            _check_costs(table, f"table_fn's table for edge {(u, v)}")
+            _check_costs(table, "table_fn's table for edge", (u, v))
             self.pairwise[e] = table
         return table
 
