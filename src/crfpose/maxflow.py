@@ -42,7 +42,11 @@ class FlowNetwork:
         if self.source == self.sink:
             raise ContractViolation("source and sink must differ")
         self.arcs = np.asarray(self.arcs, dtype=ARC).reshape(-1)
-        self._check_arcs(self.arcs)
+        ends = np.stack([self.arcs["tail"], self.arcs["head"]])
+        if ((ends < 0) | (ends >= self.node_count)).any():
+            raise ContractViolation("arc endpoint out of range")
+        if not (self.arcs["capacity"] >= 0).all():
+            raise ContractViolation("negative or NaN capacity")
 
     @classmethod
     def from_arrays(cls, node_count: int, source: int, sink: int,
@@ -50,18 +54,6 @@ class FlowNetwork:
         arcs = np.empty(len(capacities), dtype=ARC)
         arcs["tail"], arcs["head"], arcs["capacity"] = tails, heads, capacities
         return cls(node_count, source, sink, arcs)
-
-    def _check_arcs(self, arcs):
-        ends = np.stack([arcs["tail"], arcs["head"]])
-        if ((ends < 0) | (ends >= self.node_count)).any():
-            raise ContractViolation("arc endpoint out of range")
-        if not (arcs["capacity"] >= 0).all():
-            raise ContractViolation("negative or NaN capacity")
-
-    def add_arc(self, a: int, b: int, cap: float) -> None:
-        arc = np.array([(a, b, cap)], dtype=ARC)
-        self._check_arcs(arc)
-        self.arcs = np.append(self.arcs, arc)
 
 
 @dataclass

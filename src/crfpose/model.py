@@ -43,13 +43,19 @@ class GraphicalModel:
     with u < v, its table transposed where the caller gave (v, u).
     ``ends`` holds the stored edges as an (E, 2) array.
 
-    ``pairwise`` may be one (E, a, b) array, a list of (Lu, Lv) tables (one
-    per edge, ``None`` entries allowed) and/or a deterministic
-    ``table_fn(u, v)`` callback building the table lazily.  Materialized
-    tables that all share one shape are stored as one (E, a, b) array; the
-    rest stay a list whose lazily built entries are memoized (the callback
-    must be idempotent).  Models are treated as immutable after construction
-    apart from that memoization.  Costs may be +inf, never NaN or -inf.
+    A model holds its pairwise costs in exactly one of two ways:
+
+    - materialized: ``pairwise`` is given as a list of (Lu, Lv) tables, one
+      per edge, or as an (E, a, b) array whose entries past each edge's
+      (Lu, Lv) block are +inf.  It is stored as one (E, L, L) array, L the
+      largest label count, +inf past each edge's block; ``edge_table(e)`` is
+      the [:Lu, :Lv] view of it.
+    - lazy: ``table_fn(u, v)`` is given instead, deterministic; every
+      ``edge_table(e)`` call builds, checks and returns a fresh table and
+      nothing is stored.
+
+    Models are immutable after construction.  Costs may be +inf, never NaN
+    or -inf.
     """
 
     labels_per_node: tuple[int, ...]
@@ -74,28 +80,14 @@ class GraphicalModel:
                 raise ContractViolation(f"unary table of node {u} has wrong length")
             _check_costs(t, "unary table of node", u)
         given = self._set_edges(n)
-        swapped = given[:, 0] > given[:, 1]
-        tables = [None] * len(given) if self.pairwise is None else self.pairwise
-        if len(tables) != len(given):
-            raise ContractViolation("one pairwise slot per edge required")
-        if (not isinstance(tables, np.ndarray) and len(tables)
-                and all(t is not None for t in tables)
-                and len({np.shape(t) for t in tables}) == 1):
-            tables = np.array(tables, dtype=float)
-        if isinstance(tables, np.ndarray) and tables.ndim == 3 and (
-                tables.shape[1] == tables.shape[2] or not swapped.any()):
-            self.pairwise = self._checked_stack(np.asarray(tables, dtype=float), given, swapped)
-        else:  # lazy tables, or shapes that differ once transposed
-            self.pairwise = [t if t is None else self._checked_table(e, t, given[e], swapped[e])
-                             for e, t in enumerate(tables)]
-            if self.table_fn is None and any(t is None for t in self.pairwise):
-                raise ContractViolation("edges without tables need a table_fn")
-        if self.table_fn is not None:  # where both representations exist they must agree
-            for e, table in enumerate(self.pairwise):
-                if table is not None and not np.array_equal(
-                        np.asarray(self.table_fn(*self.edges[e]), dtype=float), table):
-                    raise ContractViolation(
-                        f"lazy and materialized tables disagree on edge {self.edges[e]}")
+        if self.table_fn is not None:
+            if self.pairwise is not None:
+                raise ContractViolation("give pairwise tables or a table_fn, not both")
+            # None marks a table that edge_table builds on each call; a
+            # tracer wrapping edge_table reads it that way
+            self.pairwise = (None,) * len(given)
+        else:
+            self.pairwise = self._stack(given)
 
     def _set_edges(self, n: int) -> np.ndarray:
         """Check the edges, store them as (u, v) with u < v, and return them
@@ -124,26 +116,44 @@ class GraphicalModel:
                                map(node, self.ends[:, 1].tolist())))
         return given
 
-    def _checked_stack(self, tables, given, swapped) -> np.ndarray:
-        labels = np.array(self.labels_per_node)
-        wrong = (labels[given] != tables.shape[1:]).any(axis=1)
+    def _stack(self, given) -> np.ndarray:
+        """The (E, L, L) stack of the given tables, each oriented as stored."""
+        labels = np.array(self.labels_per_node, dtype=np.int64)
+        k = labels[given]  # label counts in the caller's orientation
+        size = int(labels.max(initial=1))
+        tables = [] if self.pairwise is None else self.pairwise
+        if len(tables) != len(given):
+            raise ContractViolation("one pairwise table per edge required")
+        if not isinstance(tables, np.ndarray):
+            stack = np.full((len(given), size, size), INF)
+            for e, table in enumerate(tables):
+                table = np.asarray(table, dtype=float)
+                if table.shape != tuple(k[e]):
+                    raise ContractViolation(
+                        f"pairwise table of edge {self.edges[e]} has wrong shape")
+                stack[e, : k[e, 0], : k[e, 1]] = table
+            tables = stack
+        tables = np.asarray(tables, dtype=float)
+        if tables.ndim != 3:
+            raise ContractViolation("pairwise must be an (E, a, b) array of tables")
+        outside = (np.arange(tables.shape[1])[:, None] >= k[:, 0, None, None]) \
+            | (np.arange(tables.shape[2]) >= k[:, 1, None, None])
+        wrong = (k > tables.shape[1:]).any(axis=1) | (outside & (tables != INF)).any(axis=(1, 2))
         if wrong.any():
             e = int(np.flatnonzero(wrong)[0])
             raise ContractViolation(f"pairwise table of edge {self.edges[e]} has wrong shape")
         bad = np.flatnonzero(~(tables > -INF).all(axis=(1, 2)))  # NaN compares false too
         if bad.size:
             _check_costs(tables[bad[0]], "pairwise table of edge", self.edges[bad[0]])
-        if swapped.any():
-            tables = tables.copy()
-            tables[swapped] = tables[swapped].transpose(0, 2, 1)
+        swapped = given[:, 0] > given[:, 1]
+        if tables.shape[1:] != (size, size) or swapped.any():
+            stack = np.full((len(given), size, size), INF)
+            inner = tables[:, :size, :size]  # only +inf is cut off
+            stack[:, : inner.shape[1], : inner.shape[2]] = inner
+            # a square stack transposes each edge's block into the stored orientation
+            stack[swapped] = stack[swapped].transpose(0, 2, 1)
+            tables = stack
         return tables
-
-    def _checked_table(self, e, table, given, swapped):
-        table = np.asarray(table, dtype=float)
-        if table.shape != (self.labels_per_node[given[0]], self.labels_per_node[given[1]]):
-            raise ContractViolation(f"pairwise table of edge {self.edges[e]} has wrong shape")
-        _check_costs(table, "pairwise table of edge", self.edges[e])
-        return table.T if swapped else table
 
     @property
     def node_count(self) -> int:
@@ -154,26 +164,19 @@ class GraphicalModel:
         return len(self.edges)
 
     def edge_table(self, e: int) -> np.ndarray:
-        """Materialized (and memoized) cost table of edge ``e``."""
-        table = self.pairwise[e]
-        if table is None:
-            u, v = self.edges[e]
-            table = np.asarray(self.table_fn(u, v), dtype=float)
-            if table.shape != (self.labels_per_node[u], self.labels_per_node[v]):
-                raise ContractViolation(f"table_fn returned wrong shape for edge {(u, v)}")
-            _check_costs(table, "table_fn's table for edge", (u, v))
-            self.pairwise[e] = table
+        """Cost table of edge ``e``: a view of the stack, or built by ``table_fn``."""
+        u, v = self.edges[e]
+        ku, kv = self.labels_per_node[u], self.labels_per_node[v]
+        if self.table_fn is None:
+            return self.pairwise[e, :ku, :kv]
+        table = np.asarray(self.table_fn(u, v), dtype=float)
+        if table.shape != (ku, kv):
+            raise ContractViolation(f"table_fn returned wrong shape for edge {(u, v)}")
+        _check_costs(table, "table_fn's table for edge", (u, v))
         return table
 
     def edge_cost(self, e: int, lu: int, lv: int) -> float:
         return float(self.edge_table(e)[lu, lv])
-
-    def neighbors(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.node_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
 
 def _check_labeling(model: GraphicalModel, labeling: Sequence[int]) -> None:
@@ -235,10 +238,10 @@ def induce_submodel(model: GraphicalModel, keep) -> tuple[GraphicalModel, tuple[
     new_index[keep] = np.arange(keep.size)
     local = new_index[model.ends]
     internal = np.flatnonzero((local >= 0).all(axis=1))
-    if isinstance(model.pairwise, np.ndarray):
+    if model.table_fn is None:
         tables = model.pairwise[internal]
     else:
-        tables = [model.edge_table(e).copy() for e in internal.tolist()]
+        tables = [model.edge_table(e) for e in internal.tolist()]
     keep = keep.tolist()
     sub = GraphicalModel(
         labels_per_node=tuple(model.labels_per_node[u] for u in keep),
@@ -272,9 +275,6 @@ class PartialLabeling:
     def labeled_count(self) -> int:
         return sum(1 for a in self.assignment if a != UNLABELED)
 
-    def labeled_nodes(self) -> tuple[int, ...]:
-        return tuple(u for u, a in enumerate(self.assignment) if a != UNLABELED)
-
     def is_full(self) -> bool:
         return all(a != UNLABELED for a in self.assignment)
 
@@ -282,11 +282,6 @@ class PartialLabeling:
         if not self.is_full():
             raise ContractViolation("partial labeling has unlabeled nodes")
         return self.assignment
-
-    def agrees_with(self, labeling: Sequence[int]) -> bool:
-        """True when every labeled entry matches ``labeling``."""
-        return all(a == UNLABELED or a == int(labeling[u])
-                   for u, a in enumerate(self.assignment))
 
 
 def extend_partial(master_size: int, sub: PartialLabeling,

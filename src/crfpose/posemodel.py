@@ -94,9 +94,6 @@ class SceneObservation:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def node_index(self, row: int, col: int) -> int:
-        return row * self.grid_width + col
-
     def node_position(self, node: int) -> tuple[int, int]:
         return divmod(node, self.grid_width)
 

@@ -34,12 +34,11 @@ def require_binary(model: GraphicalModel) -> None:
 
 
 def binary_tables(model: GraphicalModel) -> np.ndarray:
-    """A binary model's tables as one (E, 2, 2) array (lazy ones built here)."""
+    """A binary model's (E, 2, 2) tables: its own stack, or built here if lazy."""
     require_binary(model)
-    tables = model.pairwise
-    if not isinstance(tables, np.ndarray):
-        tables = np.array([model.edge_table(e) for e in range(model.edge_count)])
-    return tables.reshape(-1, 2, 2)
+    if model.table_fn is None:
+        return model.pairwise
+    return np.array([model.edge_table(e) for e in range(model.edge_count)]).reshape(-1, 2, 2)
 
 
 def count_infinite_pairs(model: GraphicalModel) -> int:

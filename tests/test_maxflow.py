@@ -55,6 +55,3 @@ def test_network_contracts():
         FlowNetwork(2, 0, 1, [(0, 1, float("nan"))])
     with pytest.raises(ContractViolation):
         FlowNetwork(2, 0, 1, [(0, 5, 1.0)])
-    net = FlowNetwork(2, 0, 1, [])
-    with pytest.raises(ContractViolation):
-        net.add_arc(0, 3, 1.0)

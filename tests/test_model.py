@@ -95,6 +95,16 @@ def test_model_construction_contracts():
     # edges without any pairwise representation
     with pytest.raises(ContractViolation):
         GraphicalModel((2, 2), [np.zeros(2), np.zeros(2)], ((0, 1),))
+    # a stack entry past an edge's label counts must be +inf
+    labels, unary, edges = (2, 2, 3), [np.zeros(k) for k in (2, 2, 3)], ((0, 1), (1, 2))
+    stack = np.full((2, 3, 3), INF)
+    stack[0, :2, :2] = stack[1, :2, :3] = 1.0
+    GraphicalModel(labels, unary, edges, pairwise=stack)
+    for past in ((0, 2, 0), (0, 0, 2), (1, 2, 2)):
+        bad = stack.copy()
+        bad[past] = 1.0
+        with pytest.raises(ContractViolation, match="wrong shape"):
+            GraphicalModel(labels, unary, edges, pairwise=bad)
 
 
 def test_nan_unary_cost_is_rejected_naming_the_node():
@@ -145,7 +155,9 @@ def test_negative_infinite_pairwise_costs_are_rejected_naming_the_edge():
 def test_reversed_edge_keeps_the_callers_table(labels):
     # an edge given as (1, 0) carries a table indexed [label of 1, label of 0]
     table = np.arange(labels[1] * labels[0], dtype=float).reshape(labels[1], labels[0]) ** 2
-    for pairwise in ([table], table[None]):
+    padded = np.full((1, 3, 3), INF)
+    padded[0, : labels[1], : labels[0]] = table
+    for pairwise in ([table], table[None], padded):
         m = GraphicalModel(labels, [np.zeros(k) for k in labels], ((1, 0),), pairwise=pairwise)
         assert m.edges == ((0, 1),)
         for l0 in range(labels[0]):
@@ -173,6 +185,18 @@ def test_table_stack_and_table_list_give_one_model():
         assert map_a == map_b and a.edges == b.edges
         assert all(np.array_equal(a.edge_table(e), b.edge_table(e))
                    for e in range(a.edge_count))
+    # label counts 1-4: one INF-padded (E, 4, 4) stack, each table a view of it
+    labels = (1, 4, 2, 3)
+    listed = [rng.uniform(0.0, 3.0, (labels[u], labels[v])) for u, v in edges]
+    m = GraphicalModel(labels, [np.zeros(k) for k in labels], edges, pairwise=listed)
+    assert m.pairwise.shape == (4, 4, 4)
+    for e, ((u, v), table) in enumerate(zip(edges, listed)):
+        view = m.edge_table(e)
+        assert view.base is m.pairwise
+        assert np.array_equal(view, table if u < v else table.T)
+        past = np.ones((4, 4), dtype=bool)
+        past[: view.shape[0], : view.shape[1]] = False
+        assert (m.pairwise[e][past] == INF).all()
 
 
 def test_lazy_and_materialized_tables_agree():
@@ -195,11 +219,12 @@ def test_lazy_and_materialized_tables_agree():
             assert evaluate_energy(lazy, l) == evaluate_energy(mat, l)
 
 
-def test_representations_must_agree_where_both_exist():
+def test_pairwise_and_table_fn_together_are_refused():
+    # a model holds its tables one way only, so there is nothing to keep in agreement
     good = np.array([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="not both"):
         GraphicalModel((2, 2), [np.zeros(2), np.zeros(2)], ((0, 1),),
-                       pairwise=[good], table_fn=lambda u, v: good + 1.0)
+                       pairwise=[good], table_fn=lambda u, v: good)
 
 
 def test_induce_identity():
@@ -211,6 +236,18 @@ def test_induce_identity():
         l = [int(rng.integers(k)) for k in m.labels_per_node]
         # the induced model drops the master constant by contract
         assert evaluate_energy(sub, l) == evaluate_energy(m, l) - m.constant
+    # mixed label counts: a submodel with fewer labels gets the stack cut to its own size
+    m = GraphicalModel((4, 1, 2, 3), [np.zeros(k) for k in (4, 1, 2, 3)],
+                       ((0, 1), (1, 2), (3, 2), (1, 3)),
+                       pairwise=[rng.uniform(0.0, 3.0, shape)
+                                 for shape in ((4, 1), (1, 2), (3, 2), (1, 3))])
+    for keep in (range(4), (1, 2, 3), (1, 2)):
+        sub, node_map = induce_submodel(m, keep)
+        assert sub.pairwise.shape[1:] == (max(sub.labels_per_node),) * 2
+        kept = [e for e, (u, v) in enumerate(m.edges) if u in node_map and v in node_map]
+        assert len(kept) == sub.edge_count
+        for e_sub, e in enumerate(kept):
+            assert np.array_equal(sub.edge_table(e_sub), m.edge_table(e))
 
 
 def test_induce_triangle_keeps_internal_edge():
@@ -287,11 +324,8 @@ def test_extend_partial_rejects_out_of_range_targets():
 def test_partial_labeling_helpers():
     p = PartialLabeling((0, UNLABELED, 2))
     assert p.labeled_count() == 2
-    assert p.labeled_nodes() == (0, 2)
     assert not p.is_full()
     with pytest.raises(ContractViolation):
         p.to_labeling()
-    assert p.agrees_with([0, 9, 2])
-    assert not p.agrees_with([1, 9, 2])
     full = PartialLabeling.from_labeling([1, 0])
     assert full.to_labeling() == (1, 0)

@@ -288,3 +288,19 @@ def test_solver_output_is_pinned_on_a_stage_one_model():
     model = build_stage_one_model(bundle.observation, DESK_SCALE_STAGE_ONE)
     assert _solve_digest([model], iterations=10) == \
         "8c480b75d47eec61d399adc8c7a2258822d9ad7e2eec82626598ac0ba6aace00"
+
+
+def test_stage_one_model_stores_no_tables():
+    from crfpose.pipeline import DESK_SCALE_STAGE_ONE
+    from crfpose.posemodel import build_stage_one_model
+    from crfpose.synth import default_scenario, generate_bundle
+
+    bundle = generate_bundle(default_scenario(
+        seed=0, grid_width=20, grid_height=15, inlier_rate=0.85,
+        visible_fraction=0.8, coord_noise_sigma=1e-4))
+    model = build_stage_one_model(bundle.observation, DESK_SCALE_STAGE_ONE)
+    solve_trws(model, TrwsConfig(iterations=1))
+    assert all(table is None for table in model.pairwise)
+    for e in range(0, model.edge_count, 97):
+        first, second = model.edge_table(e), model.edge_table(e)
+        assert first is not second and np.array_equal(first, second)
