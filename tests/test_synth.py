@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -108,6 +109,18 @@ def test_scene_roundtrip(tmp_path):
                           bundle.ground_truth.pose.rotation)
     assert np.array_equal(loaded.ground_truth.pose.translation,
                           bundle.ground_truth.pose.translation)
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    ({}, "057cfc8e53b0fc94b20353b2debe9a89150a0a9e58c1c1c3954e14179069a3a2"),
+    # the desk scenario
+    (dict(inlier_rate=0.85, visible_fraction=0.8, coord_noise_sigma=1e-4),
+     "d56469a0a77e9c23dd19ef75a7cbd4660ec4754f30e70993a041cc08e109b0c9"),
+])
+def test_scene_file_bytes_are_pinned(tmp_path, overrides, digest):
+    path = tmp_path / "scene.json"
+    save_scene(generate_bundle(default_scenario(seed=0, **overrides)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_scene_missing_field_names_the_field():
