@@ -7,8 +7,7 @@ from .model import (INF, UNLABELED, ContractViolation, GraphicalModel,
 from .trws import TrwsConfig, TrwsResult, extract_inliers, solve_trws
 from .maxflow import FlowNetwork, MaxFlowResult, max_flow
 from .qpbo import count_infinite_pairs, qpbo
-from .posemodel import (Candidate, HyperParams, NodeObservation,
-                        STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS,
+from .posemodel import (HyperParams, STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS,
                         SceneObservation, build_sparse_neighborhood,
                         build_stage_one_model, build_stage_two_master,
                         pairwise_cost, pose_consistent_pixels)

@@ -84,12 +84,12 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
                 if res[e] > eps and level[v] < 0:
                     level[v] = level[u] + 1
                     q.append(v)
-        return level if level[net.sink] >= 0 else None
+        return level
 
     total = 0.0
     while True:
         level = bfs_levels()
-        if level is None:
+        if level[net.sink] < 0:
             break
         it = start[:-1]  # per node, the position of its next edge in adj
         # iterative blocking-flow search along shortest (level-respecting) paths
@@ -124,18 +124,8 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
             level[u] = -1  # dead end; the level check skips it from now on
             path.pop()
             u = net.source if not path else to[path[-1]]
-
-    reach = np.zeros(n, dtype=bool)
-    reach[net.source] = True
-    q = deque([net.source])
-    while q:
-        u = q.popleft()
-        for e in adj[start[u]:start[u + 1]]:
-            v = to[e]
-            if res[e] > eps and not reach[v]:
-                reach[v] = True
-                q.append(v)
-    return MaxFlowResult(flow_value=total, source_side=reach)
+    # the last BFS found no path to the sink: what it reached is the cut
+    return MaxFlowResult(flow_value=total, source_side=np.array(level) >= 0)
 
 
 def cut_capacity(net: FlowNetwork, source_side: np.ndarray) -> float:

@@ -227,8 +227,10 @@ def induce_submodel(model: GraphicalModel, keep) -> tuple[GraphicalModel, tuple[
     unchanged unary and pairwise costs.  Returns the submodel and the node
     map (new index -> old index).  The submodel's constant is 0: its energy
     is exactly the master's unary sum over ``keep`` plus the weighted
-    internal pairwise sum.
+    internal pairwise sum.  A model with lazy tables is refused.
     """
+    if model.table_fn is not None:
+        raise ContractViolation("cannot induce a submodel of a model with lazy tables")
     keep = np.unique(np.array([int(u) for u in keep], dtype=np.int64))
     if not keep.size:
         raise ContractViolation("cannot induce a submodel on an empty node set")
@@ -238,16 +240,12 @@ def induce_submodel(model: GraphicalModel, keep) -> tuple[GraphicalModel, tuple[
     new_index[keep] = np.arange(keep.size)
     local = new_index[model.ends]
     internal = np.flatnonzero((local >= 0).all(axis=1))
-    if model.table_fn is None:
-        tables = model.pairwise[internal]
-    else:
-        tables = [model.edge_table(e) for e in internal.tolist()]
     keep = keep.tolist()
     sub = GraphicalModel(
         labels_per_node=tuple(model.labels_per_node[u] for u in keep),
         unary=[model.unary[u].copy() for u in keep],
         edges=local[internal],
-        pairwise=tables,
+        pairwise=model.pairwise[internal],
         pairwise_weight=model.pairwise_weight,
         constant=0.0,
     )

@@ -148,7 +148,7 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
     t0 = time.perf_counter()
     stage_one = build_stage_one_model(scene, cfg.stage_one)
     trws_result = solve_trws(stage_one, cfg.trws)
-    inliers = extract_inliers(stage_one, trws_result.labeling, scene.outlier_labels())
+    inliers = extract_inliers(stage_one, trws_result.labeling, scene.candidate_count)
     timings["stage_one"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -172,7 +172,7 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
                 for s in enumerate_submodels(components, scene)
             ]
         else:
-            specs = per_node_submodels(scene.points()[master_grid_nodes],
+            specs = per_node_submodels(scene.points[master_grid_nodes],
                                        scene.object_diameter)
         specs = [s for s in specs if len(s.node_set) >= 3]
         zero_master, _ = to_zero_form(master)
@@ -261,10 +261,9 @@ def _geometric_violations(results, scene, master_grid_nodes) -> int:
     read the same distances, and QPBO labels no pair that realizes one.
     """
     count = 0
-    points = scene.points()
     for partial, _ in results:
         ones = [master_grid_nodes[k] for k, a in enumerate(partial.assignment) if a == 1]
-        dist = pairwise_distances(points[ones])
+        dist = pairwise_distances(scene.points[ones])
         count += int((dist > scene.object_diameter).sum()) // 2
     return count
 

@@ -117,18 +117,16 @@ def cluster_hypotheses(decomposed, scene, master_grid_nodes,
     """
     from .posemodel import pose_consistent_pixels  # local to avoid cycles in callers
 
+    master_grid_nodes = np.asarray(master_grid_nodes, dtype=np.int64)
     hypotheses = []
     for partial, spec in decomposed:
-        grid = [scene.nodes[g].outlier_label for g in range(scene.node_count)]
-        for k, a in enumerate(partial.assignment):
-            if a == 1:
-                g = master_grid_nodes[k]
-                grid[g] = int(stage_one_labels[g])
+        grid = scene.candidate_count.copy()  # every node its outlier label
+        ones = master_grid_nodes[np.asarray(partial.assignment) == 1]
+        grid[ones] = [int(stage_one_labels[g]) for g in ones.tolist()]
         pixels = pose_consistent_pixels(scene, grid)
         if len(pixels) < 3:
             continue
-        pairs = tuple((np.asarray(p.coord), np.asarray(scene.nodes[p.node].x))
-                      for p in pixels)
+        pairs = tuple((np.asarray(p.coord), scene.points[p.node]) for p in pixels)
         try:
             pose = kabsch(pairs)
         except DegenerateInput:

@@ -1,13 +1,15 @@
 """Scene observations and construction of the two optimization stages.
 
-Stage one is a sparse multi-label model over the full node grid (each node is
-a 2x2 pixel block carrying up to 12 correspondence candidates plus an outlier
-label, always last).  Stage two is a fully-connected two-label master model
-over the stage-one inlier nodes, label 1 meaning "keep the stage-one
-candidate" and label 0 meaning outlier.  Stage one's pairwise tables are
-lazy; the master's are built up front, and every stage-two test of "within
-the object diameter" reads ``pairwise_distances``.
-"""
+A scene is one set of read-only per-node arrays (``SceneObservation``): each
+node is a 2x2 pixel block with a camera point and up to 12 correspondence
+candidates, padded to 12, and every consumer indexes those arrays.  Stage
+one is a sparse multi-label model over the full node grid (a node's labels
+are its candidates plus an outlier label, always last).  Stage two is a
+fully-connected two-label master model over the stage-one inlier nodes,
+label 1 meaning "keep the stage-one candidate" and label 0 meaning outlier.
+Stage one's pairwise tables are lazy; the master's are built up front, and
+every stage-two test of "within the object diameter" reads
+``pairwise_distances``."""
 
 from __future__ import annotations
 
@@ -36,72 +38,72 @@ STAGE_ONE_DEFAULTS = HyperParams(alpha=0.21, beta=23.1, gamma=0.0048)
 STAGE_TWO_DEFAULTS = HyperParams(alpha=0.2, beta=2.0, gamma=0.0)
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One correspondence proposal: an object-frame 3D point with confidence."""
-
-    coord: tuple[float, float, float]
-    confidence: float
-    source_pixel: int  # 0..3, position inside the node's 2x2 block
-    source_tree: int   # 0..2
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ContractViolation("confidence outside [0,1]")
-        if not 0 <= self.source_pixel <= 3:
-            raise ContractViolation("source_pixel outside 0..3")
-        if not 0 <= self.source_tree <= 2:
-            raise ContractViolation("source_tree outside 0..2")
-        object.__setattr__(self, "coord", tuple(float(x) for x in self.coord))
-        if not np.isfinite(self.coord).all():
-            raise ContractViolation("object coordinate l is not finite")
+#: (name, dtype, shape past the node axis) of each per-node scene array
+_SCENE_ARRAYS = (("points", float, (3,)), ("candidate_count", np.int64, ()),
+                 ("coords", float, (MAX_CANDIDATES, 3)),
+                 ("confidence", float, (MAX_CANDIDATES,)),
+                 ("source_pixel", np.int64, (MAX_CANDIDATES,)),
+                 ("source_tree", np.int64, (MAX_CANDIDATES,)))
 
 
-@dataclass(frozen=True)
-class NodeObservation:
-    x: tuple[float, float, float]  # camera-space point, meters
-    candidates: tuple[Candidate, ...]
-
-    def __post_init__(self):
-        if len(self.candidates) > MAX_CANDIDATES:
-            raise ContractViolation(f"more than {MAX_CANDIDATES} candidates")
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        if not np.isfinite(self.x).all():
-            raise ContractViolation("camera point x is not finite")
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-
-    @property
-    def outlier_label(self) -> int:
-        return len(self.candidates)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneObservation:
+    """A node grid with its correspondence candidates, as read-only arrays.
+
+    Node u (row-major) has the camera-space point ``points[u]`` (meters) and
+    ``candidate_count[u]`` <= 12 candidates; the count is also its outlier
+    label.  Candidate j is the object-frame point ``coords[u, j]`` with
+    ``confidence[u, j]`` in [0, 1], from pixel ``source_pixel[u, j]`` (0..3,
+    in the node's 2x2 block) of tree ``source_tree[u, j]`` (0..2); entries
+    past the count are stored as 0.  Everything is checked once here, and an
+    error names ``nodes[u]`` or ``nodes[u].candidates[j]``.
+    """
+
     grid_width: int
     grid_height: int
-    nodes: tuple[NodeObservation, ...]
     object_diameter: float
+    points: np.ndarray
+    candidate_count: np.ndarray
+    coords: np.ndarray
+    confidence: np.ndarray
+    source_pixel: np.ndarray
+    source_tree: np.ndarray
 
     def __post_init__(self):
         if self.grid_width < 1 or self.grid_height < 1:
             raise ContractViolation("grid dimensions must be >= 1")
-        if len(self.nodes) != self.grid_width * self.grid_height:
-            raise ContractViolation("node count does not match the grid")
         if not 0 < self.object_diameter < INF:
             raise ContractViolation("object_diameter must be positive and finite")
+        object.__setattr__(self, "object_diameter", float(self.object_diameter))
+        for name, dtype, shape in _SCENE_ARRAYS:
+            value = np.asarray(getattr(self, name))
+            if value.shape != (self.node_count, *shape) \
+                    or (dtype is np.int64 and value.dtype.kind not in "iu"):
+                raise ContractViolation(f"{name} must be an array of {np.dtype(dtype).name} "
+                                        f"of shape {(self.node_count, *shape)}")
+            object.__setattr__(self, name, np.array(value, dtype=dtype))
+        count, conf = self.candidate_count, self.confidence
+        pixel, tree = self.source_pixel, self.source_tree
+        past = np.arange(MAX_CANDIDATES) >= count[:, None]
+        for a in (self.coords, conf, pixel, tree):
+            a[past] = 0
+        for bad, what in (((count < 0) | (count > MAX_CANDIDATES),
+                           f"candidate count outside 0..{MAX_CANDIDATES}"),
+                          (~np.isfinite(self.points).all(axis=1), "camera point x is not finite"),
+                          (~((conf >= 0.0) & (conf <= 1.0)), "confidence outside [0,1]"),
+                          ((pixel < 0) | (pixel > 3), "source_pixel outside 0..3"),
+                          ((tree < 0) | (tree > 2), "source_tree outside 0..2"),
+                          (~np.isfinite(self.coords).all(axis=2), "object coordinate l is not finite")):
+            if bad.any():
+                u, *j = np.argwhere(bad)[0]
+                at = f"candidate at nodes[{u}].candidates[{j[0]}]" if j else f"node at nodes[{u}]"
+                raise ContractViolation(f"invalid {at}: {what}")
+        for name, _, _ in _SCENE_ARRAYS:
+            getattr(self, name).flags.writeable = False
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
-
-    def node_position(self, node: int) -> tuple[int, int]:
-        return divmod(node, self.grid_width)
-
-    def points(self) -> np.ndarray:
-        return np.array([n.x for n in self.nodes], dtype=float)
-
-    def outlier_labels(self) -> np.ndarray:
-        return np.array([n.outlier_label for n in self.nodes], dtype=np.int64)
+        return self.grid_width * self.grid_height
 
 
 def pairwise_distances(points) -> np.ndarray:
@@ -174,13 +176,14 @@ def build_sparse_neighborhood(grid_width: int, grid_height: int,
     return tuple(zip(lower.tolist(), upper.tolist()))
 
 
-def _inlier_unary(candidate: Candidate, hp: HyperParams) -> float:
-    return (1.0 - candidate.confidence) * hp.alpha
+def _inlier_unary(confidence, hp: HyperParams):
+    return (1.0 - confidence) * hp.alpha
 
 
-def _outlier_unary(node: NodeObservation, hp: HyperParams) -> float:
-    # summed over the candidates the node actually has; divisor fixed at 12
-    return sum(c.confidence for c in node.candidates) * hp.alpha / MAX_CANDIDATES
+def _outlier_unary(scene: SceneObservation, hp: HyperParams) -> np.ndarray:
+    # summed in candidate order (the zero padding adds nothing), divided by a
+    # fixed 12; a cumsum, since numpy's pairwise .sum(axis=1) moves the last bit
+    return np.cumsum(scene.confidence, axis=1)[:, -1] * hp.alpha / MAX_CANDIDATES
 
 
 def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
@@ -191,22 +194,19 @@ def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
     the camera points are further apart than the diameter), gamma on
     candidate/outlier transitions and zero on outlier/outlier.
     """
-    unary = []
-    for node in scene.nodes:
-        u = [_inlier_unary(c, hp) for c in node.candidates]
-        u.append(_outlier_unary(node, hp))
-        unary.append(np.array(u))
+    count = scene.candidate_count.tolist()
+    unary = np.pad(_inlier_unary(scene.confidence, hp), ((0, 0), (0, 1)))
+    unary[np.arange(scene.node_count), scene.candidate_count] = _outlier_unary(scene, hp)
     edges = build_sparse_neighborhood(scene.grid_width, scene.grid_height,
                                       keep=keep, skip=skip)
 
-    coords = [np.array([c.coord for c in n.candidates]).reshape(-1, 3)
-              for n in scene.nodes]
-    coord_sq = [(c ** 2).sum(axis=1) for c in coords]
-    points = scene.points()
-    diameter = scene.object_diameter
+    points, diameter = scene.points, scene.object_diameter
+    # per-node views, made once: slicing in every call slows the table build
+    coords = [c[:k] for c, k in zip(scene.coords, count)]
+    coord_sq = [c[:k] for c, k in zip((scene.coords ** 2).sum(axis=2), count)]
 
     def table_fn(u, v):
-        ku, kv = coords[u].shape[0], coords[v].shape[0]
+        ku, kv = count[u], count[v]
         table = np.full((ku + 1, kv + 1), hp.gamma)
         table[ku, kv] = 0.0
         if ku and kv:
@@ -222,8 +222,8 @@ def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
         return table
 
     return GraphicalModel(
-        labels_per_node=tuple(n.outlier_label + 1 for n in scene.nodes),
-        unary=unary,
+        labels_per_node=tuple(k + 1 for k in count),
+        unary=[row[:k + 1] for row, k in zip(unary, count)],
         edges=edges,
         table_fn=table_fn,
         pairwise_weight=hp.beta,
@@ -239,27 +239,24 @@ def build_stage_two_master(scene: SceneObservation, hp: HyperParams,
     here, with the ``pairwise_cost`` entry at (1,1).  With the default
     gamma = 0 the construction is already in zero form.
     """
-    grid_nodes = sorted(set(int(u) for u in inliers))
-    if not grid_nodes:
+    grid_nodes = np.array(sorted(set(int(u) for u in inliers)), dtype=np.int64)
+    if not grid_nodes.size:
         raise ContractViolation("stage two needs at least one inlier")
-    unary, coords = [], []
-    for g in grid_nodes:
-        node = scene.nodes[g]
-        l = int(stage_one_labels[g])
-        if not 0 <= l < len(node.candidates):
-            raise ContractViolation(f"inlier node {g} has no stage-one candidate")
-        unary.append(np.array([_outlier_unary(node, hp),
-                               _inlier_unary(node.candidates[l], hp)]))
-        coords.append(node.candidates[l].coord)
-    cost = pairwise_cost(coords, [scene.nodes[g].x for g in grid_nodes],
+    labels = np.array([int(stage_one_labels[g]) for g in grid_nodes.tolist()])
+    bad = np.flatnonzero((labels < 0) | (labels >= scene.candidate_count[grid_nodes]))
+    if bad.size:
+        raise ContractViolation(f"inlier node {grid_nodes[bad[0]]} has no stage-one candidate")
+    unary = np.stack([_outlier_unary(scene, hp)[grid_nodes],
+                      _inlier_unary(scene.confidence[grid_nodes, labels], hp)], axis=1)
+    cost = pairwise_cost(scene.coords[grid_nodes, labels], scene.points[grid_nodes],
                          scene.object_diameter)
-    rows, cols = np.triu_indices(len(grid_nodes), 1)
+    rows, cols = np.triu_indices(grid_nodes.size, 1)
     tables = np.zeros((rows.size, 2, 2))
     tables[:, 0, 1] = tables[:, 1, 0] = hp.gamma
     tables[:, 1, 1] = cost[rows, cols]
     return GraphicalModel(
-        labels_per_node=(2,) * len(grid_nodes),
-        unary=unary,
+        labels_per_node=(2,) * grid_nodes.size,
+        unary=list(unary),
         edges=np.stack([rows, cols], axis=1),
         pairwise=tables,
         pairwise_weight=hp.beta,
@@ -281,24 +278,20 @@ def pose_consistent_pixels(scene: SceneObservation, labeling) -> list[PoseConsis
     PartialLabeling over the grid.
     """
     if isinstance(labeling, PartialLabeling):
-        labels = labeling.assignment
-    else:
-        labels = [int(l) for l in labeling]
-    if len(labels) != scene.node_count:
+        labeling = labeling.assignment
+    labels = np.asarray(labeling, dtype=np.int64)
+    if labels.shape != (scene.node_count,):
         raise ContractViolation("labeling size does not match the grid")
-    out = []
-    for u, l in enumerate(labels):
-        node = scene.nodes[u]
-        if l == UNLABELED or l == node.outlier_label:
-            continue
-        if not 0 <= l < len(node.candidates):
-            raise ContractViolation(f"label {l} out of range at node {u}")
-        cand = node.candidates[l]
-        r, c = scene.node_position(u)
-        out.append(PoseConsistentPixel(
-            node=u,
-            pixel_row=2 * r + cand.source_pixel // 2,
-            pixel_col=2 * c + cand.source_pixel % 2,
-            coord=cand.coord,
-        ))
-    return out
+    count = scene.candidate_count
+    inlier = (labels != UNLABELED) & (labels != count)
+    bad = np.flatnonzero(inlier & ((labels < 0) | (labels > count)))
+    if bad.size:
+        raise ContractViolation(f"label {labels[bad[0]]} out of range at node {bad[0]}")
+    nodes = np.flatnonzero(inlier)
+    labels = labels[nodes]
+    row, col = np.divmod(nodes, scene.grid_width)
+    pixel = scene.source_pixel[nodes, labels]
+    return [PoseConsistentPixel(node=u, pixel_row=r, pixel_col=c, coord=tuple(coord))
+            for u, r, c, coord in zip(nodes.tolist(), (2 * row + pixel // 2).tolist(),
+                                      (2 * col + pixel % 2).tolist(),
+                                      scene.coords[nodes, labels].tolist())]

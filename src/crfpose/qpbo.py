@@ -34,11 +34,11 @@ def require_binary(model: GraphicalModel) -> None:
 
 
 def binary_tables(model: GraphicalModel) -> np.ndarray:
-    """A binary model's (E, 2, 2) tables: its own stack, or built here if lazy."""
+    """A binary model's (E, 2, 2) table stack; a lazy model has none."""
     require_binary(model)
-    if model.table_fn is None:
-        return model.pairwise
-    return np.array([model.edge_table(e) for e in range(model.edge_count)]).reshape(-1, 2, 2)
+    if model.table_fn is not None:
+        raise ContractViolation("binary models must hold their tables, not a table_fn")
+    return model.pairwise
 
 
 def count_infinite_pairs(model: GraphicalModel) -> int:

@@ -84,7 +84,7 @@ def enumerate_submodels(components, scene: SceneObservation) -> list[SubmodelSpe
     are all within the object diameter of all of the seed's nodes (max
     pairwise camera-space distance)."""
     dist = pairwise_distances(
-        scene.points()[[u for c in components for u in sorted(c.nodes)]])
+        scene.points[[u for c in components for u in sorted(c.nodes)]])
     bounds = np.cumsum([0] + [len(c) for c in components])
     specs = []
     for a, f in enumerate(components):

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ContractViolation
-from .posemodel import (MAX_CANDIDATES, Candidate, NodeObservation,
-                        SceneObservation)
+from .posemodel import MAX_CANDIDATES, SceneObservation
 from .posefit import Pose, random_rotation
 
 SCENE_FORMAT = "crfpose-scene"
@@ -200,46 +199,41 @@ def generate_scene(sc: SyntheticScenario) -> tuple[SceneObservation, tuple[int, 
     obj_hi = sc.object_points.max(axis=0)
     z_clutter = cam[:, 2].max() + 0.3
 
-    def wrong_candidate(pixel, tree, band):
-        coord = rng.uniform(obj_lo, obj_hi)
-        return Candidate(coord=tuple(coord),
-                         confidence=sc.confidence_model.draw(rng, band),
-                         source_pixel=pixel, source_tree=tree)
-
-    nodes = []
+    n = w * h
+    points = np.zeros((n, 3))
+    coords = np.zeros((n, MAX_CANDIDATES, 3))
+    confidence = np.zeros((n, MAX_CANDIDATES))
     truth = []
-    for u in range(w * h):
-        r, c = divmod(u, w)
+    for u in range(n):
+        true_slot, band = -1, "background"
         if u in visible:
             k = anchor[u]
-            x = cam[k].copy()
+            points[u] = cam[k]
             if sc.depth_noise_sigma > 0:
-                x[2] += rng.normal(0.0, sc.depth_noise_sigma)
-            has_true = rng.random() < sc.inlier_rate
-            true_slot = int(rng.integers(MAX_CANDIDATES)) if has_true else -1
-            cands = []
-            for slot in range(MAX_CANDIDATES):
-                pixel, tree = divmod(slot, 3)
-                if slot == true_slot:
-                    coord = sc.object_points[k] + rng.normal(0.0, sc.coord_noise_sigma, 3)
-                    cands.append(Candidate(
-                        coord=tuple(coord),
-                        confidence=sc.confidence_model.draw(rng, "true"),
-                        source_pixel=pixel, source_tree=tree))
-                else:
-                    cands.append(wrong_candidate(pixel, tree, "object"))
-            truth.append(true_slot if has_true else MAX_CANDIDATES)
+                points[u, 2] += rng.normal(0.0, sc.depth_noise_sigma)
+            if rng.random() < sc.inlier_rate:
+                true_slot = int(rng.integers(MAX_CANDIDATES))
+            band = "object"
         else:
-            gx, gy = node_center(r, c)
+            gx, gy = node_center(*divmod(u, w))
             jitter = rng.uniform(-0.25 * spacing, 0.25 * spacing, 3)
-            x = np.array([gx, gy, z_clutter]) + jitter
-            cands = [wrong_candidate(*divmod(slot, 3), "background")
-                     for slot in range(MAX_CANDIDATES)]
-            truth.append(MAX_CANDIDATES)
-        nodes.append(NodeObservation(x=tuple(x), candidates=tuple(cands)))
+            points[u] = np.array([gx, gy, z_clutter]) + jitter
+        truth.append(true_slot if true_slot >= 0 else MAX_CANDIDATES)
+        # per candidate: its coordinate, then its confidence
+        for slot in range(MAX_CANDIDATES):
+            if slot == true_slot:
+                coords[u, slot] = sc.object_points[k] + rng.normal(0.0, sc.coord_noise_sigma, 3)
+                confidence[u, slot] = sc.confidence_model.draw(rng, "true")
+            else:
+                coords[u, slot] = rng.uniform(obj_lo, obj_hi)
+                confidence[u, slot] = sc.confidence_model.draw(rng, band)
 
-    scene = SceneObservation(grid_width=w, grid_height=h, nodes=tuple(nodes),
-                             object_diameter=diameter)
+    pixel, tree = np.divmod(np.arange(MAX_CANDIDATES), 3)
+    scene = SceneObservation(
+        grid_width=w, grid_height=h, object_diameter=diameter, points=points,
+        candidate_count=np.full(n, MAX_CANDIDATES), coords=coords,
+        confidence=confidence, source_pixel=np.tile(pixel, (n, 1)),
+        source_tree=np.tile(tree, (n, 1)))
     return scene, tuple(truth)
 
 
@@ -269,6 +263,9 @@ def _require(mapping, key, path):
 
 def scene_to_dict(bundle: SceneBundle) -> dict:
     obs = bundle.observation
+    count = obs.candidate_count.tolist()
+    coords, conf, pixel, tree = (a.tolist() for a in (
+        obs.coords, obs.confidence, obs.source_pixel, obs.source_tree))
     doc = {
         "format": SCENE_FORMAT,
         "version": SCENE_VERSION,
@@ -276,15 +273,11 @@ def scene_to_dict(bundle: SceneBundle) -> dict:
         "grid_height": obs.grid_height,
         "object_diameter": obs.object_diameter,
         "nodes": [
-            {
-                "x": list(n.x),
-                "candidates": [
-                    {"l": list(c.coord), "p": c.confidence,
-                     "pixel": c.source_pixel, "tree": c.source_tree}
-                    for c in n.candidates
-                ],
-            }
-            for n in obs.nodes
+            {"x": x,
+             "candidates": [{"l": coords[u][j], "p": conf[u][j],
+                             "pixel": pixel[u][j], "tree": tree[u][j]}
+                            for j in range(count[u])]}
+            for u, x in enumerate(obs.points.tolist())
         ],
     }
     if bundle.object_points is not None:
@@ -299,6 +292,25 @@ def scene_to_dict(bundle: SceneBundle) -> dict:
     return doc
 
 
+_NUMBER, _INTEGER = (int, float), (int,)  # exact JSON types: bool is an int subclass
+
+
+def _field(mapping, key, path, types=_NUMBER, count=None):
+    """``mapping[key]``, required to be a JSON number (an integer, given
+    ``_INTEGER``) or, given ``count``, a list of ``count`` numbers."""
+    value = _require(mapping, key, path)
+    if count is None:
+        valid = type(value) in types
+    else:
+        valid = type(value) is list and len(value) == count \
+            and all(type(v) in types for v in value)
+    if not valid:
+        what = (f"a list of {count} numbers" if count is not None
+                else "an integer" if types is _INTEGER else "a number")
+        raise SceneFormatError(f"field '{path}{key}' must be {what}")
+    return value
+
+
 def scene_from_dict(doc: dict) -> SceneBundle:
     fmt = _require(doc, "format", "")
     if fmt != SCENE_FORMAT:
@@ -307,34 +319,47 @@ def scene_from_dict(doc: dict) -> SceneBundle:
     if version != SCENE_VERSION:
         raise UnsupportedVersionError(
             f"unsupported scene version {version!r}; this build reads version {SCENE_VERSION}")
-    width = _require(doc, "grid_width", "")
-    height = _require(doc, "grid_height", "")
-    diameter = _require(doc, "object_diameter", "")
+    width = _field(doc, "grid_width", "", _INTEGER)
+    height = _field(doc, "grid_height", "", _INTEGER)
+    diameter = _field(doc, "object_diameter", "")
     raw_nodes = _require(doc, "nodes", "")
-    nodes = []
+    if type(raw_nodes) is not list:
+        raise SceneFormatError("field 'nodes' must be a list")
+    # every value is type-checked here, in document order; ranges and
+    # finiteness are checked once by SceneObservation
+    xs, counts, ls, ps, pixels, trees = [], [], [], [], [], []
     for i, nd in enumerate(raw_nodes):
         path = f"nodes[{i}]."
-        x = _require(nd, "x", path)
-        cands = []
-        for j, cd in enumerate(_require(nd, "candidates", path)):
+        xs.append(_field(nd, "x", path, count=3))
+        cands = _require(nd, "candidates", path)
+        if type(cands) is not list or len(cands) > MAX_CANDIDATES:
+            raise SceneFormatError(f"field '{path}candidates' must be a list of at most "
+                                   f"{MAX_CANDIDATES} candidates")
+        counts.append(len(cands))
+        for j, cd in enumerate(cands):
             cpath = f"{path}candidates[{j}]."
-            try:
-                cands.append(Candidate(
-                    coord=tuple(_require(cd, "l", cpath)),
-                    confidence=float(_require(cd, "p", cpath)),
-                    source_pixel=int(_require(cd, "pixel", cpath)),
-                    source_tree=int(_require(cd, "tree", cpath)),
-                ))
-            except ContractViolation as exc:
-                raise SceneFormatError(f"invalid candidate at {cpath[:-1]}: {exc}") from None
-        try:
-            nodes.append(NodeObservation(x=tuple(x), candidates=tuple(cands)))
-        except (ContractViolation, TypeError) as exc:
-            raise SceneFormatError(f"invalid node at nodes[{i}]: {exc}") from None
+            ls.append(_field(cd, "l", cpath, count=3))
+            ps.append(_field(cd, "p", cpath))
+            pixels.append(_field(cd, "pixel", cpath, _INTEGER))
+            trees.append(_field(cd, "tree", cpath, _INTEGER))
+    if len(xs) != width * height:
+        raise SceneFormatError(f"field 'nodes' has {len(xs)} nodes for a "
+                               f"{width}x{height} grid")
+    count = np.array(counts, dtype=np.int64)
+    filled = np.arange(MAX_CANDIDATES) < count[:, None]
+
+    def padded(values, shape, dtype):
+        out = np.zeros((len(xs), MAX_CANDIDATES, *shape), dtype=dtype)
+        out[filled] = np.array(values, dtype=dtype).reshape(-1, *shape)
+        return out
+
     try:
-        obs = SceneObservation(grid_width=int(width), grid_height=int(height),
-                               nodes=tuple(nodes), object_diameter=float(diameter))
-    except ContractViolation as exc:
+        obs = SceneObservation(
+            grid_width=width, grid_height=height, object_diameter=diameter,
+            points=np.array(xs, dtype=float).reshape(-1, 3), candidate_count=count,
+            coords=padded(ls, (3,), float), confidence=padded(ps, (), float),
+            source_pixel=padded(pixels, (), np.int64), source_tree=padded(trees, (), np.int64))
+    except (ContractViolation, OverflowError) as exc:
         raise SceneFormatError(str(exc)) from None
     object_points = None
     if "object_points" in doc:

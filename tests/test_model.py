@@ -7,6 +7,7 @@ from crfpose.model import (INF, UNLABELED, ContractViolation, GraphicalModel,
                            PartialLabeling, evaluate_energy, extend_partial,
                            induce_submodel)
 from crfpose.oracle import _spawn, sample_sparse_model
+from crfpose.qpbo import binary_tables
 
 
 def single_node_model():
@@ -177,14 +178,20 @@ def test_table_stack_and_table_list_give_one_model():
     assert stacked.edges == listed.edges == ((0, 1), (1, 3), (0, 2), (1, 2))
     assert np.array_equal(stacked.pairwise, listed.pairwise)
     assert np.array_equal(stacked.ends, np.array(stacked.edges))
+    lazy = GraphicalModel((2,) * 4, unary, edges, pairwise_weight=1.5,
+                          table_fn=lambda u, v: stacked.edge_table(stacked.edges.index((u, v))))
     for keep in ({0, 1, 2}, {1, 3}, {0, 3}):
-        a, map_a = induce_submodel(stacked, keep)
-        b, map_b = induce_submodel(GraphicalModel(
-            (2,) * 4, unary, edges, table_fn=lambda u, v: stacked.edge_table(
-                stacked.edges.index((u, v))), pairwise_weight=1.5), keep)
-        assert map_a == map_b and a.edges == b.edges
-        assert all(np.array_equal(a.edge_table(e), b.edge_table(e))
-                   for e in range(a.edge_count))
+        sub, node_map = induce_submodel(stacked, keep)
+        assert node_map == tuple(sorted(keep))
+        internal = [e for e, (u, v) in enumerate(stacked.edges) if u in keep and v in keep]
+        assert sub.edge_count == len(internal)
+        assert all(np.array_equal(sub.edge_table(i), stacked.edge_table(e))
+                   for i, e in enumerate(internal))
+        # only a model that holds its tables is induced or read as a binary stack
+        with pytest.raises(ContractViolation, match="lazy tables"):
+            induce_submodel(lazy, keep)
+    with pytest.raises(ContractViolation, match="table_fn"):
+        binary_tables(lazy)
     # label counts 1-4: one INF-padded (E, 4, 4) stack, each table a view of it
     labels = (1, 4, 2, 3)
     listed = [rng.uniform(0.0, 3.0, (labels[u], labels[v])) for u, v in edges]

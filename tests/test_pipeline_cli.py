@@ -11,7 +11,7 @@ from crfpose.pipeline import (ConfigError, PipelineConfig, canonical_report,
                               desk_scale_config, parse_config, solve_scene,
                               write_report)
 from crfpose.posemodel import STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS
-from crfpose.synth import default_scenario, generate_bundle
+from crfpose.synth import default_scenario, generate_bundle, scene_to_dict
 
 SCENARIO = {
     "seed": 3, "grid_width": 32, "grid_height": 24,
@@ -230,6 +230,16 @@ def test_cli_malformed_scenario_exits_2(tmp_path, capsys):
     assert main(["generate", "--config", str(bad), "--out",
                  str(tmp_path / "x.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_malformed_scene_field_exits_2(tmp_path, capsys):
+    doc = scene_to_dict(generate_bundle(default_scenario(seed=0, grid_width=20,
+                                                         grid_height=15)))
+    doc["nodes"][5]["x"] = [0.0, 1.0]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
+    assert "nodes[5].x" in capsys.readouterr().err
 
 
 def test_cli_missing_scene_exits_2(tmp_path):

@@ -9,7 +9,7 @@ from crfpose.posefit import (DegenerateInput, Hypothesis, IcpConfig, Pose,
                              cluster_hypotheses, icp_refine, kabsch,
                              pose_correct, random_rotation, ransac_iterations,
                              select_best)
-from crfpose.posemodel import Candidate, NodeObservation, SceneObservation
+from crfpose.posemodel import MAX_CANDIDATES, SceneObservation
 from crfpose.submodels import SubmodelSpec
 
 
@@ -218,13 +218,15 @@ def cluster_scene():
     obj = rng.uniform(-0.02, 0.02, (6, 3))
     pose = Pose(random_rotation(rng), np.array([0.0, 0.0, 1.0]))
     cam = pose.apply(obj)
-    nodes = tuple(NodeObservation(
-        x=tuple(cam[i]),
-        candidates=(Candidate(coord=tuple(obj[i]), confidence=0.9,
-                              source_pixel=i % 4, source_tree=0),))
-        for i in range(6))
-    scene = SceneObservation(grid_width=6, grid_height=1, nodes=nodes,
-                             object_diameter=0.08)
+    # one candidate per node: obj[i] from pixel i % 4
+    coords = np.zeros((6, MAX_CANDIDATES, 3))
+    coords[:, 0] = obj
+    confidence, pixel = np.zeros((6, MAX_CANDIDATES)), np.zeros((6, MAX_CANDIDATES), dtype=int)
+    confidence[:, 0], pixel[:, 0] = 0.9, np.arange(6) % 4
+    scene = SceneObservation(grid_width=6, grid_height=1, object_diameter=0.08, points=cam,
+                             candidate_count=np.ones(6, dtype=int), coords=coords,
+                             confidence=confidence, source_pixel=pixel,
+                             source_tree=np.zeros((6, MAX_CANDIDATES), dtype=int))
     return scene, pose
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from crfpose.model import INF, ContractViolation, PartialLabeling, evaluate_energy
 from crfpose.pipeline import _geometric_violations
-from crfpose.posemodel import (Candidate, HyperParams, MAX_CANDIDATES,
-                               NodeObservation, STAGE_ONE_DEFAULTS,
+from crfpose.posemodel import (HyperParams, MAX_CANDIDATES, STAGE_ONE_DEFAULTS,
                                STAGE_TWO_DEFAULTS, SceneObservation,
                                build_sparse_neighborhood, build_stage_one_model,
                                build_stage_two_master, pairwise_cost,
@@ -16,16 +15,74 @@ from crfpose.submodels import (Component, enumerate_submodels, is_zero_form,
 
 
 def cand(coord, p=0.5, pixel=0, tree=0):
-    return Candidate(coord=tuple(coord), confidence=p, source_pixel=pixel,
-                     source_tree=tree)
+    return tuple(coord), p, pixel, tree
+
+
+def scene_arrays(xs, cand_lists):
+    """SceneObservation's per-node arrays from per-node lists of ``cand``."""
+    n = len(xs)
+    arrays = dict(points=np.asarray(xs, dtype=float),
+                  candidate_count=np.array([len(cs) for cs in cand_lists]),
+                  coords=np.zeros((n, MAX_CANDIDATES, 3)),
+                  confidence=np.zeros((n, MAX_CANDIDATES)),
+                  source_pixel=np.zeros((n, MAX_CANDIDATES), dtype=int),
+                  source_tree=np.zeros((n, MAX_CANDIDATES), dtype=int))
+    for u, cs in enumerate(cand_lists):
+        for j, values in enumerate(cs):
+            for name, value in zip(("coords", "confidence", "source_pixel", "source_tree"),
+                                   values):
+                arrays[name][u, j] = value
+    return arrays
 
 
 def tiny_scene(xs, cand_lists, width=None, diameter=1.0):
     width = width or len(xs)
-    nodes = tuple(NodeObservation(x=tuple(x), candidates=tuple(cs))
-                  for x, cs in zip(xs, cand_lists))
     return SceneObservation(grid_width=width, grid_height=len(xs) // width,
-                            nodes=nodes, object_diameter=diameter)
+                            object_diameter=diameter, **scene_arrays(xs, cand_lists))
+
+
+def test_scene_observation_checks_every_array_once():
+    arrays = scene_arrays([(0, 0, 1), (0.01, 0, 1)],
+                          [[cand((0, 0, 0), p=0.9)],
+                           [cand((1, 0, 0), p=0.8), cand((0, 1, 0), p=0.7, pixel=3, tree=2)]])
+
+    def build(name=None, index=None, value=None, array=None):
+        given = dict(arrays)
+        if name is not None:
+            given[name] = array if array is not None else given[name].copy()
+            if index is not None:
+                given[name][index] = value
+        return SceneObservation(grid_width=2, grid_height=1, object_diameter=0.05, **given)
+
+    scene = build()
+    assert scene.candidate_count.tolist() == [1, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        scene.coords[0, 0, 0] = 1.0
+    for args, message in [
+        (("confidence", (1, 1), 1.5), r"nodes\[1\]\.candidates\[1\]: confidence"),
+        (("confidence", (1, 0), np.nan), r"nodes\[1\]\.candidates\[0\]: confidence"),
+        (("source_pixel", (1, 1), 4), r"nodes\[1\]\.candidates\[1\]: source_pixel"),
+        (("source_tree", (0, 0), -1), r"nodes\[0\]\.candidates\[0\]: source_tree"),
+        (("coords", (1, 1, 2), np.inf), r"nodes\[1\]\.candidates\[1\]: object coordinate l"),
+        (("points", (1, 0), np.nan), r"nodes\[1\]: camera point x"),
+        (("candidate_count", 0, 13), r"nodes\[0\]: candidate count"),
+        (("source_pixel", None, None, arrays["source_pixel"] + 0.0), "source_pixel must be"),
+        (("coords", None, None, arrays["coords"][:, :11]), "coords must be"),
+    ]:
+        with pytest.raises(ContractViolation, match=message):
+            build(*args)
+    # entries past a node's count are stored as 0, so no consumer reads them
+    assert build("confidence", (0, 5), 0.9).confidence[0, 5] == 0.0
+
+
+def test_outlier_unary_sums_confidences_in_candidate_order():
+    # a pairwise sum over the padded row would move the last bit on some nodes
+    from crfpose.synth import default_scenario, generate_scene
+    scene, _ = generate_scene(default_scenario(seed=0))
+    m = build_stage_one_model(scene, STAGE_ONE_DEFAULTS)
+    for u, k in enumerate(scene.candidate_count.tolist()):
+        assert m.unary[u][k] == \
+            sum(scene.confidence[u, :k].tolist()) * STAGE_ONE_DEFAULTS.alpha / MAX_CANDIDATES
 
 
 def test_pairwise_cost_equal_distances():
@@ -154,7 +211,7 @@ def test_stage_one_all_outlier_labeling_is_finite():
                    for _ in range(3)] for _ in xs]
     scene = tiny_scene(xs, cand_lists, width=10, diameter=0.05)
     m = build_stage_one_model(scene, STAGE_ONE_DEFAULTS)
-    outlier = [n.outlier_label for n in scene.nodes]
+    outlier = scene.candidate_count.tolist()
     assert math.isfinite(evaluate_energy(m, outlier))
 
 
@@ -234,7 +291,7 @@ def test_finite_stage_two_energy_keeps_inlier_pairs_within_diameter():
     cand_lists = [[cand(rng.uniform(0, 0.05, 3), p=0.9)] for _ in xs]
     scene = tiny_scene(xs, cand_lists, width=5, diameter=0.05)
     m = build_stage_two_master(scene, STAGE_TWO_DEFAULTS, set(range(5)), [0] * 5)
-    points = scene.points()
+    points = scene.points
     for _ in range(50):
         l = [int(rng.integers(2)) for _ in range(5)]
         if math.isfinite(evaluate_energy(m, l)):
@@ -275,7 +332,7 @@ def test_pose_consistent_pixels_match_planted_coordinates():
     sc = default_scenario(seed=6, coord_noise_sigma=sigma, inlier_rate=0.9,
                           visible_fraction=0.9)
     scene, truth = generate_scene(sc)
-    cam_true = {u: sc.true_pose.inverse_apply(np.asarray(scene.nodes[u].x)[None])[0]
+    cam_true = {u: sc.true_pose.inverse_apply(scene.points[u][None])[0]
                 for u, l in enumerate(truth) if l != MAX_CANDIDATES}
     emitted = pose_consistent_pixels(scene, list(truth))
     assert emitted

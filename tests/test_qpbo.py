@@ -156,7 +156,7 @@ def _desk_models():
     cfg = desk_scale_config()
     stage_one = build_stage_one_model(scene, cfg.stage_one)
     labels = solve_trws(stage_one, cfg.trws).labeling
-    inliers = sorted(extract_inliers(stage_one, labels, scene.outlier_labels()))
+    inliers = sorted(extract_inliers(stage_one, labels, scene.candidate_count))
     master = build_stage_two_master(scene, cfg.stage_two, inliers, labels)
     zero, _ = to_zero_form(master)
     to_master = {g: k for k, g in enumerate(inliers)}

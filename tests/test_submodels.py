@@ -6,8 +6,8 @@ from crfpose.model import (INF, ContractViolation, GraphicalModel,
                            induce_submodel)
 from crfpose.oracle import (brute_force, check_persistency,
                             sample_binary_model, sample_zero_form_model, _spawn)
-from crfpose.posemodel import (Candidate, NodeObservation, SceneObservation,
-                               STAGE_TWO_DEFAULTS, build_stage_two_master)
+from crfpose.posemodel import (MAX_CANDIDATES, STAGE_TWO_DEFAULTS, SceneObservation,
+                               build_stage_two_master)
 from crfpose.qpbo import count_infinite_pairs
 from crfpose.submodels import (Component, SubmodelSpec, connected_components,
                                enumerate_submodels, filter_components,
@@ -89,13 +89,18 @@ def test_filter_by_size_and_reserialize():
     assert [c.nodes for c in filter_components(big)] == [c.nodes for c in big]
 
 
-def grid_scene(points, width, diameter):
-    nodes = tuple(NodeObservation(
-        x=tuple(p), candidates=(Candidate(coord=(0.0, 0.0, 0.0), confidence=0.5,
-                                          source_pixel=0, source_tree=0),))
-        for p in points)
-    return SceneObservation(grid_width=width, grid_height=len(points) // width,
-                            nodes=nodes, object_diameter=diameter)
+def grid_scene(points, width, diameter, coords=(0.0, 0.0, 0.0), confidence=0.5):
+    """One candidate per node, at ``coords`` (one row per node, or one for all)."""
+    n = len(points)
+    candidates = np.zeros((n, MAX_CANDIDATES, 3))
+    candidates[:, 0] = coords
+    conf = np.zeros((n, MAX_CANDIDATES))
+    conf[:, 0] = confidence
+    return SceneObservation(grid_width=width, grid_height=n // width,
+                            object_diameter=diameter, points=np.asarray(points, dtype=float),
+                            candidate_count=np.ones(n, dtype=int), coords=candidates,
+                            confidence=conf, source_pixel=np.zeros((n, MAX_CANDIDATES), dtype=int),
+                            source_tree=np.zeros((n, MAX_CANDIDATES), dtype=int))
 
 
 def test_enumerate_three_distant_components():
@@ -287,12 +292,8 @@ def test_decomposition_reduces_infinite_pairs():
     # two tight clusters far apart: the master mixes them, submodels do not
     points = [(0.001 * i, 0, 1) for i in range(4)] + \
              [(2 + 0.001 * i, 0, 1) for i in range(4)]
-    cands = [[Candidate(coord=(0.001 * (i % 4), 0, 0), confidence=0.9,
-                        source_pixel=0, source_tree=0)] for i in range(8)]
-    nodes = tuple(NodeObservation(x=tuple(p), candidates=tuple(c))
-                  for p, c in zip(points, cands))
-    scene = SceneObservation(grid_width=8, grid_height=1, nodes=nodes,
-                             object_diameter=0.05)
+    scene = grid_scene(points, 8, 0.05, coords=[(0.001 * (i % 4), 0, 0) for i in range(8)],
+                       confidence=0.9)
     master = build_stage_two_master(scene, STAGE_TWO_DEFAULTS, set(range(8)),
                                     [0] * 8)
     assert count_infinite_pairs(master) == 16

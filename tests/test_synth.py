@@ -31,13 +31,23 @@ def test_scenario_recomputes_diameter():
     assert sc.diameter == 1.0
 
 
+SCENE_ARRAYS = ("points", "candidate_count", "coords", "confidence", "source_pixel",
+                "source_tree")
+
+
+def assert_same_scene(a, b):
+    assert (a.grid_width, a.grid_height) == (b.grid_width, b.grid_height)
+    assert a.object_diameter == b.object_diameter
+    for name in SCENE_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
 def test_same_seed_gives_bit_identical_scenes():
     a_scene, a_truth = generate_scene(default_scenario(seed=11))
     b_scene, b_truth = generate_scene(default_scenario(seed=11))
     assert a_truth == b_truth
-    assert a_scene.object_diameter == b_scene.object_diameter
-    for na, nb in zip(a_scene.nodes, b_scene.nodes):
-        assert na == nb
+    assert_same_scene(a_scene, b_scene)
     c_scene, c_truth = generate_scene(default_scenario(seed=12))
     assert c_truth != a_truth
 
@@ -53,22 +63,19 @@ def test_noise_free_scene_plants_exact_coordinates():
     scene, truth = generate_scene(sc)
     object_nodes = [u for u, l in enumerate(truth) if l != MAX_CANDIDATES]
     assert object_nodes
-    planted = sc.true_pose.inverse_apply(scene.points()[object_nodes])
+    planted = sc.true_pose.inverse_apply(scene.points[object_nodes])
     for row, u in enumerate(object_nodes):
-        node = scene.nodes[u]
-        best = max(range(len(node.candidates)),
-                   key=lambda j: node.candidates[j].confidence)
+        best = int(scene.confidence[u, :scene.candidate_count[u]].argmax())
         assert best == truth[u]
-        assert np.asarray(node.candidates[best].coord) == pytest.approx(
-            planted[row], abs=1e-12)
+        assert scene.coords[u, best] == pytest.approx(planted[row], abs=1e-12)
 
 
 def test_candidate_caps_and_confidence_ranges():
     scene, _ = generate_scene(default_scenario(seed=4))
-    for node in scene.nodes:
-        assert len(node.candidates) <= MAX_CANDIDATES
-        for c in node.candidates:
-            assert 0.0 <= c.confidence <= 1.0
+    assert (scene.candidate_count == MAX_CANDIDATES).all()
+    assert ((0.0 <= scene.confidence) & (scene.confidence <= 1.0)).all()
+    for name in SCENE_ARRAYS:
+        assert not getattr(scene, name).flags.writeable, name
 
 
 def test_visible_fraction_hits_target():
@@ -102,7 +109,10 @@ def test_scene_roundtrip(tmp_path):
     path = tmp_path / "scene.json"
     save_scene(bundle, path)
     loaded = load_scene(path)
-    assert loaded.observation == bundle.observation
+    assert_same_scene(loaded.observation, bundle.observation)
+    again = tmp_path / "again.json"
+    save_scene(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
     assert np.array_equal(loaded.object_points, bundle.object_points)
     assert loaded.ground_truth.labels == bundle.ground_truth.labels
     assert np.array_equal(loaded.ground_truth.pose.rotation,
@@ -121,6 +131,17 @@ def test_scene_file_bytes_are_pinned(tmp_path, overrides, digest):
     path = tmp_path / "scene.json"
     save_scene(generate_bundle(default_scenario(seed=0, **overrides)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_scene_with_fewer_candidates_round_trips():
+    doc = scene_to_dict(generate_bundle(default_scenario(seed=10, grid_width=20,
+                                                         grid_height=15)))
+    for node, kept in ((0, 0), (5, 1), (7, 11)):
+        del doc["nodes"][node]["candidates"][kept:]
+    scene = scene_from_dict(doc).observation
+    assert scene.candidate_count[[0, 5, 7, 8]].tolist() == [0, 1, 11, 12]
+    assert not scene.coords[5, 1:].any() and not scene.confidence[7, 11:].any()
+    assert scene_to_dict(scene_from_dict(doc)) == doc
 
 
 def test_scene_missing_field_names_the_field():
@@ -175,6 +196,16 @@ def test_confidence_out_of_range_rejected():
      r"ground_truth: translation is not finite"),
     (("ground_truth", "translation", 2), float("-inf"),
      r"ground_truth: translation is not finite"),
+    # wrong lengths and types, which name the field's path
+    (("nodes", 5, "x"), [0.0, 1.0], r"nodes\[5\]\.x"),
+    (("nodes", 5, "x"), [0.0, 0.0, 1.0, 2.0], r"nodes\[5\]\.x"),
+    (("nodes", 5, "candidates", 2, "l"), [0.0, 0.0], r"nodes\[5\]\.candidates\[2\]\.l"),
+    (("nodes", 5, "candidates", 2, "l"), [0.0] * 4, r"nodes\[5\]\.candidates\[2\]\.l"),
+    (("nodes", 5, "candidates", 2, "l", 1), "0.0", r"nodes\[5\]\.candidates\[2\]\.l"),
+    (("nodes", 5, "candidates", 2, "p"), "0.5", r"nodes\[5\]\.candidates\[2\]\.p"),
+    (("nodes", 5, "candidates", 2, "pixel"), 1.7,
+     r"nodes\[5\]\.candidates\[2\]\.pixel"),
+    (("grid_width",), "x", "grid_width"),
 ])
 def test_non_finite_scene_input_rejected(tmp_path, field, value, message):
     doc = scene_to_dict(generate_bundle(default_scenario(

@@ -212,7 +212,7 @@ def test_stage_one_recovers_planted_inliers():
         seed=4, coord_noise_sigma=1e-4, inlier_rate=0.85, visible_fraction=0.8))
     model = build_stage_one_model(scene, DESK_SCALE_STAGE_ONE)
     res = solve_trws(model, TrwsConfig(iterations=10))
-    inliers = extract_inliers(model, res.labeling, scene.outlier_labels())
+    inliers = extract_inliers(model, res.labeling, scene.candidate_count)
     planted = {u for u, l in enumerate(truth) if l != 12}
     assert len(planted & inliers) >= 0.8 * len(planted)
 
