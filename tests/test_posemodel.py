@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -339,3 +340,37 @@ def test_pose_consistent_pixels_match_planted_coordinates():
     close = sum(1 for px in emitted
                 if np.linalg.norm(np.asarray(px.coord) - cam_true[px.node]) <= 3 * sigma)
     assert close >= 0.9 * len(emitted)
+
+
+def _model_digest(model):
+    """sha256 over a walk of a model that reads only its public accessors."""
+    h = hashlib.sha256(repr((model.pairwise_weight, model.constant)).encode())
+    for u in range(model.node_count):
+        k = model.labels_per_node[u]
+        h.update(repr(k).encode())
+        h.update(np.asarray(model.unary[u], dtype=float)[:k].tobytes())
+    for e in range(model.edge_count):
+        h.update(repr(tuple(int(x) for x in model.edges[e])).encode())
+        h.update(np.asarray(model.edge_table(e), dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def test_model_contents_are_pinned():
+    # the scene of test_canonical_report_digest_is_pinned; both digests must
+    # survive any change of how a model stores its unaries, edges and tables
+    from crfpose.pipeline import desk_scale_config
+    from crfpose.synth import default_scenario, generate_bundle
+    from crfpose.trws import extract_inliers, solve_trws
+    scene = generate_bundle(default_scenario(
+        seed=0, grid_width=20, grid_height=15, inlier_rate=0.85,
+        visible_fraction=0.8, coord_noise_sigma=1e-4)).observation
+    cfg = desk_scale_config()
+    stage_one = build_stage_one_model(scene, cfg.stage_one)
+    labeling = solve_trws(stage_one, cfg.trws).labeling
+    inliers = sorted(extract_inliers(stage_one, labeling, scene.candidate_count))
+    master = build_stage_two_master(scene, cfg.stage_two, inliers, labeling)
+    assert (stage_one.edge_count, master.node_count) == (8401, 39)
+    assert _model_digest(stage_one) == \
+        "8aa64653f164aa036d7372e9556b09da4e80d47e90e1f7adc420dad229364d35"
+    assert _model_digest(master) == \
+        "5d2d868ac3d502dff598f030638d056b5516c747d909dd07784cdde01e5fedaa"
