@@ -9,7 +9,7 @@ the call sites where it could occur.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,10 +24,6 @@ class ContractViolation(ValueError):
     """A caller broke an interface precondition."""
 
 
-def is_inf(value: float) -> bool:
-    return math.isinf(value)
-
-
 def _check_costs(table: np.ndarray, what: str, where) -> None:
     """Raise unless every cost is finite or +inf; names ``what`` ``where``."""
     if not table.min() > -INF:  # the minimum is NaN if any entry is
@@ -35,51 +31,85 @@ def _check_costs(table: np.ndarray, what: str, where) -> None:
         raise ContractViolation(f"{what} {where} has a {kind} cost")
 
 
-@dataclass
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _padded(tables, counts: np.ndarray, size: int, kind: str, item: str, name) -> np.ndarray:
+    """A copy of per-item cost tables, given as a list of tables of shape
+    ``counts[i]`` or as one array +inf past them, as one array ``size`` long
+    on each table axis.  Checked in array passes; errors name ``name(i)``."""
+    n, axes = counts.shape
+    wrong = f"{kind} table of {item} {{}} has wrong {'length' if axes == 1 else 'shape'}"
+    if len(tables) != n:
+        raise ContractViolation(f"one {kind} table per {item} required")
+    if not isinstance(tables, np.ndarray):
+        stack = np.full((n,) + (size,) * axes, INF)
+        for i, table in enumerate(tables):
+            table = np.asarray(table, dtype=float)
+            if table.shape != tuple(counts[i]):
+                raise ContractViolation(wrong.format(name(i)))
+            stack[(i, *map(slice, counts[i]))] = table
+        tables = stack
+    tables = np.asarray(tables, dtype=float)
+    if tables.ndim != 1 + axes:
+        raise ContractViolation(f"{kind} must be an array of one table per {item}")
+    outside = np.zeros(tables.shape, dtype=bool)
+    for axis, k in enumerate(counts.T, start=1):
+        index = np.arange(tables.shape[axis]).reshape((-1,) + (1,) * (axes - axis))
+        outside |= index >= k.reshape((-1,) + (1,) * axes)
+    per_table = tuple(range(1, 1 + axes))
+    bad = (counts > tables.shape[1:]).any(axis=1) | (outside & (tables != INF)).any(axis=per_table)
+    if bad.any():
+        raise ContractViolation(wrong.format(name(np.flatnonzero(bad)[0])))
+    bad = np.flatnonzero(~(tables > -INF).all(axis=per_table))  # NaN compares false too
+    if bad.size:
+        _check_costs(tables[bad[0]], f"{kind} table of {item}", name(bad[0]))
+    out = np.full((n,) + (size,) * axes, INF)
+    inner = tables[(slice(None),) + (slice(size),) * axes]  # only +inf is cut off
+    out[(slice(None), *map(slice, inner.shape[1:]))] = inner
+    return out
+
+
+@dataclass(eq=False)
 class GraphicalModel:
     """A pairwise model: per-node label sets, unary tables, weighted edges.
 
-    ``edges`` may be given in either orientation; each is stored as (u, v)
-    with u < v, its table transposed where the caller gave (v, u).
-    ``ends`` holds the stored edges as an (E, 2) array.
+    The model is held as read-only arrays, each stored once, L being the
+    largest label count:
 
-    A model holds its pairwise costs in exactly one of two ways:
+    - ``unary``: (n, L), +inf past each node's label count; given as a list
+      of per-node tables or as an (n, a) array, +inf past each count.
+    - ``edges``: (E, 2) int64, each edge (u, v) with u < v, in the caller's
+      order; an edge given as (v, u) has its table transposed.
+    - ``pairwise``, materialized: (E, L, L), +inf past each edge's (Lu, Lv)
+      block, which ``edge_table(e)`` views; given as a list of (Lu, Lv)
+      tables or as an (E, a, b) array, +inf past each block.  Lazy instead:
+      ``table_fn(u, v)``, deterministic, called with Python ints by every
+      ``edge_table(e)`` call, which checks and returns a fresh table;
+      nothing is stored and ``pairwise`` is one ``None`` per edge.
 
-    - materialized: ``pairwise`` is given as a list of (Lu, Lv) tables, one
-      per edge, or as an (E, a, b) array whose entries past each edge's
-      (Lu, Lv) block are +inf.  It is stored as one (E, L, L) array, L the
-      largest label count, +inf past each edge's block; ``edge_table(e)`` is
-      the [:Lu, :Lv] view of it.
-    - lazy: ``table_fn(u, v)`` is given instead, deterministic; every
-      ``edge_table(e)`` call builds, checks and returns a fresh table and
-      nothing is stored.
-
-    Models are immutable after construction.  Costs may be +inf, never NaN
-    or -inf.
+    Given arrays are copied, so a model is immutable after construction.
+    Costs may be +inf, never NaN or -inf.
     """
 
     labels_per_node: tuple[int, ...]
-    unary: list[np.ndarray]
-    edges: tuple[tuple[int, int], ...]
+    unary: list | np.ndarray
+    edges: np.ndarray
     pairwise: list | np.ndarray | None = None
     table_fn: Callable[[int, int], np.ndarray] | None = None
     pairwise_weight: float = 1.0
     constant: float = 0.0
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.labels_per_node = tuple(int(k) for k in self.labels_per_node)
         if any(k < 1 for k in self.labels_per_node):
             raise ContractViolation("every node needs at least one label")
-        n = len(self.labels_per_node)
-        if len(self.unary) != n:
-            raise ContractViolation("one unary table per node required")
-        self.unary = [np.asarray(t, dtype=float) for t in self.unary]
-        for u, t in enumerate(self.unary):
-            if t.shape != (self.labels_per_node[u],):
-                raise ContractViolation(f"unary table of node {u} has wrong length")
-            _check_costs(t, "unary table of node", u)
-        given = self._set_edges(n)
+        labels = np.array(self.labels_per_node, dtype=np.int64)
+        size = int(labels.max(initial=1))
+        self.unary = _read_only(_padded(self.unary, labels[:, None], size, "unary", "node", int))
+        given = self._set_edges(labels.size)
         if self.table_fn is not None:
             if self.pairwise is not None:
                 raise ContractViolation("give pairwise tables or a table_fn, not both")
@@ -87,7 +117,12 @@ class GraphicalModel:
             # tracer wrapping edge_table reads it that way
             self.pairwise = (None,) * len(given)
         else:
-            self.pairwise = self._stack(given)
+            stack = _padded([] if self.pairwise is None else self.pairwise, labels[given],
+                            size, "pairwise", "edge", self.edge_pair)
+            # a square stack transposes each edge's block into the stored orientation
+            swapped = given[:, 0] > given[:, 1]
+            stack[swapped] = stack[swapped].transpose(0, 2, 1)
+            self.pairwise = _read_only(stack)
 
     def _set_edges(self, n: int) -> np.ndarray:
         """Check the edges, store them as (u, v) with u < v, and return them
@@ -103,57 +138,18 @@ class GraphicalModel:
         outside = np.flatnonzero(((given < 0) | (given >= n)).any(axis=1))
         if outside.size:
             raise ContractViolation(f"edge {tuple(given[outside[0]].tolist())} out of range")
-        self.ends = np.sort(given, axis=1)
-        keys = self.ends[:, 0] * n + self.ends[:, 1]
+        self.edges = _read_only(np.sort(given, axis=1))
+        keys = self.edges[:, 0] * n + self.edges[:, 1]
         order = np.argsort(keys, kind="stable")
         repeated = order[1:][np.diff(keys[order]) == 0]
         if repeated.size:
-            u, v = self.ends[repeated.min()].tolist()
+            u, v = self.edges[repeated.min()].tolist()
             raise ContractViolation(f"duplicate edge ({u},{v})")
-        # one int object per node, not two per edge: about 5 MB less at 78k edges
-        node = list(range(n)).__getitem__
-        self.edges = tuple(zip(map(node, self.ends[:, 0].tolist()),
-                               map(node, self.ends[:, 1].tolist())))
         return given
 
-    def _stack(self, given) -> np.ndarray:
-        """The (E, L, L) stack of the given tables, each oriented as stored."""
-        labels = np.array(self.labels_per_node, dtype=np.int64)
-        k = labels[given]  # label counts in the caller's orientation
-        size = int(labels.max(initial=1))
-        tables = [] if self.pairwise is None else self.pairwise
-        if len(tables) != len(given):
-            raise ContractViolation("one pairwise table per edge required")
-        if not isinstance(tables, np.ndarray):
-            stack = np.full((len(given), size, size), INF)
-            for e, table in enumerate(tables):
-                table = np.asarray(table, dtype=float)
-                if table.shape != tuple(k[e]):
-                    raise ContractViolation(
-                        f"pairwise table of edge {self.edges[e]} has wrong shape")
-                stack[e, : k[e, 0], : k[e, 1]] = table
-            tables = stack
-        tables = np.asarray(tables, dtype=float)
-        if tables.ndim != 3:
-            raise ContractViolation("pairwise must be an (E, a, b) array of tables")
-        outside = (np.arange(tables.shape[1])[:, None] >= k[:, 0, None, None]) \
-            | (np.arange(tables.shape[2]) >= k[:, 1, None, None])
-        wrong = (k > tables.shape[1:]).any(axis=1) | (outside & (tables != INF)).any(axis=(1, 2))
-        if wrong.any():
-            e = int(np.flatnonzero(wrong)[0])
-            raise ContractViolation(f"pairwise table of edge {self.edges[e]} has wrong shape")
-        bad = np.flatnonzero(~(tables > -INF).all(axis=(1, 2)))  # NaN compares false too
-        if bad.size:
-            _check_costs(tables[bad[0]], "pairwise table of edge", self.edges[bad[0]])
-        swapped = given[:, 0] > given[:, 1]
-        if tables.shape[1:] != (size, size) or swapped.any():
-            stack = np.full((len(given), size, size), INF)
-            inner = tables[:, :size, :size]  # only +inf is cut off
-            stack[:, : inner.shape[1], : inner.shape[2]] = inner
-            # a square stack transposes each edge's block into the stored orientation
-            stack[swapped] = stack[swapped].transpose(0, 2, 1)
-            tables = stack
-        return tables
+    def edge_pair(self, e: int) -> tuple[int, int]:
+        """Edge ``e`` as a pair of Python ints (u, v), u < v."""
+        return tuple(self.edges[e].tolist())
 
     @property
     def node_count(self) -> int:
@@ -164,8 +160,9 @@ class GraphicalModel:
         return len(self.edges)
 
     def edge_table(self, e: int) -> np.ndarray:
-        """Cost table of edge ``e``: a view of the stack, or built by ``table_fn``."""
-        u, v = self.edges[e]
+        """Cost table of edge ``e``: a read-only view of the stack, or built
+        by ``table_fn``."""
+        u, v = self.edges[e].tolist()
         ku, kv = self.labels_per_node[u], self.labels_per_node[v]
         if self.table_fn is None:
             return self.pairwise[e, :ku, :kv]
@@ -206,15 +203,15 @@ def evaluate_energy(model: GraphicalModel, labeling: Sequence[int]) -> float:
     bit-identical.
     """
     _check_labeling(model, labeling)
+    labeling = [int(l) for l in labeling]
     total = model.constant
-    for u, l in enumerate(labeling):
-        c = float(model.unary[u][int(l)])
-        if is_inf(c):
+    for c in model.unary[np.arange(model.node_count), labeling].tolist():
+        if math.isinf(c):
             return INF
         total += c
-    for e, (u, v) in enumerate(model.edges):
-        c = model.edge_cost(e, int(labeling[u]), int(labeling[v]))
-        if is_inf(c):
+    for e, (u, v) in enumerate(model.edges.tolist()):
+        c = model.edge_cost(e, labeling[u], labeling[v])
+        if math.isinf(c):
             return INF
         total += model.pairwise_weight * c
     return total
@@ -238,18 +235,17 @@ def induce_submodel(model: GraphicalModel, keep) -> tuple[GraphicalModel, tuple[
         raise ContractViolation("keep contains nodes outside the model")
     new_index = np.full(model.node_count, -1)
     new_index[keep] = np.arange(keep.size)
-    local = new_index[model.ends]
+    local = new_index[model.edges]
     internal = np.flatnonzero((local >= 0).all(axis=1))
-    keep = keep.tolist()
     sub = GraphicalModel(
-        labels_per_node=tuple(model.labels_per_node[u] for u in keep),
-        unary=[model.unary[u].copy() for u in keep],
+        labels_per_node=tuple(model.labels_per_node[u] for u in keep.tolist()),
+        unary=model.unary[keep],
         edges=local[internal],
         pairwise=model.pairwise[internal],
         pairwise_weight=model.pairwise_weight,
         constant=0.0,
     )
-    return sub, tuple(keep)
+    return sub, tuple(keep.tolist())
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,8 @@ def _block_energies(model: GraphicalModel, block: np.ndarray,
                     wtables: list[np.ndarray]) -> np.ndarray:
     e = np.full(block.shape[0], model.constant, dtype=float)
     for u in range(model.node_count):
-        e += model.unary[u][block[:, u]]
-    for ei, (u, v) in enumerate(model.edges):
+        e += model.unary[u, block[:, u]]
+    for ei, (u, v) in enumerate(model.edges.tolist()):
         e += wtables[ei][block[:, u], block[:, v]]
     return e
 
@@ -97,25 +97,25 @@ def brute_force(model: GraphicalModel, cap: int = 1024) -> OracleResult:
 
 
 def check_persistency(model: GraphicalModel, partial: PartialLabeling) -> bool:
-    """True iff some exact optimum agrees with every labeled node of ``partial``."""
+    """True iff some exact optimum agrees with every labeled node of ``partial``,
+    that is iff the labelings that agree with it reach the global minimum."""
     if len(partial) != model.node_count:
         raise ContractViolation("partial labeling size mismatch")
     total = _guard(model)
     wtables = _weighted_tables(model)
-    labeled = [(u, a) for u, a in enumerate(partial.assignment) if a != UNLABELED]
-    best = INF
-    for start in range(0, total, _CHUNK):
-        block = _labeling_block(model, start, min(start + _CHUNK, total))
-        best = min(best, float(_block_energies(model, block, wtables).min()))
+    assignment = np.array(partial.assignment, dtype=np.int64)
+    labeled = np.flatnonzero(assignment != UNLABELED)
+    best = agreeing = INF
+    agrees_anywhere = False
     for start in range(0, total, _CHUNK):
         block = _labeling_block(model, start, min(start + _CHUNK, total))
         energies = _block_energies(model, block, wtables)
-        mask = energies == best
-        for u, a in labeled:
-            mask &= block[:, u] == a
-        if mask.any():
-            return True
-    return False
+        best = min(best, float(energies.min()))
+        agree = (block[:, labeled] == assignment[labeled]).all(axis=1)
+        if agree.any():
+            agrees_anywhere = True
+            agreeing = min(agreeing, float(energies[agree].min()))
+    return agrees_anywhere and agreeing == best
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +338,12 @@ def verify_zero_form(trials: int = 100, max_nodes: int = 8, seed: int = 0,
     for t, rng in enumerate(_spawn(seed, trials)):
         m = sample_binary_model(rng, max_nodes=max_nodes)
         z, _ = to_zero_form(m)
+        tables = _weighted_tables(m), _weighted_tables(z)
         worst = 0.0
         for start in range(0, 2 ** m.node_count, _CHUNK):
             block = _labeling_block(m, start, min(start + _CHUNK, 2 ** m.node_count))
-            for row in block:
-                worst = max(worst, abs(evaluate_energy(m, row) - evaluate_energy(z, row)))
+            gap = _block_energies(m, block, tables[0]) - _block_energies(z, block, tables[1])
+            worst = max(worst, float(np.abs(gap).max()))
         if worst <= tolerance:
             report.passes += 1
         else:

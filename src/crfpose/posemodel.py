@@ -130,13 +130,14 @@ def pairwise_cost(coords, points, diameter: float) -> np.ndarray:
 
 
 def build_sparse_neighborhood(grid_width: int, grid_height: int,
-                              keep: int = 48, skip: int = 8) -> tuple[tuple[int, int], ...]:
+                              keep: int = 48, skip: int = 8) -> np.ndarray:
     """Connect each node to its 9th..56th nearest grid neighbours.
 
     Neighbours are ranked by Euclidean distance on the node grid with ties
     broken by row-major index; the closest ``skip`` are excluded and the next
     ``keep`` connected.  The returned edge set is the symmetric union,
-    deduplicated and canonically ordered (u < v).
+    deduplicated, as an (E, 2) int64 array of rows (u, v) with u < v in
+    increasing order.
 
     Neighbour (r + dr, c + dc) has index node + dr * W + dc, so the grid
     offsets are ranked once by (dr² + dc², dr * W + dc) and each node takes
@@ -172,8 +173,7 @@ def build_sparse_neighborhood(grid_width: int, grid_height: int,
         v = (r * width + c)[pick].astype(np.int64)
         u = np.broadcast_to(u, pick.shape)[pick]
         keys.append(np.minimum(u, v) * n + np.maximum(u, v))
-    lower, upper = np.divmod(np.unique(np.concatenate(keys)), n)
-    return tuple(zip(lower.tolist(), upper.tolist()))
+    return np.stack(np.divmod(np.unique(np.concatenate(keys)), n), axis=1)
 
 
 def _inlier_unary(confidence, hp: HyperParams):
@@ -197,6 +197,7 @@ def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
     count = scene.candidate_count.tolist()
     unary = np.pad(_inlier_unary(scene.confidence, hp), ((0, 0), (0, 1)))
     unary[np.arange(scene.node_count), scene.candidate_count] = _outlier_unary(scene, hp)
+    unary[np.arange(MAX_CANDIDATES + 1) > scene.candidate_count[:, None]] = INF
     edges = build_sparse_neighborhood(scene.grid_width, scene.grid_height,
                                       keep=keep, skip=skip)
 
@@ -223,7 +224,7 @@ def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
 
     return GraphicalModel(
         labels_per_node=tuple(k + 1 for k in count),
-        unary=[row[:k + 1] for row, k in zip(unary, count)],
+        unary=unary,
         edges=edges,
         table_fn=table_fn,
         pairwise_weight=hp.beta,
@@ -256,7 +257,7 @@ def build_stage_two_master(scene: SceneObservation, hp: HyperParams,
     tables[:, 1, 1] = cost[rows, cols]
     return GraphicalModel(
         labels_per_node=(2,) * grid_nodes.size,
-        unary=list(unary),
+        unary=unary,
         edges=np.stack([rows, cols], axis=1),
         pairwise=tables,
         pairwise_weight=hp.beta,

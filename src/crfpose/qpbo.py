@@ -49,7 +49,7 @@ def count_infinite_pairs(model: GraphicalModel) -> int:
 def qpbo(model: GraphicalModel) -> PartialLabeling:
     tables = binary_tables(model)
     n = model.node_count
-    unary = np.array(model.unary, dtype=float).reshape(n, 2)
+    unary = model.unary.copy()
     if not np.isfinite(unary).all():
         raise ContractViolation("unaries must be finite")
 
@@ -68,14 +68,14 @@ def qpbo(model: GraphicalModel) -> PartialLabeling:
     cols = t.min(axis=1)
     t -= cols[:, None, :]
     # per edge in order: u's labels 0 and 1, then v's
-    fold_nodes = np.repeat(model.ends, 2, axis=1).reshape(-1)
+    fold_nodes = np.repeat(model.edges, 2, axis=1).reshape(-1)
     fold_labels = np.tile([0, 1], 2 * model.edge_count)
     np.add.at(unary, (fold_nodes, fold_labels), np.stack([rows, cols], axis=1).reshape(-1))
 
     # doubled network: copies u and u+n, x_u=0 <=> u on the source side
     # <=> u+n on the sink side; every logical cost is split in half
     source, sink = 2 * n, 2 * n + 1
-    u, v = model.ends.T
+    u, v = model.edges.T
     node = np.arange(n)
     c = unary[:, 1] - unary[:, 0]
     up = c > 0
@@ -102,7 +102,7 @@ def qpbo(model: GraphicalModel) -> PartialLabeling:
     lu, lv = assignment[u], assignment[v]
     hits = (lu != UNLABELED) & (lv != UNLABELED)
     hits[hits] = inf[np.flatnonzero(hits), lu[hits], lv[hits]]
-    for a, b in model.ends[hits].tolist():
+    for a, b in model.edges[hits].tolist():
         if assignment[a] != UNLABELED and assignment[b] != UNLABELED:
             assignment[a] = assignment[b] = UNLABELED
     return PartialLabeling(tuple(assignment.tolist()))

@@ -11,10 +11,10 @@ than the object diameter (infinite (1,1) cost) land in separate submodels.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .model import (ContractViolation, GraphicalModel, PartialLabeling,
                     extend_partial, induce_submodel, weighted_table)
@@ -22,9 +22,6 @@ from .posemodel import SceneObservation, pairwise_distances
 from .qpbo import binary_tables, qpbo
 
 MIN_COMPONENT_SIZE = 3
-
-_NEIGHBORS_8 = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
-                     if (dr, dc) != (0, 0))
 
 
 @dataclass(frozen=True)
@@ -45,32 +42,19 @@ class SubmodelSpec:
 
 def connected_components(inliers, grid_width: int, grid_height: int) -> list[Component]:
     """8-connected components of the inlier mask, serials in row-major
-    discovery order."""
-    inlier_set = set(int(u) for u in inliers)
-    for u in inlier_set:
-        if not 0 <= u < grid_width * grid_height:
-            raise ContractViolation(f"inlier node {u} outside the grid")
-    seen = set()
-    components = []
-    for start in sorted(inlier_set):
-        if start in seen:
-            continue
-        queue = deque([start])
-        seen.add(start)
-        nodes = []
-        while queue:
-            u = queue.popleft()
-            nodes.append(u)
-            r, c = divmod(u, grid_width)
-            for dr, dc in _NEIGHBORS_8:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < grid_height and 0 <= cc < grid_width:
-                    v = rr * grid_width + cc
-                    if v in inlier_set and v not in seen:
-                        seen.add(v)
-                        queue.append(v)
-        components.append(Component(serial=len(components), nodes=frozenset(nodes)))
-    return components
+    order of each component's first node."""
+    nodes = np.unique(np.array([int(u) for u in inliers], dtype=np.int64))
+    outside = nodes[(nodes < 0) | (nodes >= grid_width * grid_height)]
+    if outside.size:
+        raise ContractViolation(f"inlier node {outside[0]} outside the grid")
+    mask = np.zeros(grid_width * grid_height, dtype=bool)
+    mask[nodes] = True
+    # scipy numbers components in raster order of their first node
+    labels, count = ndimage.label(mask.reshape(grid_height, grid_width),
+                                  structure=np.ones((3, 3), dtype=bool))
+    serial = labels.reshape(-1)[nodes] - 1
+    return [Component(serial=s, nodes=frozenset(nodes[serial == s].tolist()))
+            for s in range(count)]
 
 
 def filter_components(components, min_size: int = MIN_COMPONENT_SIZE) -> list[Component]:
@@ -132,21 +116,21 @@ def to_zero_form(model: GraphicalModel) -> tuple[GraphicalModel, float]:
     t = binary_tables(model)
     outside = np.flatnonzero(np.isinf(t.reshape(-1, 4)[:, :3]).any(axis=1))
     if outside.size:
-        raise ContractViolation(f"edge {model.edges[outside[0]]} has an infinite "
+        raise ContractViolation(f"edge {model.edge_pair(outside[0])} has an infinite "
                                 "cost outside (1,1); cannot zero it")
     wa, wb, wc, wd = weighted_table(t, model.pairwise_weight).reshape(-1, 4).T
     # w*T(x,y) = wa + (wc-wa)x + (wb-wa)y + (wa+wd-wb-wc)xy
     shift = float(np.cumsum(np.append(0.0, wa))[-1])
-    unary = np.array(model.unary, dtype=float).reshape(-1, 2)
+    unary = model.unary.copy()
     # per edge u before v, in edge order
-    np.add.at(unary[:, 1], model.ends.reshape(-1),
+    np.add.at(unary[:, 1], model.edges.reshape(-1),
               np.stack([wc - wa, wb - wa], axis=1).reshape(-1))
     tables = np.zeros(t.shape)
     tables[:, 1, 1] = wa + wd - wb - wc
     out = GraphicalModel(
         labels_per_node=model.labels_per_node,
-        unary=list(unary),
-        edges=model.ends,
+        unary=unary,
+        edges=model.edges,
         pairwise=tables,
         pairwise_weight=1.0,
         constant=model.constant + shift,

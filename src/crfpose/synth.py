@@ -295,10 +295,20 @@ def scene_to_dict(bundle: SceneBundle) -> dict:
 _NUMBER, _INTEGER = (int, float), (int,)  # exact JSON types: bool is an int subclass
 
 
-def _field(mapping, key, path, types=_NUMBER, count=None):
-    """``mapping[key]``, required to be a JSON number (an integer, given
+def _field(mapping, key, path, types=_NUMBER, count=None, each=False):
+    """``mapping[key]`` checked by ``_typed``, or given ``each``, a list
+    whose every entry is."""
+    name, value = f"{path}{key}", _require(mapping, key, path)
+    if not each:
+        return _typed(value, name, types, count)
+    if type(value) is not list:
+        raise SceneFormatError(f"field '{name}' must be a list")
+    return [_typed(v, f"{name}[{i}]", types, count) for i, v in enumerate(value)]
+
+
+def _typed(value, name, types=_NUMBER, count=None):
+    """``value``, required to be a JSON number (an integer, given
     ``_INTEGER``) or, given ``count``, a list of ``count`` numbers."""
-    value = _require(mapping, key, path)
     if count is None:
         valid = type(value) in types
     else:
@@ -307,7 +317,7 @@ def _field(mapping, key, path, types=_NUMBER, count=None):
     if not valid:
         what = (f"a list of {count} numbers" if count is not None
                 else "an integer" if types is _INTEGER else "a number")
-        raise SceneFormatError(f"field '{path}{key}' must be {what}")
+        raise SceneFormatError(f"field '{name}' must be {what}")
     return value
 
 
@@ -363,8 +373,9 @@ def scene_from_dict(doc: dict) -> SceneBundle:
         raise SceneFormatError(str(exc)) from None
     object_points = None
     if "object_points" in doc:
-        object_points = np.asarray(doc["object_points"], dtype=float)
-        if object_points.shape[1:] != (3,) or not np.isfinite(object_points).all():
+        object_points = np.array(_field(doc, "object_points", "", count=3, each=True),
+                                 dtype=float).reshape(-1, 3)
+        if not object_points.size or not np.isfinite(object_points).all():
             raise SceneFormatError("field 'object_points' must be an Nx3 list of finite numbers")
     ground_truth = None
     if "ground_truth" in doc:
@@ -374,8 +385,8 @@ def scene_from_dict(doc: dict) -> SceneBundle:
                         np.asarray(_require(g, "translation", "ground_truth."), dtype=float))
         except ContractViolation as exc:
             raise SceneFormatError(f"invalid pose at ground_truth: {exc}") from None
-        ground_truth = GroundTruth(pose=pose,
-                                   labels=tuple(int(l) for l in _require(g, "labels", "ground_truth.")))
+        labels = _field(g, "labels", "ground_truth.", _INTEGER, each=True)
+        ground_truth = GroundTruth(pose=pose, labels=tuple(labels))
     return SceneBundle(observation=obs, object_points=object_points,
                        ground_truth=ground_truth)
 

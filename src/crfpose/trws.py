@@ -22,9 +22,10 @@ more rows is added pairwise.  Rounding adds the predecessor rows in slot
 order.  Minima are exact in any order.
 
 Every pairwise table is held once, β-weighted and INF-padded, in one
-(E, Lmax, Lmax) array indexed by edge id.  The per-slot messages and unary
-shares are (Lmax, S) arrays, INF past each node's label count, with the
-slots numbered by (level, node, chain order) so that a level is one column
+(E, Lmax, Lmax) array indexed by edge id, and the unaries are the model's
+(n, Lmax) array, transposed.  The per-slot messages and unary shares are
+(Lmax, S) arrays, INF past each node's label count, with the slots
+numbered by (level, node, chain order) so that a level is one column
 range.  What a slot passes on along its chain is recomputed as message +
 share where it is read, not stored.
 """
@@ -61,7 +62,7 @@ class TrwsResult:
 def monotone_chains(node_count: int, edges) -> list[list[int]]:
     """Cover all edges by node-index-increasing paths, deterministically."""
     forward = [[] for _ in range(node_count)]
-    for u, v in edges:
+    for u, v in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
         forward[u].append(v)
     for lst in forward:
         lst.sort(reverse=True)  # pop() yields the smallest successor first
@@ -122,17 +123,22 @@ def _chain_slots(model: GraphicalModel, labels: np.ndarray):
     n = model.node_count
     # slots in chain order: node, neighbouring slots, edge id of the link
     # from the predecessor (-1 where there is none)
-    edge_id = {uv: e for e, uv in enumerate(model.edges)}
-    old_node, old_edge, heads = [], [], []
+    old_node, heads = [], []
     for chain in monotone_chains(n, model.edges):
         heads.append(len(old_node))
         old_node += chain
-        old_edge += [-1] + [edge_id[link] for link in zip(chain, chain[1:])]
-    old_node, old_edge = np.array(old_node, np.int64), np.array(old_edge, np.int64)
+    old_node = np.array(old_node, np.int64)
     index = np.arange(old_node.size)
     is_head = np.isin(index, heads)
     old_prev = np.where(is_head, -1, index - 1)
     old_next = np.where(np.append(is_head[1:], True), -1, index + 1)
+    # a link (a, b) has a < b, so its edge id is found by the key a * n + b
+    keys = model.edges[:, 0] * n + model.edges[:, 1]
+    by_key = np.argsort(keys)
+    links = np.flatnonzero(~is_head)
+    old_edge = np.full(old_node.size, -1, np.int64)
+    old_edge[links] = by_key[np.searchsorted(keys[by_key],
+                                             old_node[links - 1] * n + old_node[links])]
 
     # renumber by (level, node, chain order); lexsort is stable
     level = node_levels(n, model.edges)
@@ -171,16 +177,14 @@ class _Compiled:
         source = model.pairwise  # the model's own (E, Lmax, Lmax) stack
         if model.table_fn is not None:
             k = model.labels_per_node
-            for e, (u, v) in enumerate(model.edges):
+            for e, (u, v) in enumerate(model.edges.tolist()):
                 self.tables[e, : k[u], : k[v]] = model.edge_table(e)
             source = self.tables
         # in chunks, so no temporary is full-size
         for lo in range(0, model.edge_count, WEIGHT_CHUNK):
             chunk = slice(lo, lo + WEIGHT_CHUNK)
             self.tables[chunk] = weighted_table(source[chunk], model.pairwise_weight)
-        self.unary = np.full((lmax, n), INF)
-        for u, t in enumerate(model.unary):
-            self.unary[: labels[u], u] = t
+        self.unary = np.ascontiguousarray(model.unary.T)  # (Lmax, n), C order as the sweeps expect
 
         self.slot_node, self.head_slots, self.levels, self.isolated = \
             _chain_slots(model, labels)

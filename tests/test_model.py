@@ -108,6 +108,45 @@ def test_model_construction_contracts():
             GraphicalModel(labels, unary, edges, pairwise=bad)
 
 
+def test_unary_array_is_inf_padded_and_checked_naming_the_node():
+    labels, edges = (1, 3, 2), ((0, 1), (2, 1))
+    listed = [np.array([0.5]), np.array([1.0, INF, 2.0]), np.array([3.0, 4.0])]
+    padded = np.full((3, 4), INF)
+    for u, t in enumerate(listed):
+        padded[u, : t.size] = t
+    for unary in (listed, padded, padded[:, :3]):
+        m = GraphicalModel(labels, unary, edges, pairwise=[np.zeros((1, 3)), np.zeros((2, 3))])
+        assert m.unary.shape == (3, 3)
+        assert np.array_equal(m.unary, padded[:, :3])
+        assert evaluate_energy(m, (0, 2, 1)) == 0.5 + 2.0 + 4.0
+    for u, value, message in ((0, 1.0, "node 0 has wrong length"),
+                              (2, 0.0, "node 2 has wrong length"),
+                              (1, math.nan, "node 1 has a NaN cost"),
+                              (2, -INF, "node 2 has a -inf cost")):
+        bad = padded.copy()
+        bad[u, labels[u] if "length" in message else 0] = value
+        with pytest.raises(ContractViolation, match=message):
+            GraphicalModel(labels, bad, (), pairwise=[])
+    with pytest.raises(ContractViolation, match="node 1 has wrong length"):
+        GraphicalModel(labels, padded[:, :2], ())
+
+
+def test_model_arrays_are_read_only_copies():
+    unary, edges = np.zeros((3, 2)), np.array([[0, 1], [2, 1]])
+    stack = np.zeros((2, 2, 2))
+    m = GraphicalModel((2,) * 3, unary, edges, pairwise=stack)
+    lazy = GraphicalModel((2,) * 3, unary, edges, table_fn=lambda u, v: np.zeros((2, 2)))
+    sub, _ = induce_submodel(m, (1, 2))
+    for array in (m.unary, m.edges, m.pairwise, m.edge_table(1), lazy.unary, lazy.edges,
+                  sub.unary, sub.edges, sub.pairwise):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    # the caller's arrays stay theirs: writing them changes no model
+    unary[0, 1] = stack[1, 1, 1] = edges[0, 1] = 2
+    assert not m.unary.any() and not m.pairwise.any() and not lazy.unary.any()
+    assert m.edges.tolist() == lazy.edges.tolist() == [[0, 1], [1, 2]]
+
+
 def test_nan_unary_cost_is_rejected_naming_the_node():
     with pytest.raises(ContractViolation, match="node 1"):
         GraphicalModel((2, 2), [np.zeros(2), np.array([0.0, math.nan])], ())
@@ -160,7 +199,7 @@ def test_reversed_edge_keeps_the_callers_table(labels):
     padded[0, : labels[1], : labels[0]] = table
     for pairwise in ([table], table[None], padded):
         m = GraphicalModel(labels, [np.zeros(k) for k in labels], ((1, 0),), pairwise=pairwise)
-        assert m.edges == ((0, 1),)
+        assert m.edges.tolist() == [[0, 1]]
         for l0 in range(labels[0]):
             for l1 in range(labels[1]):
                 assert evaluate_energy(m, (l0, l1)) == table[l1, l0]
@@ -175,11 +214,11 @@ def test_table_stack_and_table_list_give_one_model():
     stacked = GraphicalModel((2,) * 4, unary, edges, pairwise=tables, pairwise_weight=1.5)
     listed = GraphicalModel((2,) * 4, unary, edges, pairwise=list(tables), pairwise_weight=1.5)
     assert isinstance(stacked.pairwise, np.ndarray) and isinstance(listed.pairwise, np.ndarray)
-    assert stacked.edges == listed.edges == ((0, 1), (1, 3), (0, 2), (1, 2))
+    assert stacked.edges.tolist() == listed.edges.tolist() == [[0, 1], [1, 3], [0, 2], [1, 2]]
     assert np.array_equal(stacked.pairwise, listed.pairwise)
-    assert np.array_equal(stacked.ends, np.array(stacked.edges))
     lazy = GraphicalModel((2,) * 4, unary, edges, pairwise_weight=1.5,
-                          table_fn=lambda u, v: stacked.edge_table(stacked.edges.index((u, v))))
+                          table_fn=lambda u, v: stacked.edge_table(
+                              stacked.edges.tolist().index([u, v])))
     for keep in ({0, 1, 2}, {1, 3}, {0, 3}):
         sub, node_map = induce_submodel(stacked, keep)
         assert node_map == tuple(sorted(keep))
@@ -219,7 +258,7 @@ def test_lazy_and_materialized_tables_agree():
 
         lazy = GraphicalModel(labels, [rng.uniform(0, 3, k) for k in labels],
                               tuple(edges), table_fn=fn)
-        mat = GraphicalModel(labels, [u.copy() for u in lazy.unary], tuple(edges),
+        mat = GraphicalModel(labels, lazy.unary, tuple(edges),
                              pairwise=[tables[e].copy() for e in edges])
         for _ in range(30):
             l = [int(rng.integers(k)) for k in labels]

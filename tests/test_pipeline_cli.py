@@ -240,6 +240,11 @@ def test_cli_malformed_scene_field_exits_2(tmp_path, capsys):
     scene.write_text(json.dumps(doc))
     assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
     assert "nodes[5].x" in capsys.readouterr().err
+    doc["nodes"][5]["x"] = [0.0, 1.0, 2.0]
+    doc["ground_truth"]["labels"][3] = "x"
+    scene.write_text(json.dumps(doc))
+    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
+    assert "ground_truth.labels[3]" in capsys.readouterr().err
 
 
 def test_cli_missing_scene_exits_2(tmp_path):

@@ -89,17 +89,22 @@ def test_count_infinite_pairs():
     assert count_infinite_pairs(m) == 1
 
 
+def _with_infinite_pairs(m, planted):
+    """``m`` rebuilt with an infinite (1,1) entry on every edge in ``planted``."""
+    tables = m.pairwise.copy()
+    tables[np.array(planted, dtype=bool), 1, 1] = INF
+    return GraphicalModel(m.labels_per_node, m.unary, m.edges, pairwise=tables,
+                          pairwise_weight=m.pairwise_weight)
+
+
 def test_infinite_pairs_never_labeled_jointly():
     for rng in _spawn(31, 40):
         m = sample_binary_model(rng, max_nodes=10)
         # plant infinities on a few (1,1) entries
-        planted = False
-        for e in range(m.edge_count):
-            if rng.random() < 0.3:
-                m.edge_table(e)[1, 1] = INF
-                planted = True
-        if not planted and m.edge_count:
-            m.edge_table(0)[1, 1] = INF
+        planted = [rng.random() < 0.3 for _ in range(m.edge_count)]
+        if not any(planted) and m.edge_count:
+            planted[0] = True
+        m = _with_infinite_pairs(m, planted)
         partial = qpbo(m)
         for e, (u, v) in enumerate(m.edges):
             if np.isinf(m.edge_table(e)[1, 1]):
@@ -116,10 +121,7 @@ def _pinned_binary_models():
     models += [sample_submodular_binary_model(rng) for rng in rngs[40:70]]
     for rng in rngs[70:100]:
         m = sample_zero_form_model(rng)
-        for e in range(m.edge_count):
-            if rng.random() < 0.3:
-                m.edge_table(e)[1, 1] = INF
-        models.append(m)
+        models.append(_with_infinite_pairs(m, [rng.random() < 0.3 for _ in range(m.edge_count)]))
     for rng in rngs[100:]:
         # costs over six orders of magnitude, inf anywhere, β = 0 in a third
         n = int(rng.integers(2, 13))

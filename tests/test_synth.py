@@ -206,6 +206,13 @@ def test_confidence_out_of_range_rejected():
     (("nodes", 5, "candidates", 2, "pixel"), 1.7,
      r"nodes\[5\]\.candidates\[2\]\.pixel"),
     (("grid_width",), "x", "grid_width"),
+    (("ground_truth", "labels", 3), "x", r"ground_truth\.labels\[3\]' must be an integer"),
+    (("ground_truth", "labels", 3), 2.5, r"ground_truth\.labels\[3\]' must be an integer"),
+    (("ground_truth", "labels", 3), "2", r"ground_truth\.labels\[3\]' must be an integer"),
+    (("ground_truth", "labels"), "12", r"ground_truth\.labels' must be a list"),
+    (("object_points", 1), [0.0, 1.0], r"object_points\[1\]' must be a list of 3"),
+    (("object_points", 1, 2), "0.5", r"object_points\[1\]' must be a list of 3"),
+    (("object_points",), [], "object_points"),
 ])
 def test_non_finite_scene_input_rejected(tmp_path, field, value, message):
     doc = scene_to_dict(generate_bundle(default_scenario(
