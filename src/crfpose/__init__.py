@@ -10,7 +10,7 @@ from .qpbo import count_infinite_pairs, qpbo
 from .posemodel import (HyperParams, STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS,
                         SceneObservation, build_sparse_neighborhood,
                         build_stage_one_model, build_stage_two_master,
-                        pairwise_cost, pose_consistent_pixels)
+                        pairwise_cost)
 from .submodels import (Component, SubmodelSpec, connected_components,
                         enumerate_submodels, filter_components,
                         per_node_submodels, solve_decomposed, to_zero_form)

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .model import ContractViolation
 from .oracle import VERIFY_SUITES
-from .pipeline import (ConfigError, PipelineConfig, desk_scale_config,
+from .pipeline import (SCHEMES, ConfigError, PipelineConfig, desk_scale_config,
                        load_config, solve_scene, summary_line, write_report)
 from .synth import (SceneFormatError, default_scenario, generate_bundle,
                     load_scene, load_scenario, save_scene)
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scene", required=True, help="scene JSON file")
     s.add_argument("--config", default=None, help="pipeline config file")
     s.add_argument("--out", required=True, help="output report JSON path")
-    s.add_argument("--scheme", choices=("components", "per-node"), default=None)
+    s.add_argument("--scheme", choices=SCHEMES, default=None)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--canonical", action="store_true",
                    help="write the byte-stable canonical report (no timings)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .model import INF
 from .posefit import (IcpConfig, cluster_hypotheses, icp_refine,
@@ -21,9 +21,8 @@ from .posemodel import (HyperParams, STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS,
                         build_stage_one_model, build_stage_two_master,
                         pairwise_distances)
 from .qpbo import count_infinite_pairs
-from .submodels import (SubmodelSpec, connected_components, enumerate_submodels,
-                        filter_components, per_node_submodels, solve_decomposed,
-                        to_zero_form)
+from .submodels import (connected_components, enumerate_submodels, filter_components,
+                        per_node_submodels, solve_decomposed, to_zero_form)
 from .synth import SceneBundle
 from .trws import TrwsConfig, extract_inliers, solve_trws
 
@@ -66,20 +65,28 @@ def desk_scale_config(**overrides) -> PipelineConfig:
     return PipelineConfig(**params)
 
 
+#: config key -> (PipelineConfig field, its sub-field or None, value parser)
 _CONFIG_KEYS = {
-    "stage_one.alpha": float, "stage_one.beta": float, "stage_one.gamma": float,
-    "stage_two.alpha": float, "stage_two.beta": float, "stage_two.gamma": float,
-    "trws.iterations": int,
-    "icp.max_iterations": int, "icp.trim_fraction": float,
-    "icp.pose_change_tol": float, "icp.gate_distance": float,
-    "submodels.scheme": str,
-    "seed": int,
+    **{f"{stage}.{name}": (stage, name, float)
+       for stage in ("stage_one", "stage_two") for name in ("alpha", "beta", "gamma")},
+    "trws.iterations": ("trws", "iterations", int),
+    "icp.max_iterations": ("icp", "max_iterations", int),
+    "icp.trim_fraction": ("icp", "trim_fraction", float),
+    "icp.pose_change_tol": ("icp", "pose_change_tol", float),
+    "icp.gate_distance": ("icp", "gate_distance", float),
+    "submodels.scheme": ("scheme", None, str),
+    "seed": ("seed", None, int),
 }
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """Flat ``key = value`` lines with dotted sections; '#' starts a comment."""
-    values = {}
+    """Flat ``key = value`` lines with dotted sections; '#' starts a comment.
+
+    Each line replaces one field of ``PipelineConfig()``, whose dataclasses
+    hold every default and refuse every bad value; an error names the line
+    and the key.
+    """
+    cfg = PipelineConfig()
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,39 +97,15 @@ def parse_config(text: str) -> PipelineConfig:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {ln}: unknown key '{key}'")
-        caster = _CONFIG_KEYS[key]
+        name, sub, parse = _CONFIG_KEYS[key]
         try:
-            values[key] = val if caster is str else caster(val)
-        except ValueError:
-            raise ConfigError(f"line {ln}: bad value for '{key}': '{val}'") from None
-
-    def hyper(section, defaults):
-        return HyperParams(
-            alpha=values.get(f"{section}.alpha", defaults.alpha),
-            beta=values.get(f"{section}.beta", defaults.beta),
-            gamma=values.get(f"{section}.gamma", defaults.gamma),
-        )
-
-    icp_kwargs = {}
-    if "icp.max_iterations" in values:
-        icp_kwargs["max_iterations"] = values["icp.max_iterations"]
-    if "icp.trim_fraction" in values:
-        icp_kwargs["trim_fraction"] = values["icp.trim_fraction"]
-    if "icp.pose_change_tol" in values:
-        icp_kwargs["pose_change_tol"] = values["icp.pose_change_tol"]
-    if "icp.gate_distance" in values:
-        icp_kwargs["gate_distance"] = values["icp.gate_distance"]
-    try:
-        return PipelineConfig(
-            stage_one=hyper("stage_one", STAGE_ONE_DEFAULTS),
-            stage_two=hyper("stage_two", STAGE_TWO_DEFAULTS),
-            trws=TrwsConfig(iterations=values.get("trws.iterations", 10)),
-            icp=IcpConfig(**icp_kwargs),
-            scheme=values.get("submodels.scheme", "components"),
-            seed=values.get("seed", 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+            value = parse(val)
+            if sub is not None:
+                value = replace(getattr(cfg, name), **{sub: value})
+            cfg = replace(cfg, **{name: value})
+        except ValueError as exc:
+            raise ConfigError(f"line {ln}: bad value for '{key}': '{val}' ({exc})") from None
+    return cfg
 
 
 def load_config(path) -> PipelineConfig:
@@ -133,10 +116,6 @@ def load_config(path) -> PipelineConfig:
 def _pose_dict(pose) -> dict:
     return {"rotation": [[float(x) for x in row] for row in pose.rotation],
             "translation": [float(x) for x in pose.translation]}
-
-
-def _hyper_dict(hp: HyperParams) -> dict:
-    return {"alpha": hp.alpha, "beta": hp.beta, "gamma": hp.gamma}
 
 
 def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
@@ -152,7 +131,6 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
     timings["stage_one"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    master_grid_nodes = sorted(inliers)
     components = filter_components(
         connected_components(inliers, scene.grid_width, scene.grid_height))
     results = []
@@ -160,20 +138,15 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
                    "component_count": len(components),
                    "component_sizes": [len(c) for c in components],
                    "submodel_count": 0, "labeled_counts": []}
-    if master_grid_nodes and components:
-        master = build_stage_two_master(scene, cfg.stage_two, master_grid_nodes,
-                                        trws_result.labeling)
-        grid_to_master = {g: k for k, g in enumerate(master_grid_nodes)}
+    if inliers.size and components:
+        # master node k is grid node inliers[k]
+        master = build_stage_two_master(scene, cfg.stage_two, inliers, trws_result.labeling)
+        grid_to_master = {g: k for k, g in enumerate(inliers.tolist())}
         if cfg.scheme == "components":
-            specs = [
-                SubmodelSpec(seed_component=s.seed_component,
-                             member_components=s.member_components,
-                             node_set=frozenset(grid_to_master[g] for g in s.node_set))
-                for s in enumerate_submodels(components, scene)
-            ]
+            specs = [replace(s, node_set=frozenset(grid_to_master[g] for g in s.node_set))
+                     for s in enumerate_submodels(components, scene)]
         else:
-            specs = per_node_submodels(scene.points[master_grid_nodes],
-                                       scene.object_diameter)
+            specs = per_node_submodels(scene.points[inliers], scene.object_diameter)
         specs = [s for s in specs if len(s.node_set) >= 3]
         zero_master, _ = to_zero_form(master)
         results = solve_decomposed(zero_master, specs)
@@ -189,15 +162,14 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
     timings["stage_two"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    hypotheses = cluster_hypotheses(results, scene, master_grid_nodes,
-                                    trws_result.labeling)
+    hypotheses = cluster_hypotheses(results, scene, inliers, trws_result.labeling)
     if bundle.object_points is None and hypotheses:
         raise ConfigError("scene file has no object_points; cannot refine or score")
     refined = [icp_refine(h, bundle.object_points, cfg.icp) for h in hypotheses]
     best = select_best(refined)
     timings["pose_fit"] = time.perf_counter() - t0
 
-    violations = _geometric_violations(results, scene, master_grid_nodes)
+    violations = _geometric_violations(results, scene, inliers)
 
     report = {
         "format": REPORT_FORMAT,
@@ -209,8 +181,8 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
             "object_diameter": float(scene.object_diameter),
         },
         "config": {
-            "stage_one": _hyper_dict(cfg.stage_one),
-            "stage_two": _hyper_dict(cfg.stage_two),
+            "stage_one": asdict(cfg.stage_one),
+            "stage_two": asdict(cfg.stage_two),
             "trws_iterations": cfg.trws.iterations,
             "scheme": cfg.scheme,
             "seed": cfg.seed,

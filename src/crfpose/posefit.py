@@ -63,6 +63,23 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     ])
 
 
+def _rank_two(singular_values) -> bool:
+    """Whether descending 3x3 singular values show rank >= 2 (a fixed rotation)."""
+    return singular_values[1] > max(singular_values[0], 1.0) * 1e-12
+
+
+def fixes_rotation(points) -> bool:
+    """Whether ``points`` is a finite (n, 3) cloud that fixes a rotation:
+    ``kabsch``'s rank test on the cloud matched with itself, which fails
+    for fewer than three points and for collinear ones."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] < 3 or points.shape[1] != 3 \
+            or not np.isfinite(points).all():
+        return False
+    centered = points - points.mean(axis=0)
+    return _rank_two(np.linalg.svd(centered.T @ centered, compute_uv=False))
+
+
 def kabsch(correspondences: Sequence[tuple]) -> Pose:
     """Least-squares rigid transform mapping object points onto scene points.
 
@@ -77,7 +94,7 @@ def kabsch(correspondences: Sequence[tuple]) -> Pose:
     oc, sc = obj.mean(axis=0), scn.mean(axis=0)
     h = (obj - oc).T @ (scn - sc)
     u, s, vt = np.linalg.svd(h)
-    if s[1] <= max(s[0], 1.0) * 1e-12:
+    if not _rank_two(s):
         raise DegenerateInput("points are (near) collinear; rotation is ambiguous")
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
@@ -112,21 +129,22 @@ def cluster_hypotheses(decomposed, scene, master_grid_nodes,
 
     ``decomposed`` is the (partial labeling on master, spec) list;
     ``master_grid_nodes[k]`` maps master node k to its grid node.  Each
-    result's label-1 nodes form one hypothesis set when at least three
-    survive; sets whose Kabsch fit is degenerate are dropped.
+    result's label-1 nodes, in grid order, pair their stage-one candidate's
+    object coordinate with their camera point; a set of at least three
+    pairs whose Kabsch fit is not degenerate is one hypothesis.
     """
-    from .posemodel import pose_consistent_pixels  # local to avoid cycles in callers
-
     master_grid_nodes = np.asarray(master_grid_nodes, dtype=np.int64)
+    labels = np.asarray(stage_one_labels, dtype=np.int64)
     hypotheses = []
     for partial, spec in decomposed:
-        grid = scene.candidate_count.copy()  # every node its outlier label
-        ones = master_grid_nodes[np.asarray(partial.assignment) == 1]
-        grid[ones] = [int(stage_one_labels[g]) for g in ones.tolist()]
-        pixels = pose_consistent_pixels(scene, grid)
-        if len(pixels) < 3:
+        nodes = np.sort(master_grid_nodes[np.asarray(partial.assignment) == 1])
+        bad = nodes[(labels[nodes] < 0) | (labels[nodes] > scene.candidate_count[nodes])]
+        if bad.size:
+            raise ContractViolation(f"label {labels[bad[0]]} out of range at node {bad[0]}")
+        nodes = nodes[labels[nodes] != scene.candidate_count[nodes]]
+        if nodes.size < 3:
             continue
-        pairs = tuple((np.asarray(p.coord), scene.points[p.node]) for p in pixels)
+        pairs = tuple(zip(scene.coords[nodes, labels[nodes]], scene.points[nodes]))
         try:
             pose = kabsch(pairs)
         except DegenerateInput:
@@ -144,8 +162,12 @@ class IcpConfig:
     gate_distance: float | None = None  # None: half the model bbox diagonal
 
     def __post_init__(self):
-        if self.max_iterations < 1 or not 0 < self.trim_fraction <= 1:
-            raise ContractViolation("bad ICP configuration")
+        # written so that NaN fails the test
+        if not (self.max_iterations >= 1 and 0 < self.trim_fraction <= 1
+                and 0 <= self.pose_change_tol < INF
+                and (self.gate_distance is None or 0 < self.gate_distance < INF)):
+            raise ContractViolation(f"require max_iterations >= 1, trim_fraction in (0, 1], finite "
+                                    f"pose_change_tol >= 0, gate_distance None or finite > 0: {self}")
 
 
 def _trimmed_mean(distances: np.ndarray, trim_fraction: float) -> float:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import INF, ContractViolation, GraphicalModel, PartialLabeling, UNLABELED
+from .model import INF, ContractViolation, GraphicalModel
 
 MAX_CANDIDATES = 12  # 4 pixels x 3 trees
 
@@ -30,8 +30,9 @@ class HyperParams:
     gamma: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta < 0 or self.gamma < 0:
-            raise ContractViolation("require alpha > 0, beta >= 0, gamma >= 0")
+        # written so that NaN fails the test
+        if not (0 < self.alpha < INF and 0 <= self.beta < INF and 0 <= self.gamma < INF):
+            raise ContractViolation(f"require finite alpha > 0, beta >= 0 and gamma >= 0: {self}")
 
 
 STAGE_ONE_DEFAULTS = HyperParams(alpha=0.21, beta=23.1, gamma=0.0048)
@@ -262,37 +263,3 @@ def build_stage_two_master(scene: SceneObservation, hp: HyperParams,
         pairwise=tables,
         pairwise_weight=hp.beta,
     )
-
-
-@dataclass(frozen=True)
-class PoseConsistentPixel:
-    node: int
-    pixel_row: int
-    pixel_col: int
-    coord: tuple[float, float, float]
-
-
-def pose_consistent_pixels(scene: SceneObservation, labeling) -> list[PoseConsistentPixel]:
-    """The single source pixel of each inlier node's winning candidate.
-
-    Outlier and unlabeled nodes emit nothing.  Accepts a full labeling or a
-    PartialLabeling over the grid.
-    """
-    if isinstance(labeling, PartialLabeling):
-        labeling = labeling.assignment
-    labels = np.asarray(labeling, dtype=np.int64)
-    if labels.shape != (scene.node_count,):
-        raise ContractViolation("labeling size does not match the grid")
-    count = scene.candidate_count
-    inlier = (labels != UNLABELED) & (labels != count)
-    bad = np.flatnonzero(inlier & ((labels < 0) | (labels > count)))
-    if bad.size:
-        raise ContractViolation(f"label {labels[bad[0]]} out of range at node {bad[0]}")
-    nodes = np.flatnonzero(inlier)
-    labels = labels[nodes]
-    row, col = np.divmod(nodes, scene.grid_width)
-    pixel = scene.source_pixel[nodes, labels]
-    return [PoseConsistentPixel(node=u, pixel_row=r, pixel_col=c, coord=tuple(coord))
-            for u, r, c, coord in zip(nodes.tolist(), (2 * row + pixel // 2).tolist(),
-                                      (2 * col + pixel % 2).tolist(),
-                                      scene.coords[nodes, labels].tolist())]

@@ -28,14 +28,10 @@ from .model import (ContractViolation, GraphicalModel, PartialLabeling,
                     UNLABELED)
 
 
-def require_binary(model: GraphicalModel) -> None:
-    if any(k != 2 for k in model.labels_per_node):
-        raise ContractViolation("model is not binary (two labels per node)")
-
-
 def binary_tables(model: GraphicalModel) -> np.ndarray:
     """A binary model's (E, 2, 2) table stack; a lazy model has none."""
-    require_binary(model)
+    if any(k != 2 for k in model.labels_per_node):
+        raise ContractViolation("model is not binary (two labels per node)")
     if model.table_fn is not None:
         raise ContractViolation("binary models must hold their tables, not a table_fn")
     return model.pairwise
@@ -49,6 +45,8 @@ def count_infinite_pairs(model: GraphicalModel) -> int:
 def qpbo(model: GraphicalModel) -> PartialLabeling:
     tables = binary_tables(model)
     n = model.node_count
+    if not n:
+        return PartialLabeling(())
     unary = model.unary.copy()
     if not np.isfinite(unary).all():
         raise ContractViolation("unaries must be finite")

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import ContractViolation
+from .model import INF, ContractViolation
 from .posemodel import MAX_CANDIDATES, SceneObservation
-from .posefit import Pose, random_rotation
+from .posefit import Pose, fixes_rotation, random_rotation
 
 SCENE_FORMAT = "crfpose-scene"
 SCENE_VERSION = 1
@@ -50,6 +50,11 @@ class ConfidenceModel:
     object_mean: float = 0.75
     background_mean: float = 0.10
     spread: float = 0.03
+
+    def __post_init__(self):
+        # written so that NaN fails the test
+        if not all(-INF < getattr(self, f.name) < INF for f in fields(self)) or self.spread < 0:
+            raise ContractViolation("confidence values must be finite and spread >= 0")
 
     def draw(self, rng: np.random.Generator, band: str) -> float:
         mean = {"true": self.true_mean, "object": self.object_mean,
@@ -125,13 +130,19 @@ class SyntheticScenario:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # written so that NaN fails every test
         self.object_points = np.asarray(self.object_points, dtype=float)
-        if not 0.0 <= self.visible_fraction <= 1.0:
-            raise ContractViolation("visible_fraction outside [0,1]")
-        if not 0.0 <= self.inlier_rate <= 1.0:
-            raise ContractViolation("inlier_rate outside [0,1]")
-        if self.coord_noise_sigma < 0 or self.depth_noise_sigma < 0:
-            raise ContractViolation("noise sigmas must be >= 0")
+        if not fixes_rotation(self.object_points):
+            raise ContractViolation("the object cloud must be finite and fix a rotation "
+                                    "(three or more points, not all on one line)")
+        if not min(self.grid_width, self.grid_height) >= 1:
+            raise ContractViolation("grid_width and grid_height must be >= 1")
+        for name in ("visible_fraction", "inlier_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ContractViolation(f"{name} outside [0,1]")
+        for name in ("coord_noise_sigma", "depth_noise_sigma"):
+            if not 0.0 <= getattr(self, name) < INF:
+                raise ContractViolation(f"{name} must be finite and >= 0")
 
     @property
     def diameter(self) -> float:
@@ -144,9 +155,8 @@ def default_scenario(seed: int = 0, **overrides) -> SyntheticScenario:
     pose_rng = np.random.default_rng([seed, 0xC0FFEE])
     pose = Pose(random_rotation(pose_rng),
                 np.array([0.0, 0.0, 1.0]) + pose_rng.uniform(-0.05, 0.05, 3))
-    params = dict(object_points=sample_sphere_cloud(), true_pose=pose, rng_seed=seed)
-    params.update(overrides)
-    return SyntheticScenario(**params)
+    return SyntheticScenario(**{"object_points": sample_sphere_cloud(), "true_pose": pose,
+                                "rng_seed": seed, **overrides})
 
 
 def generate_scene(sc: SyntheticScenario) -> tuple[SceneObservation, tuple[int, ...]]:
@@ -292,7 +302,10 @@ def scene_to_dict(bundle: SceneBundle) -> dict:
     return doc
 
 
-_NUMBER, _INTEGER = (int, float), (int,)  # exact JSON types: bool is an int subclass
+# exact JSON types: bool is an int subclass
+_NUMBER, _INTEGER, _STRING, _BOOLEAN = (int, float), (int,), (str,), (bool,)
+_KINDS = {_NUMBER: "a number", _INTEGER: "an integer", _STRING: "a string",
+          _BOOLEAN: "true or false"}
 
 
 def _field(mapping, key, path, types=_NUMBER, count=None, each=False):
@@ -307,18 +320,28 @@ def _field(mapping, key, path, types=_NUMBER, count=None, each=False):
 
 
 def _typed(value, name, types=_NUMBER, count=None):
-    """``value``, required to be a JSON number (an integer, given
-    ``_INTEGER``) or, given ``count``, a list of ``count`` numbers."""
+    """``value``, required to be a JSON value of ``types`` (a number by
+    default) or, given ``count``, a list of ``count`` numbers."""
     if count is None:
         valid = type(value) in types
     else:
         valid = type(value) is list and len(value) == count \
             and all(type(v) in types for v in value)
     if not valid:
-        what = (f"a list of {count} numbers" if count is not None
-                else "an integer" if types is _INTEGER else "a number")
+        what = f"a list of {count} numbers" if count is not None else _KINDS[types]
         raise SceneFormatError(f"field '{name}' must be {what}")
     return value
+
+
+def _pose(mapping, path) -> Pose:
+    """The pose of ``mapping``'s ``rotation`` (rows of three numbers) and
+    ``translation`` (three numbers)."""
+    rotation = _field(mapping, "rotation", path, count=3, each=True)
+    translation = _field(mapping, "translation", path, count=3)
+    try:
+        return Pose(np.array(rotation, dtype=float), np.array(translation, dtype=float))
+    except ContractViolation as exc:
+        raise SceneFormatError(f"invalid pose at {path[:-1]}: {exc}") from None
 
 
 def scene_from_dict(doc: dict) -> SceneBundle:
@@ -375,17 +398,13 @@ def scene_from_dict(doc: dict) -> SceneBundle:
     if "object_points" in doc:
         object_points = np.array(_field(doc, "object_points", "", count=3, each=True),
                                  dtype=float).reshape(-1, 3)
-        if not object_points.size or not np.isfinite(object_points).all():
-            raise SceneFormatError("field 'object_points' must be an Nx3 list of finite numbers")
+        if not fixes_rotation(object_points):
+            raise SceneFormatError("field 'object_points' must be finite and fix a rotation "
+                                   "(three or more points, not all on one line)")
     ground_truth = None
     if "ground_truth" in doc:
-        g = doc["ground_truth"]
-        try:
-            pose = Pose(np.asarray(_require(g, "rotation", "ground_truth."), dtype=float),
-                        np.asarray(_require(g, "translation", "ground_truth."), dtype=float))
-        except ContractViolation as exc:
-            raise SceneFormatError(f"invalid pose at ground_truth: {exc}") from None
-        labels = _field(g, "labels", "ground_truth.", _INTEGER, each=True)
+        pose = _pose(doc["ground_truth"], "ground_truth.")
+        labels = _field(doc["ground_truth"], "labels", "ground_truth.", _INTEGER, each=True)
         ground_truth = GroundTruth(pose=pose, labels=tuple(labels))
     return SceneBundle(observation=obs, object_points=object_points,
                        ground_truth=ground_truth)
@@ -397,74 +416,97 @@ def save_scene(bundle: SceneBundle, path) -> None:
         fh.write("\n")
 
 
-def load_scene(path) -> SceneBundle:
+def _load_json(path):
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SceneFormatError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})") from None
-    return scene_from_dict(doc)
+
+
+def load_scene(path) -> SceneBundle:
+    return scene_from_dict(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
 # scenario files (input to scene generation)
 
-def scenario_from_dict(doc: dict, seed_override: int | None = None) -> SyntheticScenario:
-    seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
-    obj = doc.get("object", {"shape": "sphere"})
-    shape = obj.get("shape", "sphere")
+#: top-level scenario numbers, each cast with float(); ``seed`` and the grid
+#: sizes are JSON integers
+_SCENARIO_NUMBERS = ("visible_fraction", "inlier_rate", "coord_noise_sigma",
+                     "depth_noise_sigma")
+_SCENARIO_INTEGERS = ("seed", "grid_width", "grid_height")
+#: the ``object`` keys each shape reads besides ``shape``
+_SHAPE_KEYS = {"sphere": ("points", "radius"), "box": ("points", "extents"),
+               "xyz": ("path",)}
+
+
+def _known(value, path, keys):
+    """``value``, required to be a JSON object whose keys are all in ``keys``."""
+    if type(value) is not dict:
+        raise SceneFormatError(f"field '{path[:-1]}' must be an object" if path
+                               else "a scenario must be a JSON object")
+    for key in value:
+        if key not in keys:
+            raise SceneFormatError(f"unknown field '{path}{key}'")
+    return value
+
+
+def _object_points(obj, seed) -> np.ndarray:
+    """The cloud of a scenario's ``object``, each absent key left to the sampler."""
+    shape = obj.get("shape", "sphere") if type(obj) is dict else "sphere"
+    if type(shape) is not str or shape not in _SHAPE_KEYS:
+        raise SceneFormatError(f"field 'object.shape' is {shape!r}; expected one of "
+                               f"{', '.join(_SHAPE_KEYS)}")
+    _known(obj, "object.", ("shape", *_SHAPE_KEYS[shape]))
+    if shape == "xyz":
+        return load_xyz(_field(obj, "path", "object.", _STRING))
+    kwargs = {}
+    if "points" in obj:
+        kwargs["count"] = _field(obj, "points", "object.", _INTEGER)
+        if kwargs["count"] < 1:
+            raise SceneFormatError("field 'object.points' must be >= 1")
     if shape == "sphere":
-        points = sample_sphere_cloud(int(obj.get("points", 300)),
-                                     float(obj.get("radius", 0.025)))
-    elif shape == "box":
-        points = sample_box_cloud(int(obj.get("points", 300)),
-                                  tuple(obj.get("extents", (0.04, 0.03, 0.02))),
-                                  seed=seed)
-    elif shape == "xyz":
-        points = load_xyz(_require(obj, "path", "object."))
-    else:
-        raise SceneFormatError(f"unknown object.shape '{shape}'")
-    if "pose" in doc and not doc["pose"].get("random", False):
-        p = doc["pose"]
-        try:
-            pose = Pose(np.asarray(_require(p, "rotation", "pose."), dtype=float),
-                        np.asarray(_require(p, "translation", "pose."), dtype=float))
-        except ContractViolation as exc:
-            raise SceneFormatError(f"invalid pose: {exc}") from None
-    else:
-        rng = np.random.default_rng([seed, 0xC0FFEE])
-        pose = Pose(random_rotation(rng),
-                    np.array([0.0, 0.0, 1.0]) + rng.uniform(-0.05, 0.05, 3))
-    conf = doc.get("confidence", {})
+        if "radius" in obj:
+            kwargs["radius"] = float(_field(obj, "radius", "object."))
+        return sample_sphere_cloud(**kwargs)
+    if "extents" in obj:
+        kwargs["extents"] = tuple(map(float, _field(obj, "extents", "object.", count=3)))
+    return sample_box_cloud(seed=seed, **kwargs)
+
+
+def scenario_from_dict(doc: dict, seed_override: int | None = None) -> SyntheticScenario:
+    """A scenario document read onto ``default_scenario``, which holds every
+    default.  Every key is optional and an unknown one is refused; ``seed``,
+    the grid sizes and ``object.points`` are JSON integers, every other
+    number a JSON number; an error names the field path."""
+    _known(doc, "", (*_SCENARIO_NUMBERS, *_SCENARIO_INTEGERS, "object", "pose", "confidence"))
+    given = {k: _field(doc, k, "", _INTEGER) for k in _SCENARIO_INTEGERS if k in doc}
+    given.update((k, float(_field(doc, k, ""))) for k in _SCENARIO_NUMBERS if k in doc)
+    seed = given.pop("seed", 0)
+    if seed_override is not None:
+        seed = int(seed_override)
+    if seed < 0:
+        raise SceneFormatError(f"field 'seed' must be >= 0, not {seed}")
+    if "object" in doc:
+        given["object_points"] = _object_points(doc["object"], seed)
+    if "pose" in doc:
+        pose = _known(doc["pose"], "pose.", ("random", "rotation", "translation"))
+        if not ("random" in pose and _field(pose, "random", "pose.", _BOOLEAN)):
+            given["true_pose"] = _pose(pose, "pose.")
     try:
-        return SyntheticScenario(
-            object_points=points,
-            true_pose=pose,
-            grid_width=int(doc.get("grid_width", 32)),
-            grid_height=int(doc.get("grid_height", 24)),
-            visible_fraction=float(doc.get("visible_fraction", 0.8)),
-            inlier_rate=float(doc.get("inlier_rate", 0.75)),
-            coord_noise_sigma=float(doc.get("coord_noise_sigma", 1e-4)),
-            depth_noise_sigma=float(doc.get("depth_noise_sigma", 0.0)),
-            confidence_model=ConfidenceModel(
-                true_mean=float(conf.get("true_mean", 0.95)),
-                object_mean=float(conf.get("object_mean", 0.75)),
-                background_mean=float(conf.get("background_mean", 0.10)),
-                spread=float(conf.get("spread", 0.03)),
-            ),
-            rng_seed=seed,
-        )
+        if "confidence" in doc:
+            conf = _known(doc["confidence"], "confidence.",
+                          [f.name for f in fields(ConfidenceModel)])
+            given["confidence_model"] = ConfidenceModel(
+                **{k: float(_field(conf, k, "confidence.")) for k in conf})
+        return default_scenario(seed, **given)
     except ContractViolation as exc:
         raise SceneFormatError(str(exc)) from None
 
 
 def load_scenario(path, seed_override: int | None = None) -> SyntheticScenario:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SceneFormatError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})") from None
-    return scenario_from_dict(doc, seed_override)
+    return scenario_from_dict(_load_json(path), seed_override)
 
 
 def generate_bundle(sc: SyntheticScenario) -> SceneBundle:

@@ -282,15 +282,10 @@ def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResu
     )
 
 
-def extract_inliers(model: GraphicalModel, labeling, outlier_label) -> set[int]:
-    """Nodes whose label differs from the outlier label (scalar or per-node)."""
-    labeling = list(labeling)
-    if len(labeling) != model.node_count:
-        raise ContractViolation("labeling size mismatch")
-    if np.isscalar(outlier_label):
-        outliers = [int(outlier_label)] * model.node_count
-    else:
-        outliers = [int(o) for o in outlier_label]
-        if len(outliers) != model.node_count:
-            raise ContractViolation("outlier_label size mismatch")
-    return {u for u, l in enumerate(labeling) if int(l) != outliers[u]}
+def extract_inliers(model: GraphicalModel, labeling, outlier_label) -> np.ndarray:
+    """Sorted int64 array of the nodes whose label differs from their
+    per-node outlier label."""
+    labeling = np.asarray(labeling, dtype=np.int64)
+    if labeling.shape != (model.node_count,) or np.shape(outlier_label) != labeling.shape:
+        raise ContractViolation("labeling and outlier labels must give one label per node")
+    return np.flatnonzero(labeling != np.asarray(outlier_label, dtype=np.int64))

@@ -1,15 +1,19 @@
 """Scenario and pipeline-config files: what each reader gives for valid
-documents, pinned byte for byte."""
+documents, pinned byte for byte, and how it refuses bad ones."""
 
 import hashlib
+import json
 import math
+import re
 
-import numpy as np
+import pytest
 
-from crfpose.pipeline import PipelineConfig, parse_config
+from crfpose.cli import main
+from crfpose.pipeline import ConfigError, PipelineConfig, parse_config
 from crfpose.posefit import IcpConfig
 from crfpose.posemodel import HyperParams
-from crfpose.synth import generate_bundle, save_scene, scenario_from_dict
+from crfpose.synth import (SceneFormatError, default_scenario, generate_bundle,
+                           save_scene, scenario_from_dict)
 from crfpose.trws import TrwsConfig
 
 #: the scenario example of README.md, "Scenario files"
@@ -103,3 +107,82 @@ def test_valid_scenarios_and_config_are_pinned(tmp_path, monkeypatch):
         icp=IcpConfig(max_iterations=12, trim_fraction=0.7, pose_change_tol=1e-7,
                       gate_distance=0.02),
         scheme="per-node", seed=42)
+
+
+@pytest.fixture(scope="module")
+def scene_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scene") / "scene.json"
+    save_scene(generate_bundle(default_scenario(seed=0, grid_width=20, grid_height=15)), path)
+    return path
+
+
+@pytest.mark.parametrize("line, message", [
+    ("stage_one.beta = nan", "beta=nan"),
+    ("stage_one.gamma = inf", "gamma=inf"),
+    ("stage_one.alpha = inf", "alpha=inf"),
+    ("stage_two.beta = nan", "beta=nan"),
+    ("icp.gate_distance = nan", "gate_distance=nan"),
+    ("icp.pose_change_tol = nan", "pose_change_tol=nan"),
+    ("icp.trim_fraction = nan", "trim_fraction=nan"),
+    ("trws.iterations = 0", "iterations must be >= 1"),
+])
+def test_non_finite_config_values_exit_2_naming_line_and_key(tmp_path, scene_file,
+                                                             capsys, line, message):
+    # each of these once reached a solver: exit 1 on a NaN bound, a blamed
+    # unary table or max-flow network, or exit 0 with score=inf
+    key = line.split(" = ")[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# run\n{line}\n")
+    code = main(["solve", "--scene", str(scene_file), "--config", str(cfg),
+                 "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(rf"line 2: bad value for '{re.escape(key)}'.*{message}", err), err
+    with pytest.raises(ConfigError, match=message):
+        parse_config(line)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"grid_width": 20.7}, "field 'grid_width' must be an integer"),
+    ({"inlier_rat": 0.5}, "unknown field 'inlier_rat'"),
+    ({"seed": "x"}, "field 'seed' must be an integer"),
+    ({"seed": -1}, "field 'seed' must be >= 0"),
+    ({"object": []}, "field 'object' must be an object"),
+    ([], "a scenario must be a JSON object"),
+    ({"coord_noise_sigma": float("nan")}, "coord_noise_sigma must be finite"),
+    ({"depth_noise_sigma": float("inf")}, "depth_noise_sigma must be finite"),
+    # refused before the typed reader too; held here with the rest
+    ({"inlier_rate": float("nan")}, "inlier_rate outside"),
+    ({"inlier_rate": "0.5"}, "field 'inlier_rate' must be a number"),
+    ({"grid_height": 0}, "grid_height must be >= 1"),
+    ({"object": {"shape": "cone"}}, "field 'object.shape' is 'cone'"),
+    ({"object": {"shape": "sphere", "radiu": 0.02}}, "unknown field 'object.radiu'"),
+    ({"object": {"shape": "box", "radius": 0.02}}, "unknown field 'object.radius'"),
+    ({"object": {"points": 2.5}}, "field 'object.points' must be an integer"),
+    ({"object": {"shape": "box", "points": -4}}, "field 'object.points' must be >= 1"),
+    ({"object": {"points": 2}}, "object cloud must be finite and fix a rotation"),
+    ({"object": {"radius": float("nan")}}, "object cloud must be finite"),
+    ({"object": {"shape": "box", "extents": [1, 2]}}, "field 'object.extents'"),
+    # refused before the typed reader too; held here with the rest
+    ({"object": {"shape": "xyz"}}, "missing required field 'object.path'"),
+    ({"pose": {"random": "yes"}}, "field 'pose.random' must be true or false"),
+    ({"pose": {"rotate": True}}, "unknown field 'pose.rotate'"),
+    ({"pose": {"rotation": "x", "translation": [0, 0, 1]}}, "field 'pose.rotation'"),
+    ({"pose": {"rotation": [[1, 0, 0]] * 3, "translation": [0, 0, 1]}},
+     "invalid pose at pose: rotation is not orthonormal"),
+    ({"confidence": {"sprea": 0.1}}, "unknown field 'confidence.sprea'"),
+    ({"confidence": {"spread": -0.1}}, "confidence values must be finite and spread >= 0"),
+    ({"confidence": {"true_mean": float("nan")}}, "confidence values must be finite"),
+])
+def test_bad_scenario_values_exit_2_naming_the_field(tmp_path, capsys, doc, message):
+    # each of these was once read as something else, ignored, or an exit 1
+    if isinstance(doc, dict):
+        doc = {"grid_width": 12, "grid_height": 9, **doc}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity written as literals
+    code = main(["generate", "--config", str(path), "--out", str(tmp_path / "scene.json")])
+    assert code == 2
+    assert re.search(message, capsys.readouterr().err)
+    with pytest.raises(SceneFormatError, match=message):
+        scenario_from_dict(doc)
+

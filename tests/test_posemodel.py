@@ -10,9 +10,10 @@ from crfpose.posemodel import (HyperParams, MAX_CANDIDATES, STAGE_ONE_DEFAULTS,
                                STAGE_TWO_DEFAULTS, SceneObservation,
                                build_sparse_neighborhood, build_stage_one_model,
                                build_stage_two_master, pairwise_cost,
-                               pairwise_distances, pose_consistent_pixels)
-from crfpose.submodels import (Component, enumerate_submodels, is_zero_form,
-                               per_node_submodels)
+                               pairwise_distances)
+from crfpose.posefit import cluster_hypotheses
+from crfpose.submodels import (Component, SubmodelSpec, enumerate_submodels,
+                               is_zero_form, per_node_submodels)
 
 
 def cand(coord, p=0.5, pixel=0, tree=0):
@@ -313,34 +314,46 @@ def test_inlier_unary_monotone_in_confidence():
     assert unaries == sorted(unaries, reverse=True)
 
 
-def test_pose_consistent_pixels_trivial_cases():
-    xs = [(0, 0, 1), (0.02, 0, 1)]
-    cand_lists = [[cand((0, 0, 0), p=0.9, pixel=2, tree=1)],
-                  [cand((0.02, 0, 0), p=0.8)]]
+def test_cluster_hypotheses_pairs_each_labeled_candidate_with_its_point():
+    # label-1 nodes pair their stage-one candidate's coordinate with their
+    # camera point, in grid order; a node at its outlier label emits nothing
+    xs = [(0, 0, 1), (0.02, 0, 1), (0, 0.02, 1), (0.01, 0.01, 1.01)]
+    cand_lists = [[cand((0.5, 0, 0)), cand((0, 0, 0))], [cand((0.02, 0, 0))],
+                  [cand((0, 0.02, 0))], [cand((0.01, 0.01, 0.01))]]
     scene = tiny_scene(xs, cand_lists, width=2, diameter=0.05)
-    assert pose_consistent_pixels(scene, [1, 1]) == []
-    out = pose_consistent_pixels(scene, [0, 1])
-    assert len(out) == 1
-    px = out[0]
-    assert px.node == 0
-    # node (0,0), source pixel 2 -> pixel block row 1, col 0
-    assert (px.pixel_row, px.pixel_col) == (1, 0)
-    assert px.coord == (0.0, 0.0, 0.0)
+    spec = SubmodelSpec(seed_component=4, member_components=frozenset({4}),
+                        node_set=frozenset(range(4)))
+    master_grid_nodes, stage_one = [0, 1, 2, 3], [1, 0, 0, 1]
+
+    def cluster(assignment, labels=stage_one):
+        return cluster_hypotheses([(PartialLabeling(assignment), spec)], scene,
+                                  master_grid_nodes, labels)
+
+    (h,) = cluster((1, 1, 1, 1))
+    assert h.seed_serial == 4
+    assert [(y.tolist(), x.tolist()) for y, x in h.correspondences] == \
+        [([0, 0, 0], [0, 0, 1]), ([0.02, 0, 0], [0.02, 0, 1]), ([0, 0.02, 0], [0, 0.02, 1])]
+    assert np.allclose(h.pose.rotation, np.eye(3)) and np.allclose(h.pose.translation, [0, 0, 1])
+    assert cluster((1, 0, 1, 1)) == []  # two pairs are too few
+    with pytest.raises(ContractViolation, match="label 3 out of range at node 1"):
+        cluster((1, 1, 1, 1), [1, 3, 0, 1])
 
 
-def test_pose_consistent_pixels_match_planted_coordinates():
+def test_cluster_hypotheses_pairs_match_planted_coordinates():
     from crfpose.synth import default_scenario, generate_scene
     sigma = 1e-4
     sc = default_scenario(seed=6, coord_noise_sigma=sigma, inlier_rate=0.9,
                           visible_fraction=0.9)
     scene, truth = generate_scene(sc)
-    cam_true = {u: sc.true_pose.inverse_apply(scene.points[u][None])[0]
-                for u, l in enumerate(truth) if l != MAX_CANDIDATES}
-    emitted = pose_consistent_pixels(scene, list(truth))
-    assert emitted
-    close = sum(1 for px in emitted
-                if np.linalg.norm(np.asarray(px.coord) - cam_true[px.node]) <= 3 * sigma)
-    assert close >= 0.9 * len(emitted)
+    planted = [u for u, l in enumerate(truth) if l != MAX_CANDIDATES]
+    spec = SubmodelSpec(seed_component=0, member_components=frozenset({0}),
+                        node_set=frozenset(range(len(planted))))
+    (h,) = cluster_hypotheses([(PartialLabeling((1,) * len(planted)), spec)], scene,
+                              planted, truth)
+    assert h.correspondence_count == len(planted)
+    close = sum(1 for y, x in h.correspondences
+                if np.linalg.norm(y - sc.true_pose.inverse_apply(x[None])[0]) <= 3 * sigma)
+    assert close >= 0.9 * len(planted)
 
 
 def _model_digest(model):

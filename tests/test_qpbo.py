@@ -18,6 +18,12 @@ def test_single_node_unary_argmin():
     assert qpbo(m).assignment == (1,)
 
 
+def test_model_without_nodes_gets_an_empty_labeling():
+    # this read unary column 1 of a (0, 1) array and raised IndexError
+    empty = qpbo(GraphicalModel((), [], ()))
+    assert empty.assignment == () and empty.labeled_count() == 0
+
+
 def test_rejects_non_binary_models():
     m = GraphicalModel((3,), [np.zeros(3)], ())
     with pytest.raises(ContractViolation):

@@ -213,6 +213,11 @@ def test_confidence_out_of_range_rejected():
     (("object_points", 1), [0.0, 1.0], r"object_points\[1\]' must be a list of 3"),
     (("object_points", 1, 2), "0.5", r"object_points\[1\]' must be a list of 3"),
     (("object_points",), [], "object_points"),
+    # one point, or 50 collinear ones, cannot fix a rotation; both used to
+    # load and score correct: true
+    (("object_points",), [[0.01, 0.02, 0.03]], "object_points' must be finite and fix"),
+    (("object_points",), [[0.001 * k, 0.002 * k, -0.001 * k] for k in range(50)],
+     "object_points' must be finite and fix a rotation"),
 ])
 def test_non_finite_scene_input_rejected(tmp_path, field, value, message):
     doc = scene_to_dict(generate_bundle(default_scenario(

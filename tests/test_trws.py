@@ -196,12 +196,14 @@ def test_levels_on_sparse_grids(width, height, levels):
 
 def test_extract_inliers():
     m = GraphicalModel((2,) * 4, [np.zeros(2) for _ in range(4)], ())
-    assert extract_inliers(m, [1, 1, 1, 1], 1) == set()
-    assert extract_inliers(m, [1, 0, 1, 0], 1) == {1, 3}
-    # per-node outlier labels
-    assert extract_inliers(m, [1, 0, 1, 0], [1, 1, 0, 0]) == {2, 1}
+    none = extract_inliers(m, [1, 1, 1, 1], [1, 1, 1, 1])
+    assert none.dtype == np.int64 and none.tolist() == []
+    # per-node outlier labels; the nodes come back sorted
+    assert extract_inliers(m, [1, 0, 1, 0], [1, 1, 0, 0]).tolist() == [1, 2]
     with pytest.raises(ContractViolation):
-        extract_inliers(m, [0, 0], 1)
+        extract_inliers(m, [0, 0], [1, 1])
+    with pytest.raises(ContractViolation):
+        extract_inliers(m, [0, 0, 0, 0], [1, 1])
 
 
 def test_stage_one_recovers_planted_inliers():
@@ -216,7 +218,7 @@ def test_stage_one_recovers_planted_inliers():
     res = solve_trws(model, TrwsConfig(iterations=10))
     inliers = extract_inliers(model, res.labeling, scene.candidate_count)
     planted = {u for u, l in enumerate(truth) if l != 12}
-    assert len(planted & inliers) >= 0.8 * len(planted)
+    assert len(planted & set(inliers.tolist())) >= 0.8 * len(planted)
 
 
 def _pinned_sparse_model(rng):
