@@ -119,12 +119,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (SceneFormatError, ConfigError, ContractViolation, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
-        print(f"internal error: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
+        # an OSError with a file name failed on a path given on the command
+        # line or in a scenario; its message names the path
+        usage = isinstance(exc, (SceneFormatError, ConfigError, ContractViolation)) \
+            or isinstance(exc, OSError) and exc.filename is not None
+        print(f"error: {exc}" if usage else f"internal error: {exc}", file=sys.stderr)
+        return USAGE_ERROR if usage else INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -269,7 +269,10 @@ def verify_trws_bounds(trials: int = 100, tree_trials: int | None = None,
     hard-constraint models, plus exactness on trees.
 
     Both samplers always leave a finite optimum, so the rounded labeling
-    must have finite energy too.
+    must have finite energy too.  Every run's ``gap`` must be its rounded
+    energy minus its bound, and a run that stopped before its iteration cap
+    must hold bound <= optimum <= rounded energy, the rounded labeling
+    optimal to within ``tolerance`` relative to its energy.
     """
     from .trws import TrwsConfig, solve_trws
 
@@ -278,12 +281,25 @@ def verify_trws_bounds(trials: int = 100, tree_trials: int | None = None,
     hard_trials = max(1, trials // 2)
     report = SuiteReport("trws-bounds", trials + tree_trials + hard_trials, 0)
 
+    def certificate(res, rounded, opt, cap):
+        scale = tolerance * max(1.0, abs(rounded))
+        expected = rounded - res.lower_bound if rounded < INF else INF
+        problems = []
+        if not (res.gap == expected or abs(res.gap - expected) <= scale):
+            problems.append(f"gap {res.gap} is not rounded energy - bound {expected}")
+        if len(res.bound_history) < cap and not (
+                res.lower_bound <= opt + tolerance and opt <= rounded + tolerance
+                and rounded - opt <= scale):
+            problems.append(f"stopped after {len(res.bound_history)} iterations with "
+                            f"bound {res.lower_bound}, optimum {opt}, rounded {rounded}")
+        return problems
+
     def sandwich(kind, t, m):
         res = solve_trws(m, TrwsConfig(iterations=10))
         opt = brute_force(m).optimal_energy
         rounded = evaluate_energy(m, res.labeling)
         hist = np.asarray(res.bound_history)
-        problems = []
+        problems = certificate(res, rounded, opt, 10)
         if not np.all(np.diff(hist) >= -tolerance):
             problems.append("bound history decreased")
         if not res.lower_bound <= opt + tolerance:
@@ -303,11 +319,13 @@ def verify_trws_bounds(trials: int = 100, tree_trials: int | None = None,
         m = sample_tree_model(rng, max_nodes=8, max_labels=4)
         res = solve_trws(m, TrwsConfig(iterations=50))
         opt = brute_force(m).optimal_energy
-        if abs(res.lower_bound - opt) <= tolerance:
-            report.passes += 1
+        problems = certificate(res, evaluate_energy(m, res.labeling), opt, 50)
+        if abs(res.lower_bound - opt) > tolerance:
+            problems.append(f"gap {abs(res.lower_bound - opt):.3e}")
+        if problems:
+            report.failures.append(f"tree trial {t}: " + "; ".join(problems))
         else:
-            report.failures.append(
-                f"tree trial {t}: gap {abs(res.lower_bound - opt):.3e}")
+            report.passes += 1
     for t, rng in enumerate(_spawn(seed + 2, hard_trials)):
         sandwich("hard", t, sample_hard_model(rng))
     return report

@@ -3,7 +3,8 @@
 Reports are plain dicts serialized as versioned JSON.  The canonical form
 drops wall-clock timings and fixes key order, so identical inputs produce
 byte-identical canonical reports.  Reports are strict JSON: a score of inf
-(no association survived ICP's gate) is written as ``null``, and any other
+(no association survived ICP's gate) and a stage-one gap of inf (the rounded
+labeling has infinite energy) are written as ``null``, and any other
 non-finite number is refused rather than written.
 """
 
@@ -191,6 +192,7 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
             "inlier_count": len(inliers),
             "lower_bound": float(trws_result.lower_bound),
             "bound_history": [float(b) for b in trws_result.bound_history],
+            "gap": _score(trws_result.gap),
             "diagnostics": {k: list(v) for k, v in trws_result.diagnostics.items()},
         },
         "stage_two": master_info,
@@ -221,7 +223,8 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
 
 
 def _score(score: float) -> float | None:
-    """A hypothesis score as JSON: ``None`` for inf, which JSON has no token for."""
+    """A hypothesis score or the stage-one gap as JSON: ``None`` for inf,
+    which JSON has no token for."""
     return None if score == INF else float(score)
 
 

@@ -321,7 +321,8 @@ def _field(mapping, key, path, types=_NUMBER, count=None, each=False):
 
 def _typed(value, name, types=_NUMBER, count=None):
     """``value``, required to be a JSON value of ``types`` (a number by
-    default) or, given ``count``, a list of ``count`` numbers."""
+    default) or, given ``count``, a list of ``count`` numbers.  A number
+    must also be one a float can hold."""
     if count is None:
         valid = type(value) in types
     else:
@@ -330,6 +331,13 @@ def _typed(value, name, types=_NUMBER, count=None):
     if not valid:
         what = f"a list of {count} numbers" if count is not None else _KINDS[types]
         raise SceneFormatError(f"field '{name}' must be {what}")
+    if types is _NUMBER:
+        try:
+            for v in value if count is not None else (value,):
+                float(v)
+        except OverflowError:
+            raise SceneFormatError(f"field '{name}' holds an integer too large "
+                                   "for a float") from None
     return value
 
 

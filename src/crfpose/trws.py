@@ -10,11 +10,17 @@ dual bound is the sum of chain minima read off at the end of each backward
 sweep.  Averaging never decreases the bound, infinities propagate as
 infinities (never NaN), and the whole routine is deterministic.
 
+Each iteration ends by rounding a labeling and taking its energy from the
+compiled arrays; energy minus bound is a gap that certifies the labeling
+(Kolmogorov, TPAMI 2006).  The solver stops at the first iteration whose
+gap is at most ``GAP_TOLERANCE * max(1, |energy|)``, and otherwise after
+``TrwsConfig.iterations``.
+
 A node's update reads only its chain neighbours, which are graph neighbours.
 So each node gets a level, 1 + the largest level among its lower-index
 neighbours: no edge joins two nodes of one level, and every lower-index
 neighbour sits in an earlier level.  A sweep updates a whole level in one
-array step, and the final rounding pass labels a whole level at once; both
+array step, and the rounding pass labels a whole level at once; both
 give the node-by-node result to the last bit.  That holds because every sum
 keeps the order numpy gives a single node's (slots, labels) block: rows
 added one by one, except that a single-label node's lone column of 8 or
@@ -41,6 +47,10 @@ from .model import INF, ContractViolation, GraphicalModel, weighted_table
 #: edges weighted per step when the edge tensor is built
 WEIGHT_CHUNK = 2048
 
+#: relative gap at which a rounded labeling certifies the bound; it accepts
+#: the slightly negative gaps that rounding produces
+GAP_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class TrwsConfig:
@@ -56,6 +66,7 @@ class TrwsResult:
     labeling: tuple[int, ...]
     lower_bound: float
     bound_history: tuple[float, ...]
+    gap: float  # the labeling's energy - lower_bound; inf if that energy is inf
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -192,6 +203,7 @@ class _Compiled:
         self.fwd = np.where(np.arange(lmax)[:, None] < labels[slot_node], 0.0, INF)
         self.bwd = self.fwd.copy()
         self.theta = self.unary[:, slot_node] / np.bincount(slot_node, minlength=n)[slot_node]
+        self.edges = model.edges
 
     def outgoing(self, msg: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """What ``slots`` pass on along their chains in the current sweep.
@@ -220,9 +232,39 @@ class _Compiled:
             self.theta[:, lv.cols] = np.where(finite[:, lv.local],
                                               mbar[:, lv.local] - fwd - bwd, INF)
 
+    def round_labeling(self) -> tuple[np.ndarray, np.ndarray]:
+        """A labeling and its fallback mask, from one conditional forward pass.
+
+        Each node minimizes its original costs given its predecessors'
+        labels, with future guidance through the backward messages; a node
+        with no finite score, isolated ones included, keeps its unary argmin.
+        """
+        labeling = self.unary.argmin(axis=0)
+        fallback = ~np.isfinite(self.unary).any(axis=0)
+        for lv in self.levels:
+            score = self.unary[:, lv.nodes] + self.node_sums(self.bwd[:, lv.cols], lv)
+            rows = np.zeros((lv.kmax, self.lmax, lv.nodes.size))
+            prev_labels = labeling[self.slot_node[lv.prev_slots]]
+            rows[lv.rank[lv.prev_rows], :, lv.local[lv.prev_rows]] = \
+                self.tables[lv.prev_edges, prev_labels]
+            for row in rows:  # predecessor rows in slot order; zero rows change no score
+                score += row
+            finite = np.isfinite(score).any(axis=0)
+            labeling[lv.nodes] = np.where(finite, score.argmin(axis=0), labeling[lv.nodes])
+            fallback[lv.nodes] = ~finite
+        return labeling, fallback
+
+    def energy(self, labeling: np.ndarray) -> float:
+        """Unary plus β-weighted pairwise energy of ``labeling``, from the
+        compiled arrays (inf if any term is); the model constant is not in it."""
+        u, v = self.edges.T
+        return float(self.unary[labeling, np.arange(labeling.size)].sum()
+                     + self.tables[np.arange(u.size), labeling[u], labeling[v]].sum())
+
 
 def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResult:
-    """Run TRW-S and round a labeling in a final conditional forward pass."""
+    """Run TRW-S until a rounded labeling certifies the bound, or for
+    ``cfg.iterations`` iterations."""
     cfg = cfg or TrwsConfig()
     n = model.node_count
     if n == 0:
@@ -251,23 +293,10 @@ def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResu
         if comp.head_slots.size:
             bound += float(comp.outgoing(comp.bwd, comp.head_slots).min(axis=0).sum())
         bound_history.append(bound)
-
-    # final forward pass: conditional minimization on the original costs,
-    # future guidance through the backward messages; a node with no finite
-    # score, isolated ones included, keeps its unary argmin
-    labeling = comp.unary.argmin(axis=0)
-    fallback = ~np.isfinite(comp.unary).any(axis=0)
-    for lv in comp.levels:
-        score = comp.unary[:, lv.nodes] + comp.node_sums(comp.bwd[:, lv.cols], lv)
-        rows = np.zeros((lv.kmax, comp.lmax, lv.nodes.size))
-        prev_labels = labeling[comp.slot_node[lv.prev_slots]]
-        rows[lv.rank[lv.prev_rows], :, lv.local[lv.prev_rows]] = \
-            tables[lv.prev_edges, prev_labels]
-        for row in rows:  # predecessor rows in slot order; zero rows change no score
-            score += row
-        finite = np.isfinite(score).any(axis=0)
-        labeling[lv.nodes] = np.where(finite, score.argmin(axis=0), labeling[lv.nodes])
-        fallback[lv.nodes] = ~finite
+        labeling, fallback = comp.round_labeling()
+        energy = comp.energy(labeling) + model.constant
+        if energy < INF and energy - bound <= GAP_TOLERANCE * max(1.0, abs(energy)):
+            break
 
     diagnostics = {}
     if flagged.any():
@@ -276,8 +305,9 @@ def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResu
         diagnostics["unary_fallback_nodes"] = np.flatnonzero(fallback).tolist()
     return TrwsResult(
         labeling=tuple(labeling.tolist()),
-        lower_bound=bound_history[-1],
+        lower_bound=bound,
         bound_history=tuple(bound_history),
+        gap=energy - bound if energy < INF else INF,
         diagnostics=diagnostics,
     )
 

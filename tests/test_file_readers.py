@@ -173,6 +173,9 @@ def test_non_finite_config_values_exit_2_naming_line_and_key(tmp_path, scene_fil
     ({"confidence": {"sprea": 0.1}}, "unknown field 'confidence.sprea'"),
     ({"confidence": {"spread": -0.1}}, "confidence values must be finite and spread >= 0"),
     ({"confidence": {"true_mean": float("nan")}}, "confidence values must be finite"),
+    # used to exit 1 with "int too large to convert to float", no field named
+    ({"inlier_rate": 10**400}, "field 'inlier_rate' holds an integer too large for a float"),
+    ({"object": {"radius": -10**400}}, "field 'object.radius' holds an integer too large"),
 ])
 def test_bad_scenario_values_exit_2_naming_the_field(tmp_path, capsys, doc, message):
     # each of these was once read as something else, ignored, or an exit 1

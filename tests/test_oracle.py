@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from crfpose import trws
 
 from crfpose.model import (INF, GraphicalModel, PartialLabeling, UNLABELED,
                            evaluate_energy, extend_partial, induce_submodel)
 from crfpose.oracle import (StateSpaceTooLarge, brute_force, check_persistency,
-                            sample_zero_form_model, verify_prop1, _spawn)
+                            sample_zero_form_model, verify_prop1, verify_trws_bounds,
+                            _spawn)
 
 
 def test_single_node_argmin():
@@ -104,3 +109,18 @@ def test_prop1_exact_support_induction():
 def test_verify_prop1_small_run():
     report = verify_prop1(trials=25, max_nodes=10, seed=123)
     assert report.ok, report.failures
+
+
+def test_verify_trws_bounds_catches_a_wrong_gap_and_an_uncertified_stop(monkeypatch):
+    solve = trws.solve_trws
+    monkeypatch.setattr(trws, "solve_trws",
+                        lambda m, cfg: replace(solve(m, cfg), gap=solve(m, cfg).gap + 1e-3))
+    report = verify_trws_bounds(trials=10, seed=3)
+    assert report.passes == 0
+    assert all("is not rounded energy - bound" in f for f in report.failures)
+    # a solver that always stops after one iteration, certified or not
+    monkeypatch.setattr(trws, "solve_trws",
+                        lambda m, cfg: solve(m, trws.TrwsConfig(iterations=1)))
+    report = verify_trws_bounds(trials=20, seed=3)
+    assert not report.ok
+    assert any("stopped after 1 iterations" in f for f in report.failures)

@@ -101,6 +101,8 @@ def test_report_schema(easy_report):
                 "geometric_violations", "timings"):
         assert key in r
     assert r["stage_one"]["lower_bound"] == r["stage_one"]["bound_history"][-1]
+    assert len(r["stage_one"]["bound_history"]) <= r["config"]["trws_iterations"]
+    assert abs(r["stage_one"]["gap"]) <= 1e-9 * max(1.0, abs(r["stage_one"]["lower_bound"]))
     assert len(r["stage_two"]["labeled_counts"]) == r["stage_two"]["submodel_count"]
     # the report must be plain JSON
     json.dumps(r)
@@ -123,14 +125,14 @@ def test_canonical_report_strips_timings_and_is_stable(easy_bundle):
 
 
 def test_canonical_report_digest_is_pinned():
-    # Pins the whole solve, stage-one bound history included, byte for byte.
-    # A declared behaviour change (ROADMAP items 2 and 3) must re-record it.
+    # Pins the whole solve, stage-one bound history and gap included, byte
+    # for byte; a declared behaviour change must re-record it.
     bundle = generate_bundle(default_scenario(
         seed=0, grid_width=20, grid_height=15, inlier_rate=0.85,
         visible_fraction=0.8, coord_noise_sigma=1e-4))
     text = canonical_report(solve_scene(bundle, desk_scale_config()))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "c19c71e45c248cc77e5a4d7424c852f0b0b9f1083306bd7c423dc72bd4bc178e"
+        "ed4e6b93c0e42177cc4fb0362301c46446950af42b9035a2a631cddce664f54f"
 
 
 @pytest.mark.parametrize("canonical", [True, False])
@@ -212,6 +214,15 @@ def test_cli_solve_writes_inf_scores_as_null(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "nan.json").exists()
 
 
+def test_infinite_stage_one_gap_is_written_as_null(easy_bundle, monkeypatch):
+    solve_trws = pipeline.solve_trws
+    monkeypatch.setattr(pipeline, "solve_trws",
+                        lambda model, cfg: replace(solve_trws(model, cfg), gap=INF))
+    report = solve_scene(easy_bundle, desk_scale_config())
+    assert report["stage_one"]["gap"] is None
+    assert _strict_json(canonical_report(report))["stage_one"]["gap"] is None
+
+
 def test_cli_generate_is_seed_deterministic(tmp_path):
     scenario = write_scenario(tmp_path)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -250,6 +261,36 @@ def test_cli_malformed_scene_field_exits_2(tmp_path, capsys):
 def test_cli_missing_scene_exits_2(tmp_path):
     assert main(["solve", "--scene", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_cli_path_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
+    # each of these used to exit 1 with "internal error: [Errno 21] Is a directory"
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    scenario = write_scenario(tmp_path, grid_width=20, grid_height=15)
+    scene = tmp_path / "scene.json"
+    assert main(["generate", "--config", str(scenario), "--out", str(scene)]) == 0
+    capsys.readouterr()
+    for argv in (["solve", "--scene", str(folder), "--out", str(tmp_path / "r.json")],
+                 ["solve", "--scene", str(scene), "--config", str(folder),
+                  "--out", str(tmp_path / "r.json")],
+                 ["generate", "--config", str(write_scenario(
+                     tmp_path, object={"shape": "xyz", "path": str(folder)})),
+                  "--out", str(tmp_path / "x.json")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err, err
+
+
+def test_cli_scene_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
+    # used to exit 1 with "int too large to convert to float", no field named
+    doc = scene_to_dict(generate_bundle(default_scenario(seed=0, grid_width=20,
+                                                         grid_height=15)))
+    doc["object_points"][4][0] = 10**400
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
+    assert "field 'object_points[4]' holds an integer too large" in capsys.readouterr().err
 
 
 def test_cli_unknown_and_bad_config_key_exits_2(tmp_path, capsys):

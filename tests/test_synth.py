@@ -218,6 +218,13 @@ def test_confidence_out_of_range_rejected():
     (("object_points",), [[0.01, 0.02, 0.03]], "object_points' must be finite and fix"),
     (("object_points",), [[0.001 * k, 0.002 * k, -0.001 * k] for k in range(50)],
      "object_points' must be finite and fix a rotation"),
+    # JSON integers a float cannot hold; these exited 1 or named no field
+    pytest.param(("object_points", 1, 2), 10**400,
+                 r"object_points\[1\]' holds an integer too large for a float",
+                 id="object_points-10**400"),
+    pytest.param(("nodes", 5, "candidates", 2, "p"), -10**400,
+                 r"nodes\[5\]\.candidates\[2\]\.p' holds an integer too large for a float",
+                 id="p-minus-10**400"),
 ])
 def test_non_finite_scene_input_rejected(tmp_path, field, value, message):
     doc = scene_to_dict(generate_bundle(default_scenario(

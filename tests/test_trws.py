@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from crfpose.model import (INF, ContractViolation, GraphicalModel,
 from crfpose.oracle import (brute_force, sample_hard_model, sample_sparse_model,
                             sample_tree_model, _spawn)
 from crfpose.posemodel import build_sparse_neighborhood
-from crfpose.trws import (TrwsConfig, extract_inliers, monotone_chains, node_levels,
-                          solve_trws)
+from crfpose.trws import (GAP_TOLERANCE, TrwsConfig, extract_inliers, monotone_chains,
+                          node_levels, solve_trws)
 
 
 def test_single_node_exact():
@@ -73,12 +74,59 @@ def test_bound_sandwich_on_sparse_models():
         assert res.lower_bound == res.bound_history[-1]
 
 
+def _certified(res, energy):
+    return res.gap <= GAP_TOLERANCE * max(1.0, abs(energy))
+
+
 def test_bound_history_monotone():
+    stopped = 0
+    for rng in _spawn(29, 40):
+        m = replace(sample_sparse_model(rng), constant=float(rng.uniform(-50.0, 50.0)))
+        res = solve_trws(m, TrwsConfig(iterations=12))
+        hist = np.asarray(res.bound_history)
+        assert 1 <= hist.size <= 12
+        assert np.all(np.diff(hist) >= -1e-9)
+        energy = evaluate_energy(m, res.labeling)
+        assert res.gap == pytest.approx(energy - res.lower_bound, rel=1e-12, abs=1e-12)
+        if hist.size < 12:
+            stopped += 1
+            assert _certified(res, energy)
+    assert 0 < stopped < 40
+
+
+def test_stop_fires_at_the_first_certified_iteration():
+    checked = 0
     for rng in _spawn(29, 40):
         m = sample_sparse_model(rng)
-        hist = np.asarray(solve_trws(m, TrwsConfig(iterations=12)).bound_history)
-        assert hist.size == 12
-        assert np.all(np.diff(hist) >= -1e-9)
+        res = solve_trws(m, TrwsConfig(iterations=12))
+        if not 2 <= len(res.bound_history) < 12:
+            continue
+        # one iteration fewer gives the same bounds, uncertified
+        short = solve_trws(m, TrwsConfig(iterations=len(res.bound_history) - 1))
+        assert short.bound_history == res.bound_history[:-1]
+        assert not _certified(short, evaluate_energy(m, short.labeling))
+        checked += 1
+    assert checked >= 10
+
+
+def test_infinite_rounded_energy_runs_to_the_cap():
+    # a 6-node model, labels 2-4, one inf entry per table, β = 0: the greedy
+    # rounding pass finds no finite labeling although the optimum is finite
+    rng = np.random.default_rng(8)
+    labels = tuple(int(k) for k in rng.integers(2, 5, 6))
+    edges = tuple((u, v) for u in range(6) for v in range(u + 1, 6) if rng.random() < 0.6)
+    tables = []
+    for u, v in edges:
+        t = rng.uniform(0, 3, (labels[u], labels[v]))
+        t[rng.integers(labels[u]), rng.integers(labels[v])] = INF
+        tables.append(t)
+    m = GraphicalModel(labels, [rng.uniform(0, 3, k) for k in labels], edges,
+                       pairwise=tables, pairwise_weight=0.0)
+    assert np.isfinite(brute_force(m).optimal_energy)
+    res = solve_trws(m, TrwsConfig(iterations=10))
+    assert evaluate_energy(m, res.labeling) == INF
+    assert res.gap == INF
+    assert len(res.bound_history) == 10
 
 
 def test_deterministic():
@@ -263,21 +311,21 @@ def _solve_digest(models, iterations):
     for m in models:
         res = solve_trws(m, TrwsConfig(iterations=iterations))
         h.update(repr((res.labeling, [float(b).hex() for b in res.bound_history],
-                       sorted(res.diagnostics.items()))).encode())
+                       float(res.gap).hex(), sorted(res.diagnostics.items()))).encode())
     return h.hexdigest()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solver_output_is_pinned_on_random_models():
-    # Pins labeling, bound history and diagnostics to the last bit; a change
-    # of the solver's schedule or summation order shows here.
+    # Pins labeling, bound history, gap and diagnostics to the last bit; a
+    # change of the solver's schedule, stop rule or summation order shows here.
     rngs = _spawn(2718, 120)
     models = [_pinned_sparse_model(rng) for rng in rngs[:80]]
     models += [sample_tree_model(rng) for rng in rngs[80:100]]
     models += [_pinned_star_model(rng, hub_labels=1 + i % 3)
                for i, rng in enumerate(rngs[100:])]
     assert _solve_digest(models, iterations=7) == \
-        "227ccb5883ca8d0c2c6618d5368b4673a650f016f3b930de06e0fef3f93814c9"
+        "bacf8a3dcc8b16e5879eb1d27dcecaaed3de3999a940a7212b4bcba4778c53f3"
 
 
 def test_solver_output_is_pinned_on_a_stage_one_model():
@@ -291,7 +339,7 @@ def test_solver_output_is_pinned_on_a_stage_one_model():
         visible_fraction=0.8, coord_noise_sigma=1e-4))
     model = build_stage_one_model(bundle.observation, DESK_SCALE_STAGE_ONE)
     assert _solve_digest([model], iterations=10) == \
-        "8c480b75d47eec61d399adc8c7a2258822d9ad7e2eec82626598ac0ba6aace00"
+        "3285228acb57cc530f4cff17bf27fcb8f82f2fea98f87a2bac02ba2e7202c044"
 
 
 def test_stage_one_model_stores_no_tables():
