@@ -172,9 +172,6 @@ class GraphicalModel:
         _check_costs(table, "table_fn's table for edge", (u, v))
         return table
 
-    def edge_cost(self, e: int, lu: int, lv: int) -> float:
-        return float(self.edge_table(e)[lu, lv])
-
 
 def _check_labeling(model: GraphicalModel, labeling: Sequence[int]) -> None:
     if len(labeling) != model.node_count:
@@ -210,7 +207,7 @@ def evaluate_energy(model: GraphicalModel, labeling: Sequence[int]) -> float:
             return INF
         total += c
     for e, (u, v) in enumerate(model.edges.tolist()):
-        c = model.edge_cost(e, labeling[u], labeling[v])
+        c = float(model.edge_table(e)[labeling[u], labeling[v]])
         if math.isinf(c):
             return INF
         total += model.pairwise_weight * c

@@ -244,6 +244,68 @@ def sample_zero_form_model(rng: np.random.Generator, max_nodes: int = 12,
     )
 
 
+def sample_tiny_scene(rng: np.random.Generator):
+    """Random stage-one input small enough to enumerate: a 2..4 x 2 grid,
+    0..3 candidates per node, and (HyperParams, keep, skip).
+
+    About half the candidates sit near the node's camera point shifted by
+    one hidden translation, at noise from 1e-4 to 1e-1, and the rest
+    anywhere in the object's box; the grid spacing puts some edges beyond
+    the unit diameter.  β is 0 in a fifth of the scenes and γ in another
+    fifth.
+    """
+    from .posemodel import MAX_CANDIDATES, HyperParams, SceneObservation
+
+    width, height = int(rng.integers(2, 5)), 2
+    n = width * height
+    rows, cols = np.divmod(np.arange(n), width)
+    points = np.stack([cols, rows, np.zeros(n)], axis=1) * rng.uniform(0.2, 0.7) \
+        + rng.uniform(0.0, 0.3, (n, 3))
+    shift = rng.uniform(-1.0, 1.0, 3)
+    count = rng.integers(0, 4, n)
+    true = rng.random((n, MAX_CANDIDATES)) < 0.5
+    noise = 10.0 ** rng.uniform(-4, -1)
+    coords = np.where(true[:, :, None],
+                      points[:, None, :] - shift + rng.normal(0.0, noise, (n, MAX_CANDIDATES, 3)),
+                      rng.uniform(-0.5, 0.5, (n, MAX_CANDIDATES, 3)))
+    scene = SceneObservation(
+        grid_width=width, grid_height=height, object_diameter=1.0, points=points,
+        candidate_count=count, coords=coords,
+        confidence=np.where(true, rng.uniform(0.8, 1.0, (n, MAX_CANDIDATES)),
+                            rng.uniform(0.0, 1.0, (n, MAX_CANDIDATES))),
+        source_pixel=np.zeros((n, MAX_CANDIDATES), np.int64),
+        source_tree=np.zeros((n, MAX_CANDIDATES), np.int64))
+    kind = rng.random()
+    hp = HyperParams(alpha=float(rng.uniform(0.05, 1.0)),
+                     beta=0.0 if kind < 0.2 else float(rng.uniform(0.5, 30.0)),
+                     gamma=0.0 if 0.2 <= kind < 0.4 else float(10.0 ** rng.uniform(-4, -1.5)))
+    return scene, hp, int(rng.integers(1, n)), int(rng.integers(0, 2))
+
+
+def stage_one_energy(scene, hp, keep: int, skip: int) -> GraphicalModel:
+    """The unreduced stage-one energy with every table built up front from
+    ``pairwise_cost``: the reference for ``build_stage_one_model``."""
+    from .posemodel import build_sparse_neighborhood, pairwise_cost
+
+    count = scene.candidate_count.tolist()
+    unary = [np.append((1.0 - scene.confidence[u, :k]) * hp.alpha,
+                       scene.confidence[u, :k].sum() * hp.alpha / 12)
+             for u, k in enumerate(count)]
+    edges = build_sparse_neighborhood(scene.grid_width, scene.grid_height, keep=keep, skip=skip)
+    tables = []
+    for u, v in edges.tolist():
+        ku, kv = count[u], count[v]
+        table = np.full((ku + 1, kv + 1), hp.gamma)
+        table[ku, kv] = 0.0
+        cost = pairwise_cost(np.concatenate([scene.coords[u, :ku], scene.coords[v, :kv]]),
+                             np.repeat(scene.points[[u, v]], [ku, kv], axis=0),
+                             scene.object_diameter)
+        table[:ku, :kv] = cost[:ku, ku:]
+        tables.append(table)
+    return GraphicalModel(labels_per_node=[k + 1 for k in count], unary=unary,
+                          edges=edges, pairwise=tables, pairwise_weight=hp.beta)
+
+
 # ---------------------------------------------------------------------------
 # randomized verification suites
 
@@ -426,9 +488,47 @@ def verify_prop1(trials: int = 200, max_nodes: int = 12, seed: int = 0,
     return report
 
 
+def verify_elimination(trials: int = 400, seed: int = 0,
+                       tolerance: float = 1e-9) -> SuiteReport:
+    """Stage-one elimination against brute force on tiny random scenes.
+
+    The reduced model must keep every node's labels, no optimum of the
+    unreduced energy (``stage_one_energy``) may use a label it eliminated,
+    and its optimum must be an optimum of the unreduced energy, both
+    energies equal to within ``tolerance`` relative.
+    """
+    from .posemodel import build_stage_one_model
+
+    report = SuiteReport("elimination", trials, 0)
+    for t, rng in enumerate(_spawn(seed, trials)):
+        scene, hp, keep, skip = sample_tiny_scene(rng)
+        full = stage_one_energy(scene, hp, keep, skip)
+        reduced = build_stage_one_model(scene, hp, keep=keep, skip=skip)
+        opt, reduced_opt = brute_force(full), brute_force(reduced)
+        eliminated = np.isinf(reduced.unary) & np.isfinite(full.unary)
+        scale = tolerance * max(1.0, abs(opt.optimal_energy))
+        problems = []
+        if reduced.labels_per_node != full.labels_per_node:
+            problems.append("label counts differ")
+        used = [l for l in opt.optima if eliminated[np.arange(len(l)), l].any()]
+        if used:
+            problems.append(f"optimum {used[0]} uses an eliminated label")
+        energy = evaluate_energy(full, reduced_opt.optima[0])
+        if not (abs(reduced_opt.optimal_energy - opt.optimal_energy) <= scale
+                and abs(energy - opt.optimal_energy) <= scale):
+            problems.append(f"reduced optimum {reduced_opt.optimal_energy} has energy "
+                            f"{energy}, full optimum {opt.optimal_energy}")
+        if problems:
+            report.failures.append(f"trial {t}: " + "; ".join(problems))
+        else:
+            report.passes += 1
+    return report
+
+
 #: suites runnable from the command line
 VERIFY_SUITES = {
     "trws-bounds": verify_trws_bounds,
+    "elimination": verify_elimination,
     "qpbo-persistency": verify_qpbo_persistency,
     "prop1": verify_prop1,
     "zero-form": verify_zero_form,

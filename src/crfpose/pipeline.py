@@ -15,6 +15,8 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
+import numpy as np
+
 from .model import INF
 from .posefit import (IcpConfig, cluster_hypotheses, icp_refine,
                       pose_correct, select_best)
@@ -129,6 +131,8 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
     stage_one = build_stage_one_model(scene, cfg.stage_one)
     trws_result = solve_trws(stage_one, cfg.trws)
     inliers = extract_inliers(stage_one, trws_result.labeling, scene.candidate_count)
+    # eliminated labels are the only infinite unaries of a stage-one model
+    alive = np.isfinite(stage_one.unary).sum(axis=1)
     timings["stage_one"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -190,6 +194,8 @@ def solve_scene(bundle: SceneBundle, cfg: PipelineConfig | None = None) -> dict:
         },
         "stage_one": {
             "inlier_count": len(inliers),
+            "fixed_nodes": int((alive == 1).sum()),
+            "eliminated_labels": int(sum(stage_one.labels_per_node) - alive.sum()),
             "lower_bound": float(trws_result.lower_bound),
             "bound_history": [float(b) for b in trws_result.bound_history],
             "gap": _score(trws_result.gap),

@@ -4,12 +4,14 @@ A scene is one set of read-only per-node arrays (``SceneObservation``): each
 node is a 2x2 pixel block with a camera point and up to 12 correspondence
 candidates, padded to 12, and every consumer indexes those arrays.  Stage
 one is a sparse multi-label model over the full node grid (a node's labels
-are its candidates plus an outlier label, always last).  Stage two is a
-fully-connected two-label master model over the stage-one inlier nodes,
-label 1 meaning "keep the stage-one candidate" and label 0 meaning outlier.
-Stage one's pairwise tables are lazy; the master's are built up front, and
-every stage-two test of "within the object diameter" reads
-``pairwise_distances``."""
+are its candidates plus an outlier label, always last): the stage-one
+energy restricted to the labels an optimum can use.  Candidates that
+dead-end elimination proves unused are +inf, and only edges between nodes
+that keep a candidate carry (lazy) tables.  Stage two is a fully-connected
+two-label master model over the stage-one inlier nodes, label 1 meaning
+"keep the stage-one candidate" and label 0 meaning outlier.  The master's
+tables are built up front, and every stage-two test of "within the object
+diameter" reads ``pairwise_distances``."""
 
 from __future__ import annotations
 
@@ -187,13 +189,127 @@ def _outlier_unary(scene: SceneObservation, hp: HyperParams) -> np.ndarray:
     return np.cumsum(scene.confidence, axis=1)[:, -1] * hp.alpha / MAX_CANDIDATES
 
 
+#: edges per step of the elimination pass; bounds its (chunk, 12, 12) temporaries
+ELIMINATION_CHUNK = 1024
+
+
+def _refuse_edges(bad: np.ndarray, u: np.ndarray, v: np.ndarray, what: str) -> None:
+    if bad.any():
+        e = np.flatnonzero(bad)[0]
+        raise ContractViolation(f"stage-one edge ({u[e]},{v[e]}): {what}")
+
+
+def _camera_distances(scene: SceneObservation, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Camera-frame distance of each edge (u[e], v[e]), equal to the 1-D
+    ``np.linalg.norm`` to the last bit (``pairwise_distances`` differs on
+    ~10% of pairs); a non-finite one raises, naming the edge."""
+    d = scene.points[u] - scene.points[v]
+    with np.errstate(over="ignore"):
+        x_dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    _refuse_edges(~np.isfinite(x_dist), u, v, "camera distance is not finite")
+    return x_dist
+
+
+def _candidate_costs(scene: SceneObservation, coord_sq: np.ndarray, u: np.ndarray,
+                     v: np.ndarray, x_dist: np.ndarray) -> np.ndarray:
+    """(E, 12, 12) candidate blocks C of edges (u[e], v[e]) at camera
+    distance ``x_dist[e]``: entry (i, k) is |object-frame distance of u's
+    candidate i and v's candidate k − x_dist[e]|, inf past either node's
+    count, and NaN where an object-frame distance overflows to NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = coord_sq[u][:, :, None] + coord_sq[v][:, None, :]
+        cost -= 2.0 * scene.coords[u] @ scene.coords[v].transpose(0, 2, 1)
+        np.sqrt(np.maximum(cost, 0.0, out=cost), out=cost)
+    cost -= x_dist[:, None, None]
+    np.abs(cost, out=cost)
+    count_u, count_v = scene.candidate_count[u], scene.candidate_count[v]
+    if (count_u < MAX_CANDIDATES).any() or (count_v < MAX_CANDIDATES).any():
+        slot = np.arange(MAX_CANDIDATES)
+        cost[(slot >= count_u[:, None])[:, :, None] | (slot >= count_v[:, None])[:, None, :]] = INF
+    return cost
+
+
+def _candidate_minima(scene: SceneObservation, coord_sq: np.ndarray,
+                      u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column minima of the candidate blocks C of edges (u[e], v[e]).
+
+    Entry [e, i] of the first (E, 12) array is min_k C_e(i, k) over v's
+    candidates k, and of the second min_i C_e(i, k) over u's candidates.
+    Both are inf past a node's count, where the other node has no candidate,
+    and on every edge whose camera points are further apart than the
+    diameter.  A non-finite camera distance or a NaN object-frame distance
+    raises, naming the edge.
+    """
+    x_dist = _camera_distances(scene, u, v)
+    rows = np.full((u.size, MAX_CANDIDATES), INF)
+    cols = rows.copy()
+    near = np.flatnonzero(x_dist <= scene.object_diameter)
+    if near.size:
+        cost = _candidate_costs(scene, coord_sq, u[near], v[near], x_dist[near])
+        # slab by slab: numpy's reductions over 12-long axes are slower
+        row, col = cost[:, :, 0].copy(), cost[:, 0, :].copy()
+        for k in range(1, MAX_CANDIDATES):
+            np.minimum(row, cost[:, :, k], out=row)
+            np.minimum(col, cost[:, k, :], out=col)
+        # np.minimum keeps NaN, so every NaN of a block reaches its row minima
+        _refuse_edges(np.isnan(row).any(axis=1), u[near], v[near],
+                      "object-frame distance is NaN")
+        rows[near], cols[near] = row, col
+    return rows, cols
+
+
+def _worst_change(minima: np.ndarray, hp: HyperParams) -> np.ndarray:
+    """max(−βγ, βγ − β·m) per candidate minimum m, with β·inf read as inf
+    (so 0·inf never runs): the most by which an edge's weighted cost can
+    change when its node switches from that candidate to the outlier."""
+    bg = hp.beta * hp.gamma
+    finite = np.isfinite(minima)
+    change = np.full(minima.shape, -bg)
+    np.maximum(-bg, bg - hp.beta * np.where(finite, minima, 0.0), out=change, where=finite)
+    return change
+
+
+def _eliminate_candidates(scene: SceneObservation, hp: HyperParams, unary: np.ndarray,
+                          edges: np.ndarray, coord_sq: np.ndarray) -> np.ndarray:
+    """(n, 12) mask of the candidates that no optimum of the stage-one energy
+    uses (dead-end elimination toward the outlier label o).
+
+    Candidate i of node u goes when U_u(o) − U_u(i) + Σ_e max_k [W_e(o, k) −
+    W_e(i, k)] < 0, the sum over u's edges e and the max over all labels k
+    of the neighbour, W the β-weighted table.  Then switching u from i to o
+    lowers the energy of every labeling that uses i, strictly.  For these
+    tables the max is ``_worst_change`` of min_k C_e(i, k), so one chunked
+    pass over the edges reads each edge's candidate minima and builds no
+    table.
+    """
+    n, slot = scene.node_count, np.arange(MAX_CANDIDATES)
+    total = np.zeros(n * MAX_CANDIDATES)
+    for lo in range(0, len(edges), ELIMINATION_CHUNK):
+        u, v = edges[lo:lo + ELIMINATION_CHUNK].T
+        for node, minima in zip((u, v), _candidate_minima(scene, coord_sq, u, v)):
+            total += np.bincount((node[:, None] * MAX_CANDIDATES + slot).ravel(),
+                                 weights=_worst_change(minima, hp).ravel(),
+                                 minlength=total.size)
+    outlier = unary[np.arange(n), scene.candidate_count]
+    score = outlier[:, None] - unary[:, :MAX_CANDIDATES] + total.reshape(n, MAX_CANDIDATES)
+    return (slot < scene.candidate_count[:, None]) & (score < 0)
+
+
 def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
                           keep: int = 48, skip: int = 8) -> GraphicalModel:
-    """Sparse multi-label model over the full grid; pairwise tables are lazy.
+    """The stage-one energy restricted to the labels an optimum can use.
 
-    An edge table holds the geometric costs between candidate pairs (inf when
-    the camera points are further apart than the diameter), gamma on
+    The energy is a sparse multi-label model over the full grid: an edge
+    table holds the geometric costs between candidate pairs (inf when the
+    camera points are further apart than the diameter), gamma on
     candidate/outlier transitions and zero on outlier/outlier.
+    ``_eliminate_candidates`` removes candidates no optimum uses; a node left
+    with its outlier label alone is fixed.  The model keeps every node and
+    label index: an eliminated candidate's unary is +inf, only edges between
+    free nodes are kept, their tables lazy, and each fixed neighbour adds
+    its βγ (its table's outlier column) to a free node's candidate unaries.
+    So every labeling that uses no eliminated label has its full energy, up
+    to summation order, and the optima are the full model's.
     """
     count = scene.candidate_count.tolist()
     unary = np.pad(_inlier_unary(scene.confidence, hp), ((0, 0), (0, 1)))
@@ -202,25 +318,27 @@ def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
     edges = build_sparse_neighborhood(scene.grid_width, scene.grid_height,
                                       keep=keep, skip=skip)
 
-    points, diameter = scene.points, scene.object_diameter
-    # per-node views, made once: slicing in every call slows the table build
-    coords = [c[:k] for c, k in zip(scene.coords, count)]
-    coord_sq = [c[:k] for c, k in zip((scene.coords ** 2).sum(axis=2), count)]
+    with np.errstate(over="ignore"):  # a NaN distance this leads to is refused below
+        coord_sq = (scene.coords ** 2).sum(axis=2)
+    eliminated = _eliminate_candidates(scene, hp, unary, edges, coord_sq)
+    candidate = np.arange(MAX_CANDIDATES) < scene.candidate_count[:, None]
+    free = (candidate & ~eliminated).any(axis=1)
+    kept = free[edges].all(axis=1)
+    fixed_neighbours = np.bincount(edges[~kept].ravel(), minlength=scene.node_count)
+    unary[:, :MAX_CANDIDATES] += np.where(candidate, fixed_neighbours[:, None]
+                                          * (hp.beta * hp.gamma), 0.0)
+    unary[:, :MAX_CANDIDATES][eliminated] = INF
+    edges = edges[kept]
 
     def table_fn(u, v):
         ku, kv = count[u], count[v]
         table = np.full((ku + 1, kv + 1), hp.gamma)
         table[ku, kv] = 0.0
         if ku and kv:
-            # a 1-D norm, not pairwise_distances: the two differ in the last
-            # bit on ~10% of pairs, which would move every TRW-S bound_history
-            x_dist = float(np.linalg.norm(points[u] - points[v]))
-            if x_dist > diameter:
-                table[:ku, :kv] = INF
-            else:
-                d2 = coord_sq[u][:, None] + coord_sq[v][None, :] \
-                    - 2.0 * coords[u] @ coords[v].T
-                table[:ku, :kv] = np.abs(np.sqrt(np.maximum(d2, 0.0)) - x_dist)
+            edge = np.array([u]), np.array([v])
+            x_dist = _camera_distances(scene, *edge)
+            table[:ku, :kv] = INF if x_dist[0] > scene.object_diameter else \
+                _candidate_costs(scene, coord_sq, *edge, x_dist)[0, :ku, :kv]
         return table
 
     return GraphicalModel(

@@ -264,7 +264,14 @@ class _Compiled:
 
 def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResult:
     """Run TRW-S until a rounded labeling certifies the bound, or for
-    ``cfg.iterations`` iterations."""
+    ``cfg.iterations`` iterations.
+
+    Out of contract: on a model with infinite costs where some node has no
+    label that fits every neighbour, the greedy rounding can return a
+    labeling of infinite energy (``gap`` inf, the node listed under
+    ``unary_fallback_nodes``) even when a finite optimum exists.  Stage one
+    never meets this, since its outlier label is finite against every label.
+    """
     cfg = cfg or TrwsConfig()
     n = model.node_count
     if n == 0:
@@ -287,9 +294,9 @@ def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResu
                 t += comp.outgoing(comp.bwd, lv.next_slots)[None, :, :]
                 comp.bwd[:, lv.next_at] = t.min(axis=1)
             comp.average(lv, flagged)
-        bound = model.constant
-        for u in comp.isolated:
-            bound += float(model.unary[u].min())
+        # isolated nodes summed as the energy sums its unaries, so that an
+        # edgeless model's gap is exactly 0
+        bound = model.constant + float(model.unary[comp.isolated].min(axis=1).sum())
         if comp.head_slots.size:
             bound += float(comp.outgoing(comp.bwd, comp.head_slots).min(axis=0).sum())
         bound_history.append(bound)

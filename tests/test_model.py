@@ -165,7 +165,7 @@ def test_nan_lazy_pairwise_cost_is_rejected_naming_the_edge():
         return np.full((2, 2), math.nan if (u, v) == (1, 2) else 1.0)
 
     m = GraphicalModel((2, 2, 2), [np.zeros(2)] * 3, ((0, 1), (1, 2)), table_fn=table_fn)
-    assert m.edge_cost(0, 1, 1) == 1.0
+    assert m.edge_table(0)[1, 1] == 1.0
     with pytest.raises(ContractViolation, match=r"\(1, 2\)"):
         m.edge_table(1)
 
@@ -186,7 +186,7 @@ def test_negative_infinite_pairwise_costs_are_rejected_naming_the_edge():
             GraphicalModel((2, 2, 2), [np.zeros(2)] * 3, ((0, 1), (2, 0)), pairwise=pairwise)
     m = GraphicalModel((2, 2, 2), [np.zeros(2)] * 3, ((0, 1), (1, 2)),
                        table_fn=lambda u, v: table if (u, v) == (1, 2) else np.zeros((2, 2)))
-    assert m.edge_cost(0, 1, 1) == 0.0
+    assert m.edge_table(0)[1, 1] == 0.0
     with pytest.raises(ContractViolation, match=r"\(1, 2\) has a -inf cost"):
         m.edge_table(1)
 

@@ -8,7 +8,8 @@ from crfpose import trws
 from crfpose.model import (INF, GraphicalModel, PartialLabeling, UNLABELED,
                            evaluate_energy, extend_partial, induce_submodel)
 from crfpose.oracle import (StateSpaceTooLarge, brute_force, check_persistency,
-                            sample_zero_form_model, verify_prop1, verify_trws_bounds,
+                            sample_zero_form_model, verify_elimination, verify_prop1,
+                            verify_trws_bounds,
                             _spawn)
 
 
@@ -124,3 +125,19 @@ def test_verify_trws_bounds_catches_a_wrong_gap_and_an_uncertified_stop(monkeypa
     report = verify_trws_bounds(trials=20, seed=3)
     assert not report.ok
     assert any("stopped after 1 iterations" in f for f in report.failures)
+
+
+def test_verify_elimination_small_run():
+    report = verify_elimination(trials=60, seed=1)
+    assert report.ok, report.failures
+
+
+def test_verify_elimination_catches_an_unsound_rule(monkeypatch):
+    # a rule that counts every edge as lowering the energy when the
+    # candidate goes eliminates labels that optima use
+    from crfpose import posemodel
+    monkeypatch.setattr(posemodel, "_worst_change",
+                        lambda minima, hp: np.full(minima.shape, -hp.beta * hp.gamma))
+    report = verify_elimination(trials=200, seed=0)
+    assert not report.ok
+    assert any("uses an eliminated label" in f for f in report.failures)

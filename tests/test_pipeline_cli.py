@@ -6,12 +6,12 @@ import pytest
 
 from crfpose import pipeline
 from crfpose.cli import main
-from crfpose.model import INF
+from crfpose.model import INF, ContractViolation
 from crfpose.pipeline import (ConfigError, PipelineConfig, canonical_report,
                               desk_scale_config, parse_config, solve_scene,
                               write_report)
 from crfpose.posemodel import STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS
-from crfpose.synth import default_scenario, generate_bundle, scene_to_dict
+from crfpose.synth import default_scenario, generate_bundle, save_scene, scene_to_dict
 
 SCENARIO = {
     "seed": 3, "grid_width": 32, "grid_height": 24,
@@ -104,6 +104,9 @@ def test_report_schema(easy_report):
     assert len(r["stage_one"]["bound_history"]) <= r["config"]["trws_iterations"]
     assert abs(r["stage_one"]["gap"]) <= 1e-9 * max(1.0, abs(r["stage_one"]["lower_bound"]))
     assert len(r["stage_two"]["labeled_counts"]) == r["stage_two"]["submodel_count"]
+    n = r["scene"]["grid_width"] * r["scene"]["grid_height"]
+    assert 0 < r["stage_one"]["fixed_nodes"] < n - r["stage_one"]["inlier_count"]
+    assert r["stage_one"]["fixed_nodes"] * 12 <= r["stage_one"]["eliminated_labels"] < n * 12
     # the report must be plain JSON
     json.dumps(r)
 
@@ -301,6 +304,49 @@ def test_cli_unknown_and_bad_config_key_exits_2(tmp_path, capsys):
     cfg.write_text("bogus.key = 1\n")
     assert main(["solve", "--scene", str(scene), "--config", str(cfg),
                  "--out", str(tmp_path / "r.json")]) == 2
+
+
+def _scaled_20x15(**scale):
+    """The scene of test_canonical_report_digest_is_pinned with some of its
+    per-node arrays multiplied."""
+    bundle = generate_bundle(default_scenario(
+        seed=0, grid_width=20, grid_height=15, inlier_rate=0.85,
+        visible_fraction=0.8, coord_noise_sigma=1e-4))
+    scene = bundle.observation
+    return replace(bundle, observation=replace(
+        scene, **{name: getattr(scene, name) * factor for name, factor in scale.items()}))
+
+
+def test_every_node_fixed_gives_no_detection_with_a_zero_gap():
+    # at the paper's gamma with a diameter no edge is within, each of a
+    # node's edges can lose beta * gamma = 0.11 when a candidate goes, more
+    # than any candidate saves: every node is fixed and TRW-S has no edge
+    bundle = _scaled_20x15(object_diameter=1e-6)
+    r = solve_scene(bundle, PipelineConfig())
+    s = r["stage_one"]
+    assert r["status"] == "no-detection"
+    assert (s["inlier_count"], s["fixed_nodes"]) == (0, 300)
+    assert s["eliminated_labels"] == int(bundle.observation.candidate_count.sum())
+    assert s["gap"] == 0.0 and len(s["bound_history"]) == 1
+    assert s["lower_bound"] == s["bound_history"][0] > 0.0
+
+
+def test_overflowing_camera_points_exit_2_naming_the_edge(tmp_path, capsys):
+    # finite camera points scaled by 1e200 overflow every camera distance;
+    # this used to end in a no-detection with only numpy warnings
+    bundle = _scaled_20x15(points=1e200)
+    with pytest.raises(ContractViolation, match=r"stage-one edge \(0,\d+\): camera distance"):
+        solve_scene(bundle, desk_scale_config())
+    scene = tmp_path / "scene.json"
+    save_scene(bundle, scene)
+    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
+    assert "camera distance is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_verify_elimination(capsys):
+    assert main(["verify", "--suite", "elimination", "--trials", "40"]) == 0
+    assert "PASS elimination: 40/40" in capsys.readouterr().out
 
 
 def test_cli_verify_suites(capsys):

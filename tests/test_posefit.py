@@ -28,7 +28,7 @@ def test_pose_validates_rotation():
         Pose(nan_rotation, np.zeros(3))
     with pytest.raises(ContractViolation, match="translation is not finite"):
         Pose(np.eye(3), np.array([0.0, np.inf, 0.0]))
-    p = Pose.identity()
+    p = Pose(np.eye(3), np.zeros(3))
     assert np.array_equal(p.apply(np.ones((2, 3))), np.ones((2, 3)))
 
 
@@ -77,7 +77,7 @@ def test_kabsch_reflective_degenerate_planar_set_stays_proper():
 def test_hypothesis_needs_three_correspondences():
     with pytest.raises(ContractViolation):
         Hypothesis(correspondences=((np.zeros(3), np.zeros(3)),) * 2,
-                   pose=Pose.identity())
+                   pose=Pose(np.eye(3), np.zeros(3)))
 
 
 def icp_setup(rng, n_points=300, n_corr=40):
@@ -137,7 +137,7 @@ def test_icp_rejects_empty_cloud():
 
 def hyp(score, count=3):
     c = ((np.zeros(3), np.zeros(3)),) * count
-    return Hypothesis(correspondences=c, pose=Pose.identity(), score=score)
+    return Hypothesis(correspondences=c, pose=Pose(np.eye(3), np.zeros(3)), score=score)
 
 
 def test_select_best_minimum_and_ties():
@@ -181,7 +181,7 @@ def test_pose_correct_exact_and_boundary():
 def test_pose_correct_monotone_in_translation():
     rng = np.random.default_rng(10)
     pts = rng.uniform(-1, 1, (30, 3))
-    gt = Pose.identity()
+    gt = Pose(np.eye(3), np.zeros(3))
     dists = [pose_correct(Pose(np.eye(3), np.array([t, 0, 0])), gt, pts, 1.0)[1]
              for t in (0.01, 0.05, 0.2, 0.7)]
     assert dists == sorted(dists)

@@ -10,7 +10,8 @@ from crfpose.posemodel import (HyperParams, MAX_CANDIDATES, STAGE_ONE_DEFAULTS,
                                STAGE_TWO_DEFAULTS, SceneObservation,
                                build_sparse_neighborhood, build_stage_one_model,
                                build_stage_two_master, pairwise_cost,
-                               pairwise_distances)
+                               pairwise_distances, _candidate_minima)
+from crfpose.oracle import stage_one_energy
 from crfpose.posefit import cluster_hypotheses
 from crfpose.submodels import (Component, SubmodelSpec, enumerate_submodels,
                                is_zero_form, per_node_submodels)
@@ -188,14 +189,18 @@ def test_neighborhood_matches_the_per_node_ranking(grid, keep, skip):
 
 
 def test_stage_one_unaries():
-    # one candidate with p=0.4 at alpha=0.2 -> inlier unary 0.12
+    # at alpha=0.2 the p=0.96 candidate (inlier unary 0.008) is cheaper than
+    # the outlier ((0.96 + 0.4) * 0.2 / 12) and stays; the p=0.4 one (0.12)
+    # is eliminated
     hp = HyperParams(alpha=0.2, beta=1.0, gamma=0.0)
-    scene = tiny_scene([(0, 0, 1)], [[cand((0, 0, 0), p=0.4)]], width=1)
+    scene = tiny_scene([(0, 0, 1)], [[cand((0, 0, 0), p=0.96), cand((0, 0, 0), p=0.4)]],
+                       width=1)
     m = build_stage_one_model(scene, hp)
-    assert m.labels_per_node == (2,)
-    assert m.unary[0][0] == pytest.approx((1 - 0.4) * 0.2, abs=1e-15)
+    assert m.labels_per_node == (3,)
+    assert m.unary[0][0] == pytest.approx((1 - 0.96) * 0.2, abs=1e-15)
+    assert m.unary[0][1] == INF
     # outlier unary: sum of confidences * alpha / 12
-    assert m.unary[0][1] == pytest.approx(0.4 * 0.2 / 12, abs=1e-15)
+    assert m.unary[0][2] == pytest.approx((0.96 + 0.4) * 0.2 / 12, abs=1e-15)
 
 
 def test_stage_one_outlier_unary_with_full_candidate_set():
@@ -306,12 +311,18 @@ def test_finite_stage_two_energy_keeps_inlier_pairs_within_diameter():
 
 
 def test_inlier_unary_monotone_in_confidence():
-    hp = HyperParams(alpha=0.2, beta=1.0, gamma=0.0)
+    # a neighbour whose candidate fits exactly keeps every candidate: its
+    # edge can rise by beta * gamma = 1 when the candidate goes
+    hp = HyperParams(alpha=0.2, beta=1.0, gamma=1.0)
     unaries = []
     for p in (0.1, 0.5, 0.9, 1.0):
-        scene = tiny_scene([(0, 0, 1)], [[cand((0, 0, 0), p=p)]], width=1)
-        unaries.append(float(build_stage_one_model(scene, hp).unary[0][0]))
+        scene = tiny_scene([(0, 0, 1), (0.01, 0, 1)],
+                           [[cand((0, 0, 1), p=p)], [cand((0.01, 0, 1), p=0.9)]], width=2)
+        m = build_stage_one_model(scene, hp, keep=1, skip=0)
+        assert m.edge_count == 1
+        unaries.append(float(m.unary[0][0]))
     assert unaries == sorted(unaries, reverse=True)
+    assert unaries[0] == pytest.approx(0.9 * 0.2, abs=1e-15)
 
 
 def test_cluster_hypotheses_pairs_each_labeled_candidate_with_its_point():
@@ -388,3 +399,114 @@ def test_model_contents_are_pinned():
         "8aa64653f164aa036d7372e9556b09da4e80d47e90e1f7adc420dad229364d35"
     assert _model_digest(master) == \
         "5d2d868ac3d502dff598f030638d056b5516c747d909dd07784cdde01e5fedaa"
+
+
+def _desk_20x15(**kw):
+    from crfpose.synth import default_scenario, generate_bundle
+    return generate_bundle(default_scenario(
+        seed=0, grid_width=20, grid_height=15, inlier_rate=0.85,
+        visible_fraction=0.8, coord_noise_sigma=1e-4, **kw))
+
+
+def test_candidate_minima_are_those_of_the_lazy_tables():
+    # every node of the 20x15 scene has 12 candidates; the second scene
+    # draws 0..12 per node, so some blocks are short or empty
+    from crfpose.pipeline import DESK_SCALE_STAGE_ONE
+    from dataclasses import replace
+    full = _desk_20x15().observation
+    counts = np.random.default_rng(3).integers(0, MAX_CANDIDATES + 1, full.node_count)
+    for scene in (full, replace(full, candidate_count=counts)):
+        table_fn = build_stage_one_model(scene, DESK_SCALE_STAGE_ONE).table_fn
+        u, v = build_sparse_neighborhood(scene.grid_width, scene.grid_height).T
+        rows, cols = _candidate_minima(scene, (scene.coords ** 2).sum(axis=2), u, v)
+        for e, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+            ka, kb = scene.candidate_count[a], scene.candidate_count[b]
+            block = table_fn(a, b)[:ka, :kb]
+            assert np.array_equal(rows[e, :ka], block.min(axis=1, initial=INF))
+            assert np.array_equal(cols[e, :kb], block.min(axis=0, initial=INF))
+            assert (rows[e, ka:] == INF).all() and (cols[e, kb:] == INF).all()
+
+
+def _four_nodes(gamma_scene=False):
+    # a 2x2 grid: the rows 0.3 apart lie within the 0.5 diameter, the
+    # columns and diagonals 0.6 and more apart do not
+    xs = [(0, 0, 1), (0.3, 0, 1), (0, 0.6, 1), (0.3, 0.6, 1)]
+    ps = [[0.99, 0.5], [0.95], [0.9, 0.97, 0.2], []]
+    return tiny_scene(xs, [[cand(x, p=p) for p in row] for x, row in zip(xs, ps)],
+                      width=2, diameter=0.5)
+
+
+@pytest.mark.parametrize("beta, gamma", [(0.0, 0.5), (5.0, 0.0)], ids=["beta0", "gamma0"])
+def test_without_a_weighted_gamma_a_candidate_goes_iff_the_outlier_is_cheaper(beta, gamma):
+    # beta * gamma = 0: switching to the outlier can never raise an edge's
+    # cost, so only the unaries decide; at beta = 0 the infinite costs of the
+    # far edges are never multiplied (0 * inf would raise here)
+    hp = HyperParams(alpha=0.3, beta=beta, gamma=gamma)
+    scene = _four_nodes()
+    full = stage_one_energy(scene, hp, keep=3, skip=0)
+    with np.errstate(all="raise"):
+        m = build_stage_one_model(scene, hp, keep=3, skip=0)
+    outlier = full.unary[np.arange(4), scene.candidate_count][:, None]
+    expected = np.isfinite(full.unary) & (full.unary > outlier)
+    assert np.array_equal(np.isinf(m.unary) & np.isfinite(full.unary), expected)
+    assert expected.sum() == 2  # the p=0.5 and p=0.2 candidates
+
+
+def test_zero_candidate_neighbour_is_fixed_and_folded_into_the_unary():
+    # node 0 has no candidate; node 1's candidate (unary 0) beats its
+    # outlier (1.2 / 12 = 0.1) by more than the edge can lose (beta * gamma
+    # = 0.04), so it stays, and the fixed node's edge becomes +0.04 on it
+    hp = HyperParams(alpha=1.2, beta=2.0, gamma=0.02)
+    scene = tiny_scene([(0, 0, 1), (0.01, 0, 1)], [[], [cand((0, 0, 0), p=1.0)]], width=2)
+    m = build_stage_one_model(scene, hp, keep=1, skip=0)
+    full = stage_one_energy(scene, hp, keep=1, skip=0)
+    assert (m.edge_count, full.edge_count) == (0, 1)
+    assert m.labels_per_node == full.labels_per_node == (1, 2)
+    assert m.unary[1].tolist() == [2.0 * 0.02, 1.2 / 12]
+    for labeling in ((0, 0), (0, 1)):
+        assert evaluate_energy(m, labeling) == pytest.approx(evaluate_energy(full, labeling),
+                                                             abs=1e-15)
+
+
+@pytest.mark.parametrize("gamma, survives", [(0.5, True), (0.5000001, False)])
+def test_node_whose_neighbours_are_all_beyond_the_diameter(gamma, survives):
+    # every edge is far: each of a node's 2 edges can lose beta * gamma, and
+    # twelve p=1 candidates give an outlier unary of 1 and candidate unaries
+    # of 0, so a candidate stays iff 1 - 2 * gamma >= 0 (the rule is strict)
+    hp = HyperParams(alpha=1.0, beta=1.0, gamma=gamma)
+    xs = [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
+    scene = tiny_scene(xs, [[cand((0, 0, 0), p=1.0)] * 12] * 3, diameter=0.5)
+    m = build_stage_one_model(scene, hp, keep=2, skip=0)
+    assert np.isfinite(m.unary).sum() == (39 if survives else 3)
+    assert m.edge_count == (3 if survives else 0)
+    if survives:
+        assert (m.unary[:, :12] == 0.0).all()
+
+
+def test_bad_camera_distance_and_object_distance_are_refused_naming_the_edge():
+    from dataclasses import replace
+    scene = _desk_20x15().observation
+    hp = STAGE_ONE_DEFAULTS
+    with pytest.raises(ContractViolation, match=r"stage-one edge \(\d+,\d+\): camera distance "
+                                                r"is not finite"):
+        build_stage_one_model(replace(scene, points=scene.points * 1e200), hp)
+    with pytest.raises(ContractViolation, match=r"stage-one edge \(\d+,\d+\): object-frame "
+                                                r"distance is NaN"):
+        build_stage_one_model(replace(scene, coords=scene.coords * 1e200), hp)
+
+
+def test_reduced_model_gives_its_labelings_their_full_energy():
+    # the TRW-S labeling and the all-outlier labeling of the 20x15 scene
+    # use no eliminated label; the reduced model has a fraction of the edges
+    from crfpose.pipeline import DESK_SCALE_STAGE_ONE
+    from crfpose.trws import solve_trws
+    scene = _desk_20x15().observation
+    hp = DESK_SCALE_STAGE_ONE
+    m = build_stage_one_model(scene, hp)
+    full = stage_one_energy(scene, hp, keep=48, skip=8)
+    for labeling in (solve_trws(m).labeling, scene.candidate_count):
+        assert evaluate_energy(m, labeling) == \
+            pytest.approx(evaluate_energy(full, labeling), rel=1e-12)
+    alive = np.isfinite(m.unary).sum(axis=1)
+    assert m.edge_count < full.edge_count // 4
+    assert (alive == 1).sum() > scene.node_count // 2
