@@ -135,7 +135,7 @@ def test_canonical_report_digest_is_pinned():
         visible_fraction=0.8, coord_noise_sigma=1e-4))
     text = canonical_report(solve_scene(bundle, desk_scale_config()))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "ed4e6b93c0e42177cc4fb0362301c46446950af42b9035a2a631cddce664f54f"
+        "27c7138857d3c933856b73177358f579a2816272c8d5b5077813580fadabd0aa"
 
 
 @pytest.mark.parametrize("canonical", [True, False])

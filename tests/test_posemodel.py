@@ -394,9 +394,9 @@ def test_model_contents_are_pinned():
     labeling = solve_trws(stage_one, cfg.trws).labeling
     inliers = sorted(extract_inliers(stage_one, labeling, scene.candidate_count))
     master = build_stage_two_master(scene, cfg.stage_two, inliers, labeling)
-    assert (stage_one.edge_count, master.node_count) == (8401, 39)
+    assert (stage_one.edge_count, master.node_count) == (481, 39)
     assert _model_digest(stage_one) == \
-        "8aa64653f164aa036d7372e9556b09da4e80d47e90e1f7adc420dad229364d35"
+        "38f273462489cfbe1eeaca0fbb791e57a77cfd33576c22b996eff7e82ec204bb"
     assert _model_digest(master) == \
         "5d2d868ac3d502dff598f030638d056b5516c747d909dd07784cdde01e5fedaa"
 

@@ -339,7 +339,7 @@ def test_solver_output_is_pinned_on_a_stage_one_model():
         visible_fraction=0.8, coord_noise_sigma=1e-4))
     model = build_stage_one_model(bundle.observation, DESK_SCALE_STAGE_ONE)
     assert _solve_digest([model], iterations=10) == \
-        "3285228acb57cc530f4cff17bf27fcb8f82f2fea98f87a2bac02ba2e7202c044"
+        "b3e6fefe129f4b54614ed050ff8e15accdc4c5dc9eded0c0d3e29ec307de8b38"
 
 
 def test_stage_one_model_stores_no_tables():
