@@ -199,36 +199,6 @@ def _refuse_edges(bad: np.ndarray, u: np.ndarray, v: np.ndarray, what: str) -> N
         raise ContractViolation(f"stage-one edge ({u[e]},{v[e]}): {what}")
 
 
-def _camera_distances(scene: SceneObservation, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Camera-frame distance of each edge (u[e], v[e]), equal to the 1-D
-    ``np.linalg.norm`` to the last bit (``pairwise_distances`` differs on
-    ~10% of pairs); a non-finite one raises, naming the edge."""
-    d = scene.points[u] - scene.points[v]
-    with np.errstate(over="ignore"):
-        x_dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-    _refuse_edges(~np.isfinite(x_dist), u, v, "camera distance is not finite")
-    return x_dist
-
-
-def _candidate_costs(scene: SceneObservation, coord_sq: np.ndarray, u: np.ndarray,
-                     v: np.ndarray, x_dist: np.ndarray) -> np.ndarray:
-    """(E, 12, 12) candidate blocks C of edges (u[e], v[e]) at camera
-    distance ``x_dist[e]``: entry (i, k) is |object-frame distance of u's
-    candidate i and v's candidate k − x_dist[e]|, inf past either node's
-    count, and NaN where an object-frame distance overflows to NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        cost = coord_sq[u][:, :, None] + coord_sq[v][:, None, :]
-        cost -= 2.0 * scene.coords[u] @ scene.coords[v].transpose(0, 2, 1)
-        np.sqrt(np.maximum(cost, 0.0, out=cost), out=cost)
-    cost -= x_dist[:, None, None]
-    np.abs(cost, out=cost)
-    count_u, count_v = scene.candidate_count[u], scene.candidate_count[v]
-    if (count_u < MAX_CANDIDATES).any() or (count_v < MAX_CANDIDATES).any():
-        slot = np.arange(MAX_CANDIDATES)
-        cost[(slot >= count_u[:, None])[:, :, None] | (slot >= count_v[:, None])[:, None, :]] = INF
-    return cost
-
-
 def _candidate_minima(scene: SceneObservation, coord_sq: np.ndarray,
                       u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column minima of the candidate blocks C of edges (u[e], v[e]).
@@ -237,23 +207,37 @@ def _candidate_minima(scene: SceneObservation, coord_sq: np.ndarray,
     candidates k, and of the second min_i C_e(i, k) over u's candidates.
     Both are inf past a node's count, where the other node has no candidate,
     and on every edge whose camera points are further apart than the
-    diameter.  A non-finite camera distance or a NaN object-frame distance
-    raises, naming the edge.
+    diameter.  The arithmetic is the lazy table's, so the minima are its
+    minima to the last bit.  A non-finite camera distance or a NaN
+    object-frame distance raises, naming the edge.
     """
-    x_dist = _camera_distances(scene, u, v)
+    d = scene.points[u] - scene.points[v]
+    with np.errstate(over="ignore"):
+        x_dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    _refuse_edges(~np.isfinite(x_dist), u, v, "camera distance is not finite")
     rows = np.full((u.size, MAX_CANDIDATES), INF)
     cols = rows.copy()
     near = np.flatnonzero(x_dist <= scene.object_diameter)
     if near.size:
-        cost = _candidate_costs(scene, coord_sq, u[near], v[near], x_dist[near])
+        a, b = u[near], v[near]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost = coord_sq[a][:, :, None] + coord_sq[b][:, None, :]
+            cost -= 2.0 * scene.coords[a] @ scene.coords[b].transpose(0, 2, 1)
+            np.sqrt(np.maximum(cost, 0.0, out=cost), out=cost)
+        cost -= x_dist[near][:, None, None]
+        np.abs(cost, out=cost)
+        count_a, count_b = scene.candidate_count[a], scene.candidate_count[b]
+        if (count_a < MAX_CANDIDATES).any() or (count_b < MAX_CANDIDATES).any():
+            slot = np.arange(MAX_CANDIDATES)
+            cost[(slot >= count_a[:, None])[:, :, None]
+                 | (slot >= count_b[:, None])[:, None, :]] = INF
         # slab by slab: numpy's reductions over 12-long axes are slower
         row, col = cost[:, :, 0].copy(), cost[:, 0, :].copy()
         for k in range(1, MAX_CANDIDATES):
             np.minimum(row, cost[:, :, k], out=row)
             np.minimum(col, cost[:, k, :], out=col)
         # np.minimum keeps NaN, so every NaN of a block reaches its row minima
-        _refuse_edges(np.isnan(row).any(axis=1), u[near], v[near],
-                      "object-frame distance is NaN")
+        _refuse_edges(np.isnan(row).any(axis=1), a, b, "object-frame distance is NaN")
         rows[near], cols[near] = row, col
     return rows, cols
 
@@ -330,15 +314,25 @@ def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
     unary[:, :MAX_CANDIDATES][eliminated] = INF
     edges = edges[kept]
 
+    points, diameter = scene.points, scene.object_diameter
+    # per-node views, made once: slicing in every call slows the table build
+    coords, coord_sq = list(scene.coords), list(coord_sq)
+
     def table_fn(u, v):
         ku, kv = count[u], count[v]
         table = np.full((ku + 1, kv + 1), hp.gamma)
         table[ku, kv] = 0.0
         if ku and kv:
-            edge = np.array([u]), np.array([v])
-            x_dist = _camera_distances(scene, *edge)
-            table[:ku, :kv] = INF if x_dist[0] > scene.object_diameter else \
-                _candidate_costs(scene, coord_sq, *edge, x_dist)[0, :ku, :kv]
+            # the pass's arithmetic on one edge, over all 12 slots: a 1-D norm
+            # (pairwise_distances differs in the last bit on ~10% of pairs)
+            # and a 12x12 product (a smaller one differs in the last bit)
+            x_dist = float(np.linalg.norm(points[u] - points[v]))
+            if x_dist > diameter:
+                table[:ku, :kv] = INF
+            else:
+                d2 = coord_sq[u][:, None] + coord_sq[v][None, :] \
+                    - 2.0 * coords[u] @ coords[v].T
+                table[:ku, :kv] = np.abs(np.sqrt(np.maximum(d2, 0.0)) - x_dist)[:ku, :kv]
         return table
 
     return GraphicalModel(

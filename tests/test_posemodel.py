@@ -427,22 +427,18 @@ def test_candidate_minima_are_those_of_the_lazy_tables():
             assert (rows[e, ka:] == INF).all() and (cols[e, kb:] == INF).all()
 
 
-def _four_nodes(gamma_scene=False):
-    # a 2x2 grid: the rows 0.3 apart lie within the 0.5 diameter, the
-    # columns and diagonals 0.6 and more apart do not
-    xs = [(0, 0, 1), (0.3, 0, 1), (0, 0.6, 1), (0.3, 0.6, 1)]
-    ps = [[0.99, 0.5], [0.95], [0.9, 0.97, 0.2], []]
-    return tiny_scene(xs, [[cand(x, p=p) for p in row] for x, row in zip(xs, ps)],
-                      width=2, diameter=0.5)
-
-
 @pytest.mark.parametrize("beta, gamma", [(0.0, 0.5), (5.0, 0.0)], ids=["beta0", "gamma0"])
 def test_without_a_weighted_gamma_a_candidate_goes_iff_the_outlier_is_cheaper(beta, gamma):
     # beta * gamma = 0: switching to the outlier can never raise an edge's
     # cost, so only the unaries decide; at beta = 0 the infinite costs of the
     # far edges are never multiplied (0 * inf would raise here)
     hp = HyperParams(alpha=0.3, beta=beta, gamma=gamma)
-    scene = _four_nodes()
+    # a 2x2 grid: nodes in a row, 0.3 apart, are within the 0.5 diameter;
+    # nodes in a column, 0.6 apart, and diagonal ones are not
+    xs = [(0, 0, 1), (0.3, 0, 1), (0, 0.6, 1), (0.3, 0.6, 1)]
+    ps = [[0.99, 0.5], [0.95], [0.9, 0.97, 0.2], []]
+    scene = tiny_scene(xs, [[cand(x, p=p) for p in row] for x, row in zip(xs, ps)],
+                       width=2, diameter=0.5)
     full = stage_one_energy(scene, hp, keep=3, skip=0)
     with np.errstate(all="raise"):
         m = build_stage_one_model(scene, hp, keep=3, skip=0)
