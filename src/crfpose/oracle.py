@@ -285,11 +285,11 @@ def sample_tiny_scene(rng: np.random.Generator):
 def stage_one_energy(scene, hp, keep: int, skip: int) -> GraphicalModel:
     """The unreduced stage-one energy with every table built up front from
     ``pairwise_cost``: the reference for ``build_stage_one_model``."""
-    from .posemodel import build_sparse_neighborhood, pairwise_cost
+    from .posemodel import MAX_CANDIDATES, build_sparse_neighborhood, pairwise_cost
 
     count = scene.candidate_count.tolist()
     unary = [np.append((1.0 - scene.confidence[u, :k]) * hp.alpha,
-                       scene.confidence[u, :k].sum() * hp.alpha / 12)
+                       scene.confidence[u, :k].sum() * hp.alpha / MAX_CANDIDATES)
              for u, k in enumerate(count)]
     edges = build_sparse_neighborhood(scene.grid_width, scene.grid_height, keep=keep, skip=skip)
     tables = []
@@ -493,9 +493,10 @@ def verify_elimination(trials: int = 400, seed: int = 0,
     """Stage-one elimination against brute force on tiny random scenes.
 
     The reduced model must keep every node's labels, no optimum of the
-    unreduced energy (``stage_one_energy``) may use a label it eliminated,
-    and its optimum must be an optimum of the unreduced energy, both
-    energies equal to within ``tolerance`` relative.
+    unreduced energy (``stage_one_energy``) may use a label the reduced
+    model eliminated, and the reduced model's optimum must be an optimum of
+    the unreduced energy, both energies equal to within ``tolerance``
+    relative.
     """
     from .posemodel import build_stage_one_model
 
