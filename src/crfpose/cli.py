@@ -1,4 +1,4 @@
-"""Command-line front end: generate, solve, verify, bench.
+"""Command-line front end: generate, solve, verify.
 
 Exit codes: 0 success (a no-detection solve is success), 1 internal failure,
 2 usage or input-parsing error.
@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import replace
 
 from .model import ContractViolation
 from .oracle import VERIFY_SUITES
-from .pipeline import (SCHEMES, ConfigError, PipelineConfig, desk_scale_config,
-                       load_config, solve_scene, summary_line, write_report)
-from .synth import (SceneFormatError, default_scenario, generate_bundle,
-                    load_scene, load_scenario, save_scene)
+from .pipeline import (SCHEMES, ConfigError, PipelineConfig, load_config, solve_scene,
+                       summary_line, write_report)
+from .synth import (SceneFormatError, generate_bundle, load_scene, load_scenario,
+                    save_scene)
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 1
@@ -60,22 +59,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else INTERNAL_ERROR
 
 
-def _cmd_bench(args) -> int:
-    scenario = default_scenario(seed=args.seed, coord_noise_sigma=1e-4,
-                                inlier_rate=0.85, visible_fraction=0.8)
-    t0 = time.perf_counter()
-    bundle = generate_bundle(scenario)
-    t_gen = time.perf_counter() - t0
-    report = solve_scene(bundle, desk_scale_config())
-    print(f"generate: {t_gen:.2f}s")
-    for stage, seconds in report["timings"].items():
-        print(f"{stage}: {seconds:.2f}s")
-    print(summary_line(report))
-    if args.out:
-        write_report(report, args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crfpose",
@@ -103,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=_cmd_verify)
-
-    b = sub.add_parser("bench", help="time the pipeline stages on a default scene")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--out", default=None)
-    b.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -192,26 +192,27 @@ def weighted_table(table: np.ndarray, weight: float) -> np.ndarray:
     return out
 
 
-def evaluate_energy(model: GraphicalModel, labeling: Sequence[int]) -> float:
-    """Total energy: unaries + pairwise_weight * pairwise + constant.
+def block_energies(model: GraphicalModel, block: np.ndarray) -> np.ndarray:
+    """Total energies of the labelings that are the rows of the (B, n) ``block``.
 
-    Returns inf as soon as any participating term is inf (regardless of the
-    pairwise weight).  Summation order is fixed, so repeated evaluation is
-    bit-identical.
+    The one summation order for a model's energy: the constant, then the
+    unaries in node order, then the ``weighted_table`` entries in edge
+    order.  A row with any inf term is inf (regardless of the pairwise
+    weight), and repeated evaluation is bit-identical.
     """
-    _check_labeling(model, labeling)
-    labeling = [int(l) for l in labeling]
-    total = model.constant
-    for c in model.unary[np.arange(model.node_count), labeling].tolist():
-        if math.isinf(c):
-            return INF
-        total += c
+    energies = np.full(block.shape[0], model.constant, dtype=float)
+    for u in range(model.node_count):
+        energies += model.unary[u, block[:, u]]
     for e, (u, v) in enumerate(model.edges.tolist()):
-        c = float(model.edge_table(e)[labeling[u], labeling[v]])
-        if math.isinf(c):
-            return INF
-        total += model.pairwise_weight * c
-    return total
+        energies += weighted_table(model.edge_table(e)[block[:, u], block[:, v]],
+                                   model.pairwise_weight)
+    return energies
+
+
+def evaluate_energy(model: GraphicalModel, labeling: Sequence[int]) -> float:
+    """Total energy of one labeling: ``block_energies`` of a single row."""
+    _check_labeling(model, labeling)
+    return float(block_energies(model, np.array([[int(l) for l in labeling]]))[0])
 
 
 def induce_submodel(model: GraphicalModel, keep) -> tuple[GraphicalModel, tuple[int, ...]]:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (INF, ContractViolation, GraphicalModel, PartialLabeling,
-                    UNLABELED, evaluate_energy, extend_partial, induce_submodel,
-                    weighted_table)
+                    UNLABELED, block_energies, evaluate_energy, extend_partial,
+                    induce_submodel)
 
 STATE_SPACE_GUARD = 10 ** 7
 _CHUNK = 1 << 15
@@ -34,11 +34,6 @@ def _guard(model: GraphicalModel) -> int:
     return total
 
 
-def _weighted_tables(model: GraphicalModel) -> list[np.ndarray]:
-    return [weighted_table(model.edge_table(e), model.pairwise_weight)
-            for e in range(model.edge_count)]
-
-
 def _labeling_block(model: GraphicalModel, start: int, stop: int) -> np.ndarray:
     """Rows are labelings ``start..stop`` in lexicographic order (node 0 most
     significant); deterministic, order-stable."""
@@ -53,16 +48,6 @@ def _labeling_block(model: GraphicalModel, start: int, stop: int) -> np.ndarray:
     return block
 
 
-def _block_energies(model: GraphicalModel, block: np.ndarray,
-                    wtables: list[np.ndarray]) -> np.ndarray:
-    e = np.full(block.shape[0], model.constant, dtype=float)
-    for u in range(model.node_count):
-        e += model.unary[u, block[:, u]]
-    for ei, (u, v) in enumerate(model.edges.tolist()):
-        e += wtables[ei][block[:, u], block[:, v]]
-    return e
-
-
 @dataclass
 class OracleResult:
     optimal_energy: float
@@ -74,13 +59,12 @@ class OracleResult:
 def brute_force(model: GraphicalModel, cap: int = 1024) -> OracleResult:
     """Exhaustive exact minimization; optima listed lexicographically up to ``cap``."""
     total = _guard(model)
-    wtables = _weighted_tables(model)
     best = INF
     optima: list[tuple[int, ...]] = []
     truncated = False
     for start in range(0, total, _CHUNK):
         block = _labeling_block(model, start, min(start + _CHUNK, total))
-        energies = _block_energies(model, block, wtables)
+        energies = block_energies(model, block)
         lo = energies.min()
         if lo < best:
             best = lo
@@ -102,14 +86,13 @@ def check_persistency(model: GraphicalModel, partial: PartialLabeling) -> bool:
     if len(partial) != model.node_count:
         raise ContractViolation("partial labeling size mismatch")
     total = _guard(model)
-    wtables = _weighted_tables(model)
     assignment = np.array(partial.assignment, dtype=np.int64)
     labeled = np.flatnonzero(assignment != UNLABELED)
     best = agreeing = INF
     agrees_anywhere = False
     for start in range(0, total, _CHUNK):
         block = _labeling_block(model, start, min(start + _CHUNK, total))
-        energies = _block_energies(model, block, wtables)
+        energies = block_energies(model, block)
         best = min(best, float(energies.min()))
         agree = (block[:, labeled] == assignment[labeled]).all(axis=1)
         if agree.any():
@@ -418,11 +401,10 @@ def verify_zero_form(trials: int = 100, max_nodes: int = 8, seed: int = 0,
     for t, rng in enumerate(_spawn(seed, trials)):
         m = sample_binary_model(rng, max_nodes=max_nodes)
         z, _ = to_zero_form(m)
-        tables = _weighted_tables(m), _weighted_tables(z)
         worst = 0.0
         for start in range(0, 2 ** m.node_count, _CHUNK):
             block = _labeling_block(m, start, min(start + _CHUNK, 2 ** m.node_count))
-            gap = _block_energies(m, block, tables[0]) - _block_energies(z, block, tables[1])
+            gap = block_energies(m, block) - block_energies(z, block)
             worst = max(worst, float(np.abs(gap).max()))
         if worst <= tolerance:
             report.passes += 1

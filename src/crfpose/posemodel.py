@@ -32,9 +32,12 @@ class HyperParams:
     gamma: float
 
     def __post_init__(self):
-        # written so that NaN fails the test
-        if not (0 < self.alpha < INF and 0 <= self.beta < INF and 0 <= self.gamma < INF):
-            raise ContractViolation(f"require finite alpha > 0, beta >= 0 and gamma >= 0: {self}")
+        # written so that NaN fails the test; beta * gamma is an edge's
+        # cost of an outlier next to an inlier, so it must not overflow
+        if not (0 < self.alpha < INF and 0 <= self.beta < INF and 0 <= self.gamma < INF
+                and self.beta * self.gamma < INF):
+            raise ContractViolation("require finite alpha > 0, beta >= 0 and gamma >= 0 "
+                                    f"with a finite beta * gamma: {self}")
 
 
 STAGE_ONE_DEFAULTS = HyperParams(alpha=0.21, beta=23.1, gamma=0.0048)

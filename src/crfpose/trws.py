@@ -1,4 +1,4 @@
-"""Tree-reweighted message passing on monotone chains, one dependency level at a time.
+"""Tree-reweighted message passing on monotone chains, node by node.
 
 The edge set is decomposed into monotone chains w.r.t. the fixed row-major
 node order (greedy smallest-successor extension).  Each chain owns its edges'
@@ -16,24 +16,13 @@ compiled arrays; energy minus bound is a gap that certifies the labeling
 gap is at most ``GAP_TOLERANCE * max(1, |energy|)``, and otherwise after
 ``TrwsConfig.iterations``.
 
-A node's update reads only its chain neighbours, which are graph neighbours.
-So each node gets a level, 1 + the largest level among its lower-index
-neighbours: no edge joins two nodes of one level, and every lower-index
-neighbour sits in an earlier level.  A sweep updates a whole level in one
-array step, and the rounding pass labels a whole level at once; both
-give the node-by-node result to the last bit.  That holds because every sum
-keeps the order numpy gives a single node's (slots, labels) block: rows
-added one by one, except that a single-label node's lone column of 8 or
-more rows is added pairwise.  Rounding adds the predecessor rows in slot
-order.  Minima are exact in any order.
-
 Every pairwise table is held once, β-weighted and INF-padded, in one
 (E, Lmax, Lmax) array indexed by edge id, and the unaries are the model's
-(n, Lmax) array, transposed.  The per-slot messages and unary shares are
-(Lmax, S) arrays, INF past each node's label count, with the slots
-numbered by (level, node, chain order) so that a level is one column
-range.  What a slot passes on along its chain is recomputed as message +
-share where it is read, not stored.
+(n, Lmax) array.  The per-slot messages and unary shares are (S, Lmax)
+arrays, INF past each node's label count, with the slots numbered by
+(node, chain order) so that a node's slots are one row range.  What a slot
+passes on along its chain is recomputed as message + share where it is
+read, not stored.
 """
 
 from __future__ import annotations
@@ -89,89 +78,48 @@ def monotone_chains(node_count: int, edges) -> list[list[int]]:
     return chains
 
 
-def node_levels(node_count: int, edges) -> np.ndarray:
-    """Per node, 1 + the largest level among its lower-index neighbours (1 if none)."""
-    level = [1] * node_count
-    ends = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
-    # by upper end: a lower end's level is final before any edge leaves it
-    ends = ends[np.argsort(ends[:, 1], kind="stable")]
-    for u, v in ends.tolist():
-        level[v] = max(level[v], level[u] + 1)
-    return np.array(level, dtype=np.int64)
+class _Node:
+    """One node with slots: its row range ``rows``, label count ``k`` and
+    the slots linked to its slots along their chains."""
 
-
-class _Level:
-    """Index arrays of one level, whose slots are the column range ``cols``."""
-
-    def __init__(self, cols, slot_node, rank, prev, next_, prev_edge, labels):
-        lo = cols.start
-        self.cols = cols
-        self.rank = rank[cols]
-        starts = np.flatnonzero(self.rank == 0)
-        self.nodes = slot_node[lo + starts]
-        self.count = np.diff(np.append(starts, self.rank.size))
-        self.kmax = int(self.count.max())
-        self.local = np.cumsum(self.rank == 0) - 1  # position of each slot's node
-        # single-label nodes with >= 8 slots, grouped by slot count
-        lone = (labels[self.nodes] == 1) & (self.count >= 8)
-        self.lone_columns = [np.flatnonzero(lone & (self.count == k))
-                             for k in np.unique(self.count[lone])]
-        self.prev_rows = np.flatnonzero(prev[cols] >= 0)
-        self.prev_at = lo + self.prev_rows
+    def __init__(self, u, rows, k, slot_node, prev, next_, prev_edge):
+        self.u, self.rows, self.k = u, rows, k
+        self.prev_at = rows.start + np.flatnonzero(prev[rows] >= 0)
         self.prev_slots = prev[self.prev_at]
+        self.prev_nodes = slot_node[self.prev_slots]
         self.prev_edges = prev_edge[self.prev_at]
-        self.next_at = lo + np.flatnonzero(next_[cols] >= 0)
+        self.next_at = rows.start + np.flatnonzero(next_[rows] >= 0)
         self.next_slots = next_[self.next_at]
         self.next_edges = prev_edge[self.next_slots]
 
 
-def _chain_slots(model: GraphicalModel, labels: np.ndarray):
-    """Chain slots numbered by (level, node, chain order), split into levels.
+def _chain_slots(model: GraphicalModel):
+    """Chain slots numbered by (node, chain order).
 
-    Returns per slot its node, the chain heads' slots in chain order, the
-    levels and the isolated nodes.
+    Returns per slot its node, its predecessor and successor slots and the
+    edge id of the link from its predecessor (-1 where there is none), and
+    the chain heads' slots in chain order.
     """
-    n = model.node_count
-    # slots in chain order: node, neighbouring slots, edge id of the link
-    # from the predecessor (-1 where there is none)
-    old_node, heads = [], []
-    for chain in monotone_chains(n, model.edges):
+    edge_id = {pair: e for e, pair in enumerate(map(tuple, model.edges.tolist()))}
+    # per slot in chain order: its node and the edge id of its link
+    old_node, old_edge, heads = [], [], []
+    for chain in monotone_chains(model.node_count, model.edges):
         heads.append(len(old_node))
         old_node += chain
+        old_edge += [-1] + [edge_id[link] for link in zip(chain, chain[1:])]
     old_node = np.array(old_node, np.int64)
-    index = np.arange(old_node.size)
-    is_head = np.isin(index, heads)
-    old_prev = np.where(is_head, -1, index - 1)
-    old_next = np.where(np.append(is_head[1:], True), -1, index + 1)
-    # a link (a, b) has a < b, so its edge id is found by the key a * n + b
-    keys = model.edges[:, 0] * n + model.edges[:, 1]
-    by_key = np.argsort(keys)
-    links = np.flatnonzero(~is_head)
-    old_edge = np.full(old_node.size, -1, np.int64)
-    old_edge[links] = by_key[np.searchsorted(keys[by_key],
-                                             old_node[links - 1] * n + old_node[links])]
-
-    # renumber by (level, node, chain order); lexsort is stable
-    level = node_levels(n, model.edges)
-    perm = np.lexsort((old_node, level[old_node]))
-    new = np.empty_like(perm)
-    new[perm] = index
-    slot_node = old_node[perm]
-    prev = np.where(old_prev[perm] >= 0, new[old_prev[perm]], -1)
-    next_ = np.where(old_next[perm] >= 0, new[old_next[perm]], -1)
-    prev_edge = old_edge[perm]
-    # a node's slots are contiguous; rank is the row within them
-    starts = np.diff(slot_node, prepend=-1) != 0
-    rank = index - np.maximum.accumulate(np.where(starts, index, 0))
-    bounds = np.append(np.unique(level[slot_node], return_index=True)[1], index.size)
-    levels = [_Level(slice(lo, hi), slot_node, rank, prev, next_, prev_edge, labels)
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    isolated = np.setdiff1d(np.arange(n), slot_node).tolist()
-    return slot_node, new[heads], levels, isolated
+    perm = np.argsort(old_node, kind="stable")
+    new = np.argsort(perm)  # the inverse permutation
+    prev_edge = np.array(old_edge, np.int64)[perm]
+    linked = prev_edge >= 0
+    prev = np.where(linked, new[perm - 1], -1)
+    next_ = np.full_like(prev, -1)
+    next_[prev[linked]] = np.flatnonzero(linked)
+    return old_node[perm], prev, next_, prev_edge, new[heads]
 
 
 class _Compiled:
-    """Chain structure flattened into level-ordered slot arrays.
+    """Chain structure flattened into node-ordered slot arrays.
 
     ``tables[e]`` is edge e's β-weighted table, INF-padded to (Lmax, Lmax),
     INF wherever the model's entry is ±inf (also at β = 0).  Edges are stored
@@ -183,7 +131,7 @@ class _Compiled:
     def __init__(self, model: GraphicalModel):
         n = model.node_count
         labels = np.array(model.labels_per_node, dtype=np.int64)
-        self.lmax = lmax = int(labels.max())
+        lmax = int(labels.max())
         self.tables = np.full((model.edge_count, lmax, lmax), INF)
         source = model.pairwise  # the model's own (E, Lmax, Lmax) stack
         if model.table_fn is not None:
@@ -195,42 +143,35 @@ class _Compiled:
         for lo in range(0, model.edge_count, WEIGHT_CHUNK):
             chunk = slice(lo, lo + WEIGHT_CHUNK)
             self.tables[chunk] = weighted_table(source[chunk], model.pairwise_weight)
-        self.unary = np.ascontiguousarray(model.unary.T)  # (Lmax, n), C order as the sweeps expect
+        self.unary = model.unary
 
-        self.slot_node, self.head_slots, self.levels, self.isolated = \
-            _chain_slots(model, labels)
-        slot_node = self.slot_node
-        self.fwd = np.where(np.arange(lmax)[:, None] < labels[slot_node], 0.0, INF)
+        slot_node, prev, next_, prev_edge, self.head_slots = _chain_slots(model)
+        bounds = np.append(np.flatnonzero(np.diff(slot_node, prepend=-1)), slot_node.size)
+        self.nodes = [_Node(int(slot_node[lo]), slice(lo, hi), int(labels[slot_node[lo]]),
+                            slot_node, prev, next_, prev_edge)
+                      for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        self.isolated = np.setdiff1d(np.arange(n), slot_node).tolist()
+        self.fwd = np.where(np.arange(lmax) < labels[slot_node, None], 0.0, INF)
         self.bwd = self.fwd.copy()
-        self.theta = self.unary[:, slot_node] / np.bincount(slot_node, minlength=n)[slot_node]
+        self.theta = self.unary[slot_node] / np.bincount(slot_node, minlength=n)[slot_node, None]
         self.edges = model.edges
 
     def outgoing(self, msg: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """What ``slots`` pass on along their chains in the current sweep.
+        """What ``slots`` pass on along their chains: final once their node
+        is done in the current sweep."""
+        return msg[slots] + self.theta[slots]
 
-        ``msg + theta`` is final once the slots' level is done in the sweep.
-        """
-        return msg[:, slots] + self.theta[:, slots]
-
-    def node_sums(self, values: np.ndarray, lv: _Level) -> np.ndarray:
-        """(Lmax, nodes) sums of a level's per-slot columns, in slot order."""
-        block = np.zeros((lv.kmax, self.lmax, lv.nodes.size))
-        block[lv.rank, :, lv.local] = values.T
-        sums = block.sum(axis=0)  # adds the rows one by one; zero padding is exact
-        for cols in lv.lone_columns:
-            k = lv.count[cols[0]]
-            sums[0, cols] = np.ascontiguousarray(block[:k, 0, cols].T).sum(axis=1)
-        return sums
-
-    def average(self, lv: _Level, flagged: np.ndarray) -> None:
-        """Replace the level's unary shares by averaged min-marginals."""
-        fwd, bwd = self.fwd[:, lv.cols], self.bwd[:, lv.cols]
-        mbar = self.node_sums(fwd + self.theta[:, lv.cols] + bwd, lv) / lv.count
+    def average(self, nd: _Node, flagged: np.ndarray) -> None:
+        """Replace the node's unary shares by averaged min-marginals."""
+        rows, k = nd.rows, nd.k
+        fwd, bwd = self.fwd[rows, :k], self.bwd[rows, :k]
+        # numpy's order over the (slots, k) slice is the order the pins hold
+        mbar = (fwd + self.theta[rows, :k] + bwd).sum(axis=0) / (rows.stop - rows.start)
         finite = np.isfinite(mbar)
-        flagged[lv.nodes[~finite.any(axis=0)]] = True
+        if not finite.any():
+            flagged[nd.u] = True
         with np.errstate(invalid="ignore"):
-            self.theta[:, lv.cols] = np.where(finite[:, lv.local],
-                                              mbar[:, lv.local] - fwd - bwd, INF)
+            self.theta[rows, :k] = np.where(finite, mbar - fwd - bwd, INF)
 
     def round_labeling(self) -> tuple[np.ndarray, np.ndarray]:
         """A labeling and its fallback mask, from one conditional forward pass.
@@ -239,26 +180,23 @@ class _Compiled:
         labels, with future guidance through the backward messages; a node
         with no finite score, isolated ones included, keeps its unary argmin.
         """
-        labeling = self.unary.argmin(axis=0)
-        fallback = ~np.isfinite(self.unary).any(axis=0)
-        for lv in self.levels:
-            score = self.unary[:, lv.nodes] + self.node_sums(self.bwd[:, lv.cols], lv)
-            rows = np.zeros((lv.kmax, self.lmax, lv.nodes.size))
-            prev_labels = labeling[self.slot_node[lv.prev_slots]]
-            rows[lv.rank[lv.prev_rows], :, lv.local[lv.prev_rows]] = \
-                self.tables[lv.prev_edges, prev_labels]
-            for row in rows:  # predecessor rows in slot order; zero rows change no score
-                score += row
-            finite = np.isfinite(score).any(axis=0)
-            labeling[lv.nodes] = np.where(finite, score.argmin(axis=0), labeling[lv.nodes])
-            fallback[lv.nodes] = ~finite
+        labeling = self.unary.argmin(axis=1)
+        fallback = ~np.isfinite(self.unary).any(axis=1)
+        for nd in self.nodes:
+            score = self.unary[nd.u, : nd.k] + self.bwd[nd.rows, : nd.k].sum(axis=0)
+            for row in self.tables[nd.prev_edges, labeling[nd.prev_nodes], : nd.k]:
+                score += row  # predecessor rows in slot order
+            if np.isfinite(score).any():
+                labeling[nd.u] = score.argmin()
+            else:
+                fallback[nd.u] = True
         return labeling, fallback
 
     def energy(self, labeling: np.ndarray) -> float:
         """Unary plus β-weighted pairwise energy of ``labeling``, from the
         compiled arrays (inf if any term is); the model constant is not in it."""
         u, v = self.edges.T
-        return float(self.unary[labeling, np.arange(labeling.size)].sum()
+        return float(self.unary[np.arange(labeling.size), labeling].sum()
                      + self.tables[np.arange(u.size), labeling[u], labeling[v]].sum())
 
 
@@ -282,23 +220,21 @@ def solve_trws(model: GraphicalModel, cfg: TrwsConfig | None = None) -> TrwsResu
 
     bound_history = []
     for _ in range(cfg.iterations):
-        for lv in comp.levels:  # forward sweep
-            if lv.prev_at.size:
-                t = np.ascontiguousarray(tables[lv.prev_edges].transpose(1, 2, 0))
-                t += comp.outgoing(comp.fwd, lv.prev_slots)[:, None, :]
-                comp.fwd[:, lv.prev_at] = t.min(axis=0)
-            comp.average(lv, flagged)
-        for lv in reversed(comp.levels):  # backward sweep
-            if lv.next_at.size:
-                t = np.ascontiguousarray(tables[lv.next_edges].transpose(1, 2, 0))
-                t += comp.outgoing(comp.bwd, lv.next_slots)[None, :, :]
-                comp.bwd[:, lv.next_at] = t.min(axis=1)
-            comp.average(lv, flagged)
+        for nd in comp.nodes:  # forward sweep
+            if nd.prev_at.size:
+                t = tables[nd.prev_edges] + comp.outgoing(comp.fwd, nd.prev_slots)[:, :, None]
+                comp.fwd[nd.prev_at] = t.min(axis=1)
+            comp.average(nd, flagged)
+        for nd in reversed(comp.nodes):  # backward sweep
+            if nd.next_at.size:
+                t = tables[nd.next_edges] + comp.outgoing(comp.bwd, nd.next_slots)[:, None, :]
+                comp.bwd[nd.next_at] = t.min(axis=2)
+            comp.average(nd, flagged)
         # isolated nodes summed as the energy sums its unaries, so that an
         # edgeless model's gap is exactly 0
         bound = model.constant + float(model.unary[comp.isolated].min(axis=1).sum())
         if comp.head_slots.size:
-            bound += float(comp.outgoing(comp.bwd, comp.head_slots).min(axis=0).sum())
+            bound += float(comp.outgoing(comp.bwd, comp.head_slots).min(axis=1).sum())
         bound_history.append(bound)
         labeling, fallback = comp.round_labeling()
         energy = comp.energy(labeling) + model.constant

@@ -142,6 +142,13 @@ def test_non_finite_config_values_exit_2_naming_line_and_key(tmp_path, scene_fil
         parse_config(line)
 
 
+def test_overflowing_beta_times_gamma_names_the_line():
+    text = "# run\nstage_one.beta = 1e200\nstage_one.gamma = 1e200\n"
+    with pytest.raises(ConfigError,
+                       match=r"line 3: bad value for 'stage_one.gamma'.*finite beta \* gamma"):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"grid_width": 20.7}, "field 'grid_width' must be an integer"),
     ({"inlier_rat": 0.5}, "unknown field 'inlier_rat'"),

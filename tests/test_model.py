@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from crfpose.model import (INF, UNLABELED, ContractViolation, GraphicalModel,
-                           PartialLabeling, evaluate_energy, extend_partial,
-                           induce_submodel)
-from crfpose.oracle import _spawn, sample_sparse_model
+                           PartialLabeling, block_energies, evaluate_energy,
+                           extend_partial, induce_submodel)
+from crfpose.oracle import _spawn, sample_hard_model, sample_sparse_model
 from crfpose.qpbo import binary_tables
 
 
@@ -263,6 +263,26 @@ def test_lazy_and_materialized_tables_agree():
         for _ in range(30):
             l = [int(rng.integers(k)) for k in labels]
             assert evaluate_energy(lazy, l) == evaluate_energy(mat, l)
+
+
+def test_block_energies_follow_the_one_summation_order():
+    # the constant, then the unaries in node order, then the weighted pairwise
+    # entries in edge order; an inf term makes the row inf, also at β = 0
+    for rng in _spawn(61, 30):
+        m = sample_hard_model(rng)
+        k = np.array(m.labels_per_node)
+        block = (rng.random((40, k.size)) * k).astype(np.int64)
+        expected = []
+        for row in block.tolist():
+            total = m.constant
+            for u, l in enumerate(row):
+                total += float(m.unary[u, l])
+            for e, (u, v) in enumerate(m.edges.tolist()):
+                c = float(m.edge_table(e)[row[u], row[v]])
+                total += INF if c == INF else m.pairwise_weight * c
+            expected.append(total)
+        assert block_energies(m, block).tolist() == expected
+        assert [evaluate_energy(m, row) for row in block] == expected
 
 
 def test_pairwise_and_table_fn_together_are_refused():

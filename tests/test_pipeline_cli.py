@@ -360,13 +360,6 @@ def test_cli_usage_error_exits_2():
     assert main([]) == 2
 
 
-def test_cli_bench_runs(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--seed", "1", "--out", str(out)]) == 0
-    assert "stage_one" in capsys.readouterr().out
-    assert out.exists()
-
-
 def test_cli_solve_canonical_bytes_repeat(tmp_path):
     scenario = write_scenario(tmp_path)
     scene = tmp_path / "scene.json"

@@ -279,6 +279,14 @@ def test_stage_two_rejects_bad_inputs():
         build_stage_two_master(scene, STAGE_TWO_DEFAULTS, {0}, [1])
 
 
+def test_hyper_params_refuse_an_overflowing_beta_times_gamma():
+    # each is finite, but an edge's beta * gamma overflows to inf, and the
+    # elimination pass would then add an inf and a -inf change
+    with pytest.raises(ContractViolation, match=r"finite beta \* gamma"):
+        HyperParams(alpha=0.2, beta=1e200, gamma=1e200)
+    assert HyperParams(alpha=0.2, beta=1e200, gamma=1e-200).beta == 1e200
+
+
 def test_stage_two_build_is_deterministic():
     xs = [(0, 0, 1), (0.02, 0, 1), (0.01, 0.01, 1)]
     cand_lists = [[cand((0, 0, 0), p=0.9)], [cand((0.02, 0, 0), p=0.8)],

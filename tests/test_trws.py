@@ -9,9 +9,8 @@ from crfpose.model import (INF, ContractViolation, GraphicalModel,
                            evaluate_energy)
 from crfpose.oracle import (brute_force, sample_hard_model, sample_sparse_model,
                             sample_tree_model, _spawn)
-from crfpose.posemodel import build_sparse_neighborhood
-from crfpose.trws import (GAP_TOLERANCE, TrwsConfig, extract_inliers, monotone_chains,
-                          node_levels, solve_trws)
+from crfpose.trws import (GAP_TOLERANCE, TrwsConfig, _chain_slots, extract_inliers,
+                          monotone_chains, solve_trws)
 
 
 def test_single_node_exact():
@@ -39,6 +38,27 @@ def test_chains_cover_all_edges_monotonically():
                 assert (a, b) not in covered
                 covered.add((a, b))
         assert covered == set(map(tuple, m.edges.tolist()))
+
+
+def test_chain_slots_give_each_node_one_row_range():
+    for rng in _spawn(91, 40):
+        n = int(rng.integers(1, 30))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < rng.choice([0.05, 0.3, 0.9])]
+        rng.shuffle(edges)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        m = GraphicalModel((2,) * n, np.zeros((n, 2)), tuple(edges),
+                           pairwise=np.zeros((len(edges), 2, 2)))
+        slot_node, prev, next_, prev_edge, heads = _chain_slots(m)
+        assert np.all(np.diff(slot_node) >= 0)
+        linked = np.flatnonzero(prev >= 0)
+        assert np.array_equal(np.flatnonzero(prev < 0), np.sort(heads))
+        assert np.array_equal(next_[prev[linked]], linked)
+        assert (next_ >= 0).sum() == linked.size
+        # each edge is the link into exactly one slot, from a lower node
+        assert np.array_equal(np.sort(prev_edge[linked]), np.arange(m.edge_count))
+        assert np.array_equal(m.edges[prev_edge[linked]],
+                              np.stack([slot_node[prev[linked]], slot_node[linked]], axis=1))
 
 
 def test_exact_on_random_chains():
@@ -212,34 +232,6 @@ def test_hard_model_sampler_reaches_the_inf_regimes():
         for e in range(m.edge_count):
             t = m.edge_table(e)
             assert np.isfinite(t[0]).all() and np.isfinite(t[:, 0]).all()
-
-
-def _assert_levels(node_count, edges):
-    level = node_levels(node_count, edges)
-    lower = [[] for _ in range(node_count)]
-    for u, v in edges:
-        lower[max(u, v)].append(min(u, v))
-        assert level[u] != level[v]
-    for v in range(node_count):
-        assert level[v] == 1 + max((level[u] for u in lower[v]), default=0)
-    return level
-
-
-def test_levels_on_random_edge_sets():
-    for rng in _spawn(91, 40):
-        n = int(rng.integers(1, 30))
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < rng.choice([0.05, 0.3, 0.9])]
-        rng.shuffle(edges)
-        _assert_levels(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
-
-
-@pytest.mark.parametrize("width, height, levels", [(20, 15, None), (32, 24, 91),
-                                                   (64, 48, 179)])
-def test_levels_on_sparse_grids(width, height, levels):
-    level = _assert_levels(width * height, build_sparse_neighborhood(width, height))
-    if levels is not None:
-        assert level.max() == levels
 
 
 def test_extract_inliers():
