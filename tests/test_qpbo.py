@@ -4,7 +4,7 @@ import importlib
 import numpy as np
 import pytest
 
-from crfpose.maxflow import FlowNetwork, max_flow
+from crfpose.maxflow import RESIDUAL_EPS, FlowNetwork, max_flow
 from crfpose.model import (INF, GraphicalModel, UNLABELED,
                            ContractViolation)
 from crfpose.oracle import (brute_force, check_persistency, sample_binary_model,
@@ -243,3 +243,115 @@ def test_max_flow_is_pinned_on_random_networks():
         h.update(repr(record).encode())
     assert h.hexdigest() == \
         "95b1702989ef565d92f345dc20aa1a4602b50908bf2080fe83592d92d622ef25"
+
+
+def _layered_network(rng):
+    """Source, 4-8 layers of 2-5 nodes, sink; arcs between neighbouring
+    layers (each node has one into the next), forward skips that make
+    shorter paths, backward arcs, parallel arcs, zero capacities, self-loops."""
+    depth = int(rng.integers(4, 9))
+    layers, n = [[0]], 1
+    for width in rng.integers(2, 6, depth).tolist():
+        layers.append(list(range(n, n + width)))
+        n += width
+    layers.append([n])
+    n += 1
+
+    def cap():
+        if rng.random() < 0.08:
+            return 0.0
+        return float(rng.uniform(0.1, 5.0) * 10.0 ** rng.integers(-2, 3))
+
+    def pick(k):
+        return int(rng.choice(layers[k]))
+
+    arcs = []
+    for k in range(depth + 1):
+        arcs += [(a, b, cap()) for a in layers[k] for b in layers[k + 1] if rng.random() < 0.5]
+        arcs += [(a, pick(k + 1), cap()) for a in layers[k]]
+    skips = [(k, int(rng.integers(k + 2, depth + 2)))
+             for k in rng.integers(0, depth, int(rng.integers(2, 6))).tolist()]
+    skips += [(0, int(rng.integers(2, depth))), (int(rng.integers(1, depth - 1)), depth + 1)]
+    arcs += [(pick(k), pick(j), cap()) for k, j in skips]
+    arcs += [(pick(k + 1), pick(k), cap())
+             for k in rng.integers(1, depth, int(rng.integers(1, 4))).tolist()]
+    arcs += [arcs[i][:2] + (cap(),) for i in rng.integers(0, len(arcs), len(arcs) // 6)]
+    arcs += [(u, u, cap()) for u in rng.integers(0, n, 2).tolist()]
+    return n, [arcs[i] for i in rng.permutation(len(arcs))]
+
+
+def _traced_dinic(net):
+    """Textbook Dinic in the order ``max_flow`` documents (each node tries
+    its arcs in arc order, reverse residual right after its arc; after an
+    augmentation, retreat to the first saturated arc; a dead end leaves the
+    level graph).  Returns (flow, cut, BFS phases, augmentations that kept a
+    non-empty path prefix, dead ends)."""
+    n, s, t = net.node_count, net.source, net.sink
+    out = [[] for _ in range(n)]  # per node: [residual edge id, head]
+    res = []
+    for a, b, c in net.arcs.tolist():
+        if a != b:
+            out[a].append([len(res), b])
+            res.append(c)
+            out[b].append([len(res), a])
+            res.append(0.0)
+    eps = RESIDUAL_EPS * (float(net.arcs["capacity"].max()) if net.arcs.size else 1.0)
+    flow, phases, mid_retreats, dead_ends = 0.0, 0, 0, 0
+    while True:
+        phases += 1
+        level, queue = [-1] * n, [s]
+        level[s] = 0
+        for u in queue:
+            for e, v in out[u]:
+                if res[e] > eps and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[t] < 0:
+            return flow, [u for u in range(n) if level[u] >= 0], phases, mid_retreats, dead_ends
+        pos, path, nodes = [0] * n, [], [s]
+        while True:
+            u = nodes[-1]
+            while pos[u] < len(out[u]):
+                e, v = out[u][pos[u]]
+                if res[e] > eps and level[v] == level[u] + 1:
+                    break
+                pos[u] += 1
+            else:
+                if u == s:
+                    break
+                level[u] = -1
+                dead_ends += 1
+                path.pop()
+                nodes.pop()
+                continue
+            path.append(e)
+            nodes.append(v)
+            if v == t:
+                pushed = min(res[e] for e in path)
+                for e in path:
+                    res[e] -= pushed
+                    res[e ^ 1] += pushed
+                flow += pushed
+                keep = [res[e] <= eps for e in path].index(True)
+                mid_retreats += keep > 0
+                del path[keep:], nodes[keep + 1:]
+
+
+def test_max_flow_is_pinned_on_deep_networks():
+    # Networks whose augmenting paths are long. Every draw must match the
+    # textbook trace; the 46 of 48 draws that run at least three BFS phases,
+    # retreat to a saturated arc in the middle of a path and prune a dead end
+    # (which the pipeline's length-3 paths never do) are pinned.
+    h, kept = hashlib.sha256(), 0
+    for rng in _spawn(2718, 48):
+        n, arcs = _layered_network(rng)
+        net = FlowNetwork(n, 0, n - 1, arcs)
+        record = _network_record(net, max_flow(net))
+        flow, cut, phases, mid_retreats, dead_ends = _traced_dinic(net)
+        assert record[4:] == (flow.hex(), cut)
+        if phases >= 3 and mid_retreats and dead_ends:
+            kept += 1
+            h.update(repr(record).encode())
+    assert kept == 46
+    assert h.hexdigest() == \
+        "8adafc331ecb8650316777211e60410014cd50aca12d596ff6046714a9303e56"

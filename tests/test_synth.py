@@ -239,6 +239,61 @@ def test_non_finite_scene_input_rejected(tmp_path, field, value, message):
         load_scene(path)
 
 
+@pytest.fixture(scope="module")
+def small_scene_doc():
+    return scene_to_dict(generate_bundle(default_scenario(seed=0, grid_width=4,
+                                                          grid_height=3)))
+
+
+_CAND = ("nodes", 5, "candidates", 2)
+_DROP = object()  # deletes the key instead of setting it
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(("nodes", 5), 7)], "missing required field 'nodes[5].x'"),
+    ([(_CAND, "x")], "missing required field 'nodes[5].candidates[2].l'"),
+    ([(("nodes", 5, "candidates"), _DROP)], "missing required field 'nodes[5].candidates'"),
+    ([(("nodes", 5, "candidates"), {})],
+     "field 'nodes[5].candidates' must be a list of at most 12 candidates"),
+    ([(("nodes", 5, "candidates", 12), {"l": [0.0] * 3, "p": 0.5, "pixel": 0, "tree": 0})],
+     "field 'nodes[5].candidates' must be a list of at most 12 candidates"),
+    ([(("nodes", 5, "x", 1), True)], "field 'nodes[5].x' must be a list of 3 numbers"),
+    ([(_CAND + ("l", 0), True)], "field 'nodes[5].candidates[2].l' must be a list of 3 numbers"),
+    ([(_CAND + ("p",), True)], "field 'nodes[5].candidates[2].p' must be a number"),
+    ([(_CAND + ("pixel",), True)], "field 'nodes[5].candidates[2].pixel' must be an integer"),
+    ([(_CAND + ("tree",), True)], "field 'nodes[5].candidates[2].tree' must be an integer"),
+    ([(("nodes", 5, "x", 2), 10**400)],
+     "field 'nodes[5].x' holds an integer too large for a float"),
+    ([(_CAND + ("l", 1), -10**400)],
+     "field 'nodes[5].candidates[2].l' holds an integer too large for a float"),
+    ([(_CAND + ("pixel",), 3.0)], "field 'nodes[5].candidates[2].pixel' must be an integer"),
+    ([(_CAND + ("tree",), "4")], "field 'nodes[5].candidates[2].tree' must be an integer"),
+    # the first fault in document order is the one reported
+    ([(("nodes", 5, "x"), None), (("nodes", 4, "candidates", 11, "tree"), 1.5)],
+     "field 'nodes[4].candidates[11].tree' must be an integer"),
+    ([(_CAND + ("p",), "0.5"), (_CAND + ("l",), [0.0])],
+     "field 'nodes[5].candidates[2].l' must be a list of 3 numbers"),
+], ids=["node-not-object", "candidate-not-object", "no-candidates", "candidates-not-list",
+        "13-candidates", "x-true", "l-true", "p-true", "pixel-true", "tree-true",
+        "x-10**400", "l-minus-10**400", "pixel-float", "tree-string",
+        "first-node-fault", "first-candidate-fault"])
+def test_scene_reader_messages_are_exact(small_scene_doc, edits, message):
+    doc = json.loads(json.dumps(small_scene_doc))
+    for path, value in edits:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DROP:
+            del target[path[-1]]
+        elif isinstance(target, list) and path[-1] == len(target):
+            target.append(value)
+        else:
+            target[path[-1]] = value
+    with pytest.raises(SceneFormatError) as info:
+        scene_from_dict(doc)
+    assert str(info.value) == message
+
+
 def test_load_xyz(tmp_path):
     path = tmp_path / "cloud.xyz"
     path.write_text("# comment\n0 0 0\n1.5 2 3\n")
