@@ -2,14 +2,19 @@
 
 A network holds its arcs as one record array of (tail, head, capacity),
 validated once.  ``max_flow`` turns it into a residual graph in array
-passes: residual edge 2i is arc i and 2i + 1 its reverse, and each node's
-residual edges are found by one stable argsort of their tails, so a node
-tries its edges in arc order.  Only Dinic's augmenting loop runs per arc.
+passes: residual edge 2i is arc i and 2i + 1 its reverse, and one stable
+argsort of their tails gives each node its list of residual edges, in arc
+order, and a parallel list of their heads.  The BFS and the augmenting loop
+run per edge in Python on those lists.  The loop keeps its path as parallel
+edge and node lists, so a retreat reads the node it returns to; each
+augmentation is one loop for the bottleneck and one that pushes and finds
+the first saturated edge.  That per-augmentation cost is what counts: the
+pipeline's doubled networks take about one augmentation per arc, each along
+a three-edge path (source, node, mirror node, sink).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,72 +69,73 @@ class MaxFlowResult:
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
     """Dinic's algorithm; returns the flow value and the reachable-side cut."""
-    n = net.node_count
+    n, source, sink = net.node_count, net.source, net.sink
     arcs = net.arcs[net.arcs["tail"] != net.arcs["head"]]
     tails = np.stack([arcs["tail"], arcs["head"]], axis=1).reshape(-1)
-    to = np.stack([arcs["head"], arcs["tail"]], axis=1).reshape(-1).tolist()
+    heads = np.stack([arcs["head"], arcs["tail"]], axis=1).reshape(-1)
     res = np.stack([arcs["capacity"], np.zeros(arcs.size)], axis=1).reshape(-1).tolist()
-    adj = np.argsort(tails, kind="stable").tolist()
-    start = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))]).tolist()
+    order = np.argsort(tails, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))]).tolist()
+    flat_edges, flat_heads = order.tolist(), heads[order].tolist()
+    # per node, its residual edges in arc order and their heads
+    out_edges = [flat_edges[a:b] for a, b in zip(bounds, bounds[1:])]
+    out_heads = [flat_heads[a:b] for a, b in zip(bounds, bounds[1:])]
     eps = RESIDUAL_EPS * (float(net.arcs["capacity"].max()) if net.arcs.size else 1.0)
-
-    def bfs_levels():
-        level = [-1] * n
-        level[net.source] = 0
-        q = deque([net.source])
-        while q:
-            u = q.popleft()
-            for e in adj[start[u]:start[u + 1]]:
-                v = to[e]
-                if res[e] > eps and level[v] < 0:
-                    level[v] = level[u] + 1
-                    q.append(v)
-        return level
 
     total = 0.0
     while True:
-        level = bfs_levels()
-        if level[net.sink] < 0:
+        level = [-1] * n
+        level[source] = 0
+        queue = [source]
+        for u in queue:  # breadth first: the list grows while it is read
+            next_level = level[u] + 1
+            for e, v in zip(out_edges[u], out_heads[u]):
+                if level[v] < 0 and res[e] > eps:
+                    level[v] = next_level
+                    queue.append(v)
+        if level[sink] < 0:
             break
-        it = start[:-1]  # per node, the position of its next edge in adj
-        # iterative blocking-flow search along shortest (level-respecting) paths
-        path = []  # arc ids from source to the current node
-        u = net.source
+        # blocking flow along level-respecting paths: path[k] is the edge out
+        # of nodes[k], and pos[u] indexes the edge node u tries next
+        pos = [0] * n
+        path, nodes = [], [source]
+        u = source
         while True:
-            if u == net.sink:
-                pushed = min(res[e] for e in path)
-                for e in path:
-                    res[e] -= pushed
-                    res[e ^ 1] += pushed
-                total += pushed
-                # retreat to the first saturated arc on the path
-                cut_at = next(i for i, e in enumerate(path) if res[e] <= eps)
-                path = path[:cut_at]
-                u = net.source if not path else to[path[-1]]
-                continue
-            advanced = False
-            while it[u] < start[u + 1]:
-                e = adj[it[u]]
-                v = to[e]
-                if res[e] > eps and level[v] == level[u] + 1:
-                    path.append(e)
-                    u = v
-                    advanced = True
+            edges, ends = out_edges[u], out_heads[u]
+            i, m, next_level = pos[u], len(edges), level[u] + 1
+            while i < m:
+                v = ends[i]
+                if level[v] == next_level and res[edges[i]] > eps:
                     break
-                it[u] += 1
-            if advanced:
+                i += 1
+            pos[u] = i
+            if i == m:
+                if u == source:
+                    break
+                level[u] = -1  # dead end; the level check skips it from now on
+                path.pop()
+                nodes.pop()
+                u = nodes[-1]
                 continue
-            if u == net.source:
-                break
-            level[u] = -1  # dead end; the level check skips it from now on
-            path.pop()
-            u = net.source if not path else to[path[-1]]
+            path.append(edges[i])
+            if v != sink:
+                nodes.append(v)
+                u = v
+                continue
+            pushed = res[path[0]]
+            for e in path:
+                if res[e] < pushed:
+                    pushed = res[e]
+            # push, and retreat to the tail of the first saturated edge
+            first = -1
+            for k, e in enumerate(path):
+                r = res[e] - pushed
+                res[e] = r
+                res[e ^ 1] += pushed
+                if r <= eps and first < 0:
+                    first = k
+            total += pushed
+            del path[first:], nodes[first + 1:]
+            u = nodes[-1]
     # the last BFS found no path to the sink: what it reached is the cut
     return MaxFlowResult(flow_value=total, source_side=np.array(level) >= 0)
-
-
-def cut_capacity(net: FlowNetwork, source_side: np.ndarray) -> float:
-    """Total capacity of arcs crossing from the given source side."""
-    side = np.asarray(source_side, dtype=bool)
-    crossing = side[net.arcs["tail"]] & ~side[net.arcs["head"]]
-    return float(net.arcs["capacity"][crossing].sum())

@@ -367,22 +367,41 @@ def scene_from_dict(doc: dict) -> SceneBundle:
     if type(raw_nodes) is not list:
         raise SceneFormatError("field 'nodes' must be a list")
     # every value is type-checked here, in document order; ranges and
-    # finiteness are checked once by SceneObservation
+    # finiteness are checked once by SceneObservation.  A value of the plain
+    # type (floats, ints for pixel and tree) passes inline; anything else goes
+    # to _field, which names its path or returns it (an integer number).
     xs, counts, ls, ps, pixels, trees = [], [], [], [], [], []
     for i, nd in enumerate(raw_nodes):
-        path = f"nodes[{i}]."
-        xs.append(_field(nd, "x", path, count=3))
-        cands = _require(nd, "candidates", path)
+        node = nd if type(nd) is dict else {}
+        x = node.get("x")
+        if not (type(x) is list and len(x) == 3 and type(x[0]) is float
+                and type(x[1]) is float and type(x[2]) is float):
+            x = _field(nd, "x", f"nodes[{i}].", count=3)
+        xs.append(x)
+        cands = node.get("candidates")
+        if type(cands) is not list:
+            cands = _require(nd, "candidates", f"nodes[{i}].")
         if type(cands) is not list or len(cands) > MAX_CANDIDATES:
-            raise SceneFormatError(f"field '{path}candidates' must be a list of at most "
+            raise SceneFormatError(f"field 'nodes[{i}].candidates' must be a list of at most "
                                    f"{MAX_CANDIDATES} candidates")
         counts.append(len(cands))
         for j, cd in enumerate(cands):
-            cpath = f"{path}candidates[{j}]."
-            ls.append(_field(cd, "l", cpath, count=3))
-            ps.append(_field(cd, "p", cpath))
-            pixels.append(_field(cd, "pixel", cpath, _INTEGER))
-            trees.append(_field(cd, "tree", cpath, _INTEGER))
+            cand = cd if type(cd) is dict else {}
+            l, p, pixel, tree = (cand.get("l"), cand.get("p"), cand.get("pixel"),
+                                 cand.get("tree"))
+            if not (type(l) is list and len(l) == 3 and type(l[0]) is float
+                    and type(l[1]) is float and type(l[2]) is float):
+                l = _field(cd, "l", f"nodes[{i}].candidates[{j}].", count=3)
+            if type(p) is not float:
+                p = _field(cd, "p", f"nodes[{i}].candidates[{j}].")
+            if type(pixel) is not int:
+                pixel = _field(cd, "pixel", f"nodes[{i}].candidates[{j}].", _INTEGER)
+            if type(tree) is not int:
+                tree = _field(cd, "tree", f"nodes[{i}].candidates[{j}].", _INTEGER)
+            ls.append(l)
+            ps.append(p)
+            pixels.append(pixel)
+            trees.append(tree)
     if len(xs) != width * height:
         raise SceneFormatError(f"field 'nodes' has {len(xs)} nodes for a "
                                f"{width}x{height} grid")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crfpose.maxflow import FlowNetwork, cut_capacity, max_flow
+from crfpose.maxflow import FlowNetwork, max_flow
 from crfpose.model import ContractViolation
 
 
@@ -20,6 +20,13 @@ def test_disconnected_gives_zero_flow_and_trivial_cut():
     res = max_flow(net)
     assert res.flow_value == 0.0
     assert res.source_side[0] and not res.source_side[2]
+
+
+def cut_capacity(net, source_side):
+    """Total capacity of arcs crossing from the given source side."""
+    side = np.asarray(source_side, dtype=bool)
+    crossing = side[net.arcs["tail"]] & ~side[net.arcs["head"]]
+    return float(net.arcs["capacity"][crossing].sum())
 
 
 def brute_min_cut(n, arcs, s, t):
