@@ -410,7 +410,12 @@ def scene_from_dict(doc: dict) -> SceneBundle:
 
     def padded(values, shape, dtype):
         out = np.zeros((len(xs), MAX_CANDIDATES, *shape), dtype=dtype)
-        out[filled] = np.array(values, dtype=dtype).reshape(-1, *shape)
+        try:
+            out[filled] = np.array(values, dtype=dtype).reshape(-1, *shape)
+        except OverflowError:
+            # a pixel or tree index past int64 is stored as -1, which
+            # SceneObservation refuses as out of range, naming the candidate
+            out[filled] = [v if -2**63 <= v < 2**63 else -1 for v in values]
         return out
 
     try:
@@ -419,7 +424,7 @@ def scene_from_dict(doc: dict) -> SceneBundle:
             points=np.array(xs, dtype=float).reshape(-1, 3), candidate_count=count,
             coords=padded(ls, (3,), float), confidence=padded(ps, (), float),
             source_pixel=padded(pixels, (), np.int64), source_tree=padded(trees, (), np.int64))
-    except (ContractViolation, OverflowError) as exc:
+    except ContractViolation as exc:
         raise SceneFormatError(str(exc)) from None
     object_points = None
     if "object_points" in doc:
