@@ -225,6 +225,13 @@ def test_confidence_out_of_range_rejected():
     pytest.param(("nodes", 5, "candidates", 2, "p"), -10**400,
                  r"nodes\[5\]\.candidates\[2\]\.p' holds an integer too large for a float",
                  id="p-minus-10**400"),
+    # indices no int64 holds; these named no field
+    pytest.param(("nodes", 5, "candidates", 2, "pixel"), 2**64,
+                 r"^invalid candidate at nodes\[5\]\.candidates\[2\]: source_pixel outside 0\.\.3$",
+                 id="pixel-2**64"),
+    pytest.param(("nodes", 5, "candidates", 2, "tree"), -10**400,
+                 r"^invalid candidate at nodes\[5\]\.candidates\[2\]: source_tree outside 0\.\.2$",
+                 id="tree-minus-10**400"),
 ])
 def test_non_finite_scene_input_rejected(tmp_path, field, value, message):
     doc = scene_to_dict(generate_bundle(default_scenario(
