@@ -76,10 +76,12 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     res = np.stack([arcs["capacity"], np.zeros(arcs.size)], axis=1).reshape(-1).tolist()
     order = np.argsort(tails, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))]).tolist()
-    flat_edges, flat_heads = order.tolist(), heads[order].tolist()
+
+    def per_node(flat):
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
     # per node, its residual edges in arc order and their heads
-    out_edges = [flat_edges[a:b] for a, b in zip(bounds, bounds[1:])]
-    out_heads = [flat_heads[a:b] for a, b in zip(bounds, bounds[1:])]
+    out_edges, out_heads = per_node(order.tolist()), per_node(heads[order].tolist())
     eps = RESIDUAL_EPS * (float(net.arcs["capacity"].max()) if net.arcs.size else 1.0)
 
     total = 0.0
