@@ -3,9 +3,9 @@
 A network holds its arcs as one record array of (tail, head, capacity),
 validated once.  ``max_flow`` turns it into a residual graph in array
 passes: residual edge 2i is arc i and 2i + 1 its reverse, and one stable
-argsort of their tails gives each node its list of residual edges, in arc
-order, and a parallel list of their heads.  The BFS and the augmenting loop
-run per edge in Python on those lists.  The loop keeps its path as parallel
+argsort of their tails lists every node's residual edges, in arc order,
+with a parallel list of their heads.  The BFS and the augmenting loop run
+per edge in Python on those lists.  The loop keeps its path as parallel
 edge and node lists, so a retreat reads the node it returns to; each
 augmentation is one loop for the bottleneck and one that pushes and finds
 the first saturated edge.  That per-augmentation cost is what counts: the
@@ -67,21 +67,23 @@ class MaxFlowResult:
     source_side: np.ndarray  # bool per node, True = source side of the min cut
 
 
+def _adjacency(arcs: np.ndarray, n: int) -> tuple[list, list, list]:
+    """The residual edges of every node, node by node and in arc order
+    (edge 2i is arc i, 2i + 1 its reverse), their heads, and the offset of
+    each node's first edge, with the total edge count last."""
+    tails = np.stack([arcs["tail"], arcs["head"]], axis=1).reshape(-1)
+    order = np.argsort(tails, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))]).tolist()
+    heads = tails[order ^ 1].tolist()  # edge e runs from tails[e] to tails[e ^ 1]
+    return order.tolist(), heads, start
+
+
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
     """Dinic's algorithm; returns the flow value and the reachable-side cut."""
     n, source, sink = net.node_count, net.source, net.sink
     arcs = net.arcs[net.arcs["tail"] != net.arcs["head"]]
-    tails = np.stack([arcs["tail"], arcs["head"]], axis=1).reshape(-1)
-    heads = np.stack([arcs["head"], arcs["tail"]], axis=1).reshape(-1)
+    edges, heads, start = _adjacency(arcs, n)
     res = np.stack([arcs["capacity"], np.zeros(arcs.size)], axis=1).reshape(-1).tolist()
-    order = np.argsort(tails, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))]).tolist()
-
-    def per_node(flat):
-        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    # per node, its residual edges in arc order and their heads
-    out_edges, out_heads = per_node(order.tolist()), per_node(heads[order].tolist())
     eps = RESIDUAL_EPS * (float(net.arcs["capacity"].max()) if net.arcs.size else 1.0)
 
     total = 0.0
@@ -91,22 +93,22 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
         queue = [source]
         for u in queue:  # breadth first: the list grows while it is read
             next_level = level[u] + 1
-            for e, v in zip(out_edges[u], out_heads[u]):
+            a, b = start[u], start[u + 1]
+            for e, v in zip(edges[a:b], heads[a:b]):
                 if level[v] < 0 and res[e] > eps:
                     level[v] = next_level
                     queue.append(v)
         if level[sink] < 0:
             break
         # blocking flow along level-respecting paths: path[k] is the edge out
-        # of nodes[k], and pos[u] indexes the edge node u tries next
-        pos = [0] * n
+        # of nodes[k], and pos[u] is the position of the edge u tries next
+        pos = start[:-1]
         path, nodes = [], [source]
         u = source
         while True:
-            edges, ends = out_edges[u], out_heads[u]
-            i, m, next_level = pos[u], len(edges), level[u] + 1
+            i, m, next_level = pos[u], start[u + 1], level[u] + 1
             while i < m:
-                v = ends[i]
+                v = heads[i]
                 if level[v] == next_level and res[edges[i]] > eps:
                     break
                 i += 1

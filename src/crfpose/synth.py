@@ -367,9 +367,10 @@ def scene_from_dict(doc: dict) -> SceneBundle:
     if type(raw_nodes) is not list:
         raise SceneFormatError("field 'nodes' must be a list")
     # every value is type-checked here, in document order; ranges and
-    # finiteness are checked once by SceneObservation.  A value of the plain
-    # type (floats, ints for pixel and tree) passes inline; anything else goes
-    # to _field, which names its path or returns it (an integer number).
+    # finiteness are checked once by SceneObservation.  A value of the usual
+    # type (a float; an int for pixel and tree) passes inline.  Any other goes
+    # to _field, which returns it (an integer where a number is asked for) or
+    # raises naming its path, so a path is formatted only then.
     xs, counts, ls, ps, pixels, trees = [], [], [], [], [], []
     for i, nd in enumerate(raw_nodes):
         node = nd if type(nd) is dict else {}
