@@ -203,16 +203,19 @@ def _refuse_edges(bad: np.ndarray, u: np.ndarray, v: np.ndarray, what: str) -> N
 
 
 def _candidate_minima(scene: SceneObservation, coord_sq: np.ndarray,
-                      u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                      u: np.ndarray, v: np.ndarray,
+                      blocks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row and column minima of the candidate blocks C of edges (u[e], v[e]).
 
     Entry [e, i] of the first (E, 12) array is min_k C_e(i, k) over v's
     candidates k, and of the second min_i C_e(i, k) over u's candidates.
     Both are inf past a node's count, where the other node has no candidate,
     and on every edge whose camera points are further apart than the
-    diameter.  The arithmetic is the lazy table's, so the minima are its
-    minima to the last bit.  A non-finite camera distance or a NaN
-    object-frame distance raises, naming the edge.
+    diameter.  Only the edges of the mask ``blocks`` (all by default) get a
+    block; the others' minima are inf too.  The arithmetic is the lazy
+    table's, so the minima are its minima to the last bit.  A non-finite
+    camera distance (checked on every edge) or a NaN object-frame distance
+    raises, naming the edge.
     """
     d = scene.points[u] - scene.points[v]
     with np.errstate(over="ignore"):
@@ -220,7 +223,8 @@ def _candidate_minima(scene: SceneObservation, coord_sq: np.ndarray,
     _refuse_edges(~np.isfinite(x_dist), u, v, "camera distance is not finite")
     rows = np.full((u.size, MAX_CANDIDATES), INF)
     cols = rows.copy()
-    near = np.flatnonzero(x_dist <= scene.object_diameter)
+    near = x_dist <= scene.object_diameter
+    near = np.flatnonzero(near if blocks is None else near & blocks)
     if near.size:
         a, b = u[near], v[near]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -268,18 +272,40 @@ def _eliminate_candidates(scene: SceneObservation, hp: HyperParams, unary: np.nd
     tables the max is ``_worst_change`` of min_k C_e(i, k), so one chunked
     pass over the edges reads each edge's candidate minima and builds no
     table.
+
+    Each worst change is at most βγ, so a degree bound decides most
+    candidates with no geometry: i goes if U_u(o) − U_u(i) + deg(u)·βγ < 0.
+    The full rule's float sum of deg(u) terms, each at most βγ, exceeds
+    deg(u)·βγ by at most about deg(u)·ε relative (with ε = 2u the machine
+    epsilon, the summation error bound γ_{deg} ≈ deg·u, plus u for rounding
+    deg(u)·βγ), so the bound is taken only below −deg(u)·(deg(u) + 2)·ε·βγ,
+    twice that.  Then the full rule's float score is below 0 too.  A node
+    whose candidates all go this way is decided, and only an edge with an
+    undecided end gets its cost block, in the same 1,024-edge chunks over
+    the same edge order, so every undecided node's sum is the full rule's
+    bit for bit.  Every camera distance is still checked, in chunk order.
+    When 4·max|l|² overflows, a block may hold a NaN; then every edge gets
+    its block, so the NaN refused is the one the full rule meets first.
     """
     n, slot = scene.node_count, np.arange(MAX_CANDIDATES)
+    candidate = slot < scene.candidate_count[:, None]
+    bg, degree = hp.beta * hp.gamma, np.bincount(edges.ravel(), minlength=n)[:, None]
+    outlier = unary[np.arange(n), scene.candidate_count]
+    gain = outlier[:, None] - unary[:, :MAX_CANDIDATES]
+    with np.errstate(over="ignore"):
+        bounded = gain + degree * bg < -(degree * (degree + 2) * np.finfo(float).eps * bg)
+        nan_free = np.isfinite(4.0 * coord_sq.max())
+    undecided = (candidate & ~bounded).any(axis=1)
     total = np.zeros(n * MAX_CANDIDATES)
     for lo in range(0, len(edges), ELIMINATION_CHUNK):
         u, v = edges[lo:lo + ELIMINATION_CHUNK].T
-        for node, minima in zip((u, v), _candidate_minima(scene, coord_sq, u, v)):
+        blocks = undecided[u] | undecided[v] if nan_free else None
+        for node, minima in zip((u, v), _candidate_minima(scene, coord_sq, u, v, blocks)):
             total += np.bincount((node[:, None] * MAX_CANDIDATES + slot).ravel(),
                                  weights=_worst_change(minima, hp).ravel(),
                                  minlength=total.size)
-    outlier = unary[np.arange(n), scene.candidate_count]
-    score = outlier[:, None] - unary[:, :MAX_CANDIDATES] + total.reshape(n, MAX_CANDIDATES)
-    return (slot < scene.candidate_count[:, None]) & (score < 0)
+    score = gain + total.reshape(n, MAX_CANDIDATES)
+    return candidate & (bounded | (score < 0))
 
 
 def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
