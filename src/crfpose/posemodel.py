@@ -15,6 +15,7 @@ diameter" reads ``pairwise_distances``."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,6 +136,7 @@ def pairwise_cost(coords, points, diameter: float) -> np.ndarray:
     return cost
 
 
+@functools.lru_cache(maxsize=8)
 def build_sparse_neighborhood(grid_width: int, grid_height: int,
                               keep: int = 48, skip: int = 8) -> np.ndarray:
     """Connect each node to its 9th..56th nearest grid neighbours.
@@ -143,7 +145,9 @@ def build_sparse_neighborhood(grid_width: int, grid_height: int,
     broken by row-major index; the closest ``skip`` are excluded and the next
     ``keep`` connected.  The returned edge set is the symmetric union,
     deduplicated, as an (E, 2) int64 array of rows (u, v) with u < v in
-    increasing order.
+    increasing order.  It depends on the arguments alone, so it is built
+    once per argument tuple (the last few are memoised) and every caller
+    shares one read-only array.
 
     Neighbour (r + dr, c + dc) has index node + dr * W + dc, so the grid
     offsets are ranked once by (dr² + dc², dr * W + dc) and each node takes
@@ -179,7 +183,9 @@ def build_sparse_neighborhood(grid_width: int, grid_height: int,
         v = (r * width + c)[pick].astype(np.int64)
         u = np.broadcast_to(u, pick.shape)[pick]
         keys.append(np.minimum(u, v) * n + np.maximum(u, v))
-    return np.stack(np.divmod(np.unique(np.concatenate(keys)), n), axis=1)
+    edges = np.stack(np.divmod(np.unique(np.concatenate(keys)), n), axis=1)
+    edges.flags.writeable = False
+    return edges
 
 
 def _inlier_unary(confidence, hp: HyperParams):
