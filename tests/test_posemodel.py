@@ -6,11 +6,12 @@ import pytest
 
 from crfpose.model import INF, ContractViolation, PartialLabeling, evaluate_energy
 from crfpose.pipeline import _geometric_violations
-from crfpose.posemodel import (HyperParams, MAX_CANDIDATES, STAGE_ONE_DEFAULTS,
-                               STAGE_TWO_DEFAULTS, SceneObservation,
+from crfpose.posemodel import (ELIMINATION_CHUNK, HyperParams, MAX_CANDIDATES,
+                               STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS, SceneObservation,
                                build_sparse_neighborhood, build_stage_one_model,
                                build_stage_two_master, pairwise_cost,
-                               pairwise_distances, _candidate_minima)
+                               pairwise_distances, _candidate_minima,
+                               _eliminate_candidates, _stage_one_unary, _worst_change)
 from crfpose.oracle import stage_one_energy
 from crfpose.posefit import cluster_hypotheses
 from crfpose.submodels import (Component, SubmodelSpec, enumerate_submodels,
@@ -514,3 +515,122 @@ def test_reduced_model_gives_its_labelings_their_full_energy():
     alive = np.isfinite(m.unary).sum(axis=1)
     assert m.edge_count < full.edge_count // 4
     assert (alive == 1).sum() > scene.node_count // 2
+
+
+def _eliminate_by_full_sum(scene, hp, unary, edges, coord_sq):
+    """The dead-end rule with every edge's block summed and no degree bound:
+    the reference for ``_eliminate_candidates``."""
+    n, slot = scene.node_count, np.arange(MAX_CANDIDATES)
+    total = np.zeros(n * MAX_CANDIDATES)
+    for lo in range(0, len(edges), ELIMINATION_CHUNK):
+        u, v = edges[lo:lo + ELIMINATION_CHUNK].T
+        for node, minima in zip((u, v), _candidate_minima(scene, coord_sq, u, v)):
+            total += np.bincount((node[:, None] * MAX_CANDIDATES + slot).ravel(),
+                                 weights=_worst_change(minima, hp).ravel(), minlength=total.size)
+    score = unary[np.arange(n), scene.candidate_count][:, None] - unary[:, :MAX_CANDIDATES] \
+        + total.reshape(n, MAX_CANDIDATES)
+    return (slot < scene.candidate_count[:, None]) & (score < 0)
+
+
+def _both_rules(scene, hp, unary=None, edges=None, keep=48, skip=8):
+    unary = _stage_one_unary(scene, hp) if unary is None else unary
+    if edges is None:
+        edges = build_sparse_neighborhood(scene.grid_width, scene.grid_height, keep=keep, skip=skip)
+    with np.errstate(over="ignore"):
+        coord_sq = (scene.coords ** 2).sum(axis=2)
+    return (_eliminate_candidates(scene, hp, unary, edges, coord_sq),
+            _eliminate_by_full_sum(scene, hp, unary, edges, coord_sq))
+
+
+def test_degree_bound_eliminates_exactly_what_the_full_sum_does():
+    from crfpose.oracle import sample_tiny_scene
+    from crfpose.pipeline import DESK_SCALE_STAGE_ONE
+    zero_weight = eliminated = 0
+    for rng in np.random.default_rng(7).spawn(600):
+        scene, hp, keep, skip = sample_tiny_scene(rng)
+        fast, full = _both_rules(scene, hp, keep=keep, skip=skip)
+        assert np.array_equal(fast, full)
+        zero_weight += hp.beta * hp.gamma == 0
+        eliminated += int(full.sum())
+    assert zero_weight > 100 and eliminated > 500  # beta = 0 and gamma = 0 both drawn
+    from crfpose.synth import default_scenario, generate_bundle
+    for width, height in ((32, 24), (64, 48)):  # a desk scene and a wide one
+        scene = generate_bundle(default_scenario(
+            seed=0, grid_width=width, grid_height=height, inlier_rate=0.85,
+            visible_fraction=0.8, coord_noise_sigma=1e-4)).observation
+        fast, full = _both_rules(scene, DESK_SCALE_STAGE_ONE)
+        assert np.array_equal(fast, full)
+
+
+def _star(count=6):
+    # node 0 joined to nodes 1..count; every camera point and every object
+    # point coincide, so each edge's candidate minimum is 0 and its worst
+    # change exactly beta * gamma
+    xs = [(0.0, 0.0, 1.0)] * (count + 1)
+    scene = tiny_scene(xs, [[cand((0, 0, 0))]] * (count + 1))
+    edges = np.array([(0, v) for v in range(1, count + 1)])
+    unary = np.full((count + 1, MAX_CANDIDATES + 1), INF)
+    unary[:, :2] = 0.0
+    return scene, edges, unary
+
+
+def test_bound_score_within_the_rounding_margin_is_left_to_the_full_sum():
+    # six terms of 0.01 sum to 0.060000000000000005 in floats, one ulp above
+    # 6 * 0.01; a candidate unary of that sum against an outlier unary of 0
+    # scores exactly 0 in the full rule, so the candidate stays, while the
+    # bare bound -0.060000000000000005 + 6 * 0.01 is below 0
+    hp = HyperParams(alpha=1.0, beta=1.0, gamma=0.01)
+    scene, edges, unary = _star(6)
+    terms = 0.0
+    for _ in range(6):
+        terms += hp.beta * hp.gamma
+    unary[0, 0] = terms
+    assert -terms + 6 * (hp.beta * hp.gamma) < 0
+    fast, full = _both_rules(scene, hp, unary, edges)
+    assert np.array_equal(fast, full)
+    assert not fast[0, 0]
+    unary[0, 0] = np.nextafter(terms, INF)  # one ulp more and both rules drop it
+    fast, full = _both_rules(scene, hp, unary, edges)
+    assert np.array_equal(fast, full) and fast[0, 0]
+
+
+def test_bound_skips_no_refusal():
+    # nodes 0 and 1 are decided by the bound (a candidate unary of 10 against
+    # an outlier unary of 0), nodes 2 and 3 are not; edge (0, 1) joins two
+    # decided nodes and comes first
+    hp = HyperParams(alpha=1.0, beta=1.0, gamma=0.01)
+    edges = np.array([(0, 1), (1, 2), (2, 3)])
+    unary = np.full((4, MAX_CANDIDATES + 1), INF)
+    unary[:, :2] = 0.0
+    unary[:2, 0] = 10.0
+
+    def refusal(xs, ls):
+        scene = tiny_scene(xs, [[cand(l)] for l in ls])
+        messages = []
+        for rule in (_eliminate_candidates, _eliminate_by_full_sum):
+            with pytest.raises(ContractViolation) as err, np.errstate(over="ignore"):
+                rule(scene, hp, unary, edges, (scene.coords ** 2).sum(axis=2))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        return messages[0]
+
+    near = [(0, 0, 1), (0, 0, 1.1), (0, 0, 1.2), (0, 0, 1.3)]
+    # |l|² = 1e308 is finite, 4·|l|² is not: the fallback builds every block
+    huge = [(1e154, 0, 0), (1e154, 0, 0), (0, 0, 0.1), (0, 0, 0.2)]
+    assert refusal(near, huge) == "stage-one edge (0,1): object-frame distance is NaN"
+    far = [(1e200, 0, 0), (-1e200, 0, 0), (0, 0, 1), (0, 0, 1.1)]
+    small = [(0, 0, 0), (0, 0, 0.1), (0, 0, 0.2), (0, 0, 0.3)]
+    assert refusal(far, small) == "stage-one edge (0,1): camera distance is not finite"
+
+
+def test_neighborhood_is_memoised_and_read_only():
+    edges = build_sparse_neighborhood(17, 9)
+    again = build_sparse_neighborhood(17, 9)
+    assert np.array_equal(edges, again) and not again.flags.writeable
+    with pytest.raises(ValueError):
+        edges[0, 0] = 1
+    with pytest.raises(ValueError):
+        again[:] = 0
+    other = build_sparse_neighborhood(17, 9, keep=4, skip=0)
+    assert {tuple(e) for e in other.tolist()} != {tuple(e) for e in edges.tolist()}
+    assert np.array_equal(build_sparse_neighborhood(17, 9), edges)
