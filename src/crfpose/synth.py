@@ -356,7 +356,7 @@ def scene_from_dict(doc: dict) -> SceneBundle:
     fmt = _require(doc, "format", "")
     if fmt != SCENE_FORMAT:
         raise SceneFormatError(f"field 'format' is '{fmt}', expected '{SCENE_FORMAT}'")
-    version = _require(doc, "version", "")
+    version = _field(doc, "version", "", _INTEGER)
     if version != SCENE_VERSION:
         raise UnsupportedVersionError(
             f"unsupported scene version {version!r}; this build reads version {SCENE_VERSION}")
@@ -438,6 +438,19 @@ def scene_from_dict(doc: dict) -> SceneBundle:
     if "ground_truth" in doc:
         pose = _pose(doc["ground_truth"], "ground_truth.")
         labels = _field(doc["ground_truth"], "labels", "ground_truth.", _INTEGER, each=True)
+        if len(labels) != obs.node_count:
+            raise SceneFormatError(f"field 'ground_truth.labels' has {len(labels)} labels "
+                                   f"for {obs.node_count} nodes")
+        try:
+            given = np.array(labels, dtype=np.int64)
+        except OverflowError:  # a label past int64 is out of range as -1 is
+            given = np.array([v if -2**63 <= v < 2**63 else -1 for v in labels])
+        # node u's labels are its candidates and its outlier, 0..count[u]
+        bad = np.flatnonzero((given < 0) | (given > obs.candidate_count))
+        if bad.size:
+            u = int(bad[0])
+            raise SceneFormatError(f"field 'ground_truth.labels[{u}]' must be a label of "
+                                   f"node {u} (0..{obs.candidate_count[u]})")
         ground_truth = GroundTruth(pose=pose, labels=tuple(labels))
     return SceneBundle(observation=obs, object_points=object_points,
                        ground_truth=ground_truth)

@@ -259,6 +259,15 @@ def test_cli_malformed_scene_field_exits_2(tmp_path, capsys):
     scene.write_text(json.dumps(doc))
     assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
     assert "ground_truth.labels[3]" in capsys.readouterr().err
+    doc["ground_truth"]["labels"][3] = len(doc["nodes"][3]["candidates"]) + 1
+    scene.write_text(json.dumps(doc))
+    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
+    assert "ground_truth.labels[3]" in capsys.readouterr().err
+    doc["ground_truth"]["labels"][3] = 0
+    for version in ("true", "1.0"):
+        scene.write_text(json.dumps(doc).replace('"version": 1', f'"version": {version}'))
+        assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
+        assert "field 'version' must be an integer" in capsys.readouterr().err
 
 
 def test_cli_missing_scene_exits_2(tmp_path):

@@ -138,6 +138,7 @@ def test_scene_with_fewer_candidates_round_trips():
                                                          grid_height=15)))
     for node, kept in ((0, 0), (5, 1), (7, 11)):
         del doc["nodes"][node]["candidates"][kept:]
+        doc["ground_truth"]["labels"][node] = kept  # the outlier, label 12 before
     scene = scene_from_dict(doc).observation
     assert scene.candidate_count[[0, 5, 7, 8]].tolist() == [0, 1, 11, 12]
     assert not scene.coords[5, 1:].any() and not scene.confidence[7, 11:].any()
@@ -280,10 +281,32 @@ _DROP = object()  # deletes the key instead of setting it
      "field 'nodes[4].candidates[11].tree' must be an integer"),
     ([(_CAND + ("p",), "0.5"), (_CAND + ("l",), [0.0])],
      "field 'nodes[5].candidates[2].l' must be a list of 3 numbers"),
+    # the version is an integer field like any other; these loaded as 1
+    ([(("version",), True)], "field 'version' must be an integer"),
+    ([(("version",), 1.0)], "field 'version' must be an integer"),
+    # one label per node, each a candidate or the outlier; these loaded
+    ([(("ground_truth", "labels"), [1])],
+     "field 'ground_truth.labels' has 1 labels for 12 nodes"),
+    ([(("ground_truth", "labels"), [-5] * 40)],
+     "field 'ground_truth.labels' has 40 labels for 12 nodes"),
+    ([(("ground_truth", "labels", 12), 0)],
+     "field 'ground_truth.labels' has 13 labels for 12 nodes"),
+    ([(("ground_truth", "labels", 4), -1)],
+     "field 'ground_truth.labels[4]' must be a label of node 4 (0..12)"),
+    ([(("ground_truth", "labels", 6), 13)],
+     "field 'ground_truth.labels[6]' must be a label of node 6 (0..12)"),
+    ([(("nodes", 6, "candidates"), [])],
+     "field 'ground_truth.labels[6]' must be a label of node 6 (0..0)"),
+    ([(("ground_truth", "labels", 4), 10**400), (("ground_truth", "labels", 9), 13)],
+     "field 'ground_truth.labels[4]' must be a label of node 4 (0..12)"),
+    ([(("ground_truth", "labels", 9), -2**64)],
+     "field 'ground_truth.labels[9]' must be a label of node 9 (0..12)"),
 ], ids=["node-not-object", "candidate-not-object", "no-candidates", "candidates-not-list",
         "13-candidates", "x-true", "l-true", "p-true", "pixel-true", "tree-true",
         "x-10**400", "l-minus-10**400", "pixel-float", "tree-string",
-        "first-node-fault", "first-candidate-fault"])
+        "first-node-fault", "first-candidate-fault", "version-true", "version-float",
+        "one-label", "40-labels", "13-labels", "label-minus-1", "label-past-outlier",
+        "label-of-a-cut-candidate", "label-10**400", "label-minus-2**64"])
 def test_scene_reader_messages_are_exact(small_scene_doc, edits, message):
     doc = json.loads(json.dumps(small_scene_doc))
     for path, value in edits:
