@@ -6,12 +6,14 @@ candidates, padded to 12, and every consumer indexes those arrays.  Stage
 one is a sparse multi-label model over the full node grid (a node's labels
 are its candidates plus an outlier label, always last): the stage-one
 energy restricted to the labels an optimum can use.  Candidates that
-dead-end elimination proves unused are +inf, and only edges between nodes
-that keep a candidate carry (lazy) tables.  Stage two is a fully-connected
-two-label master model over the stage-one inlier nodes, label 1 meaning
-"keep the stage-one candidate" and label 0 meaning outlier.  The master's
-tables are built up front, and every stage-two test of "within the object
-diameter" reads ``pairwise_distances``."""
+dead-end elimination proves unused are +inf (most of them by a degree bound
+that reads no geometry), and only edges between nodes that keep a candidate
+carry (lazy) tables.  Its neighbourhood is built once per grid and shared
+read-only.  Stage two is a fully-connected two-label master model over the
+stage-one inlier nodes, label 1 meaning "keep the stage-one candidate" and
+label 0 meaning outlier.  The master's tables are built up front, and every
+stage-two test of "within the object diameter" reads
+``pairwise_distances``."""
 
 from __future__ import annotations
 
@@ -288,19 +290,25 @@ def _eliminate_candidates(scene: SceneObservation, hp: HyperParams, unary: np.nd
     pass over the edges reads each edge's candidate minima and builds no
     table.
 
-    Each worst change is at most βγ, so a degree bound decides most
-    candidates with no geometry: i goes if U_u(o) − U_u(i) + deg(u)·βγ < 0.
-    The full rule's float sum of deg(u) terms, each at most βγ, exceeds
-    deg(u)·βγ by at most about deg(u)·ε relative (with ε = 2u the machine
-    epsilon, the summation error bound γ_{deg} ≈ deg·u, plus u for rounding
-    deg(u)·βγ), so the bound is taken only below −deg(u)·(deg(u) + 2)·ε·βγ,
-    twice that.  Then the full rule's float score is below 0 too.  A node
-    whose candidates all go this way is decided, and only an edge with an
-    undecided end gets its cost block, in the same 1,024-edge chunks over
-    the same edge order, so every undecided node's sum is the full rule's
-    bit for bit.  Every camera distance is still checked, in chunk order.
-    When 4·max|l|² overflows, a block may hold a NaN; then every edge gets
-    its block, so the NaN refused is the one the full rule meets first.
+    Each worst change is at most βγ, in floats too, so a degree bound
+    decides most candidates with no geometry: i goes if D + d·βγ < 0, with
+    d = deg(u) and D = U_u(o) − U_u(i) rounded as the full rule rounds it.
+    Its rounding margin: any float sum of d terms in [−βγ, βγ] is within
+    g·d·βγ of the exact sum, g = d·r / (1 − d·r) and r = ε/2 the unit
+    roundoff, so the full rule's sum is at most d·βγ·(1 + g); the float
+    product d·βγ is at least d·βγ·(1 − r).  So a float bound score below
+    −d·βγ·(g + r) ≈ −d·(d + 1)·r·βγ makes the full rule's score negative
+    too (a float sum has the sign of the exact one).  The bound is taken
+    only below −d·(d + 2)·ε·βγ, twice that, which also covers the rounding
+    of the margin itself.
+
+    A node whose candidates all go this way is decided, and only an edge
+    with an undecided end gets its cost block, in the same 1,024-edge
+    chunks over the same edge order, so every undecided node's sum is the
+    full rule's bit for bit.  Every camera distance is still checked, in
+    chunk order.  When 4·max|l|² overflows, a block may hold a NaN; then
+    every edge gets its block, so the NaN refused is the one the full rule
+    meets first.
     """
     n, slot = scene.node_count, np.arange(MAX_CANDIDATES)
     candidate = slot < scene.candidate_count[:, None]
@@ -319,6 +327,8 @@ def _eliminate_candidates(scene: SceneObservation, hp: HyperParams, unary: np.nd
             total += np.bincount((node[:, None] * MAX_CANDIDATES + slot).ravel(),
                                  weights=_worst_change(minima, hp).ravel(),
                                  minlength=total.size)
+    # a decided node's sum is partial, but the bound already took all its
+    # candidates; elsewhere the bound takes a subset of what the score does
     score = gain + total.reshape(n, MAX_CANDIDATES)
     return candidate & (bounded | (score < 0))
 
