@@ -200,15 +200,6 @@ def _outlier_unary(scene: SceneObservation, hp: HyperParams) -> np.ndarray:
     return np.cumsum(scene.confidence, axis=1)[:, -1] * hp.alpha / MAX_CANDIDATES
 
 
-def _stage_one_unary(scene: SceneObservation, hp: HyperParams) -> np.ndarray:
-    """(n, 13) stage-one unaries: node u's candidates, its outlier label at
-    column ``candidate_count[u]``, and INF past it."""
-    unary = np.pad(_inlier_unary(scene.confidence, hp), ((0, 0), (0, 1)))
-    unary[np.arange(scene.node_count), scene.candidate_count] = _outlier_unary(scene, hp)
-    unary[np.arange(MAX_CANDIDATES + 1) > scene.candidate_count[:, None]] = INF
-    return unary
-
-
 #: edges per step of the elimination pass; bounds its (chunk, 12, 12) temporaries
 ELIMINATION_CHUNK = 1024
 
@@ -350,7 +341,9 @@ def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
     to summation order, and the optima are the full model's.
     """
     count = scene.candidate_count.tolist()
-    unary = _stage_one_unary(scene, hp)
+    unary = np.pad(_inlier_unary(scene.confidence, hp), ((0, 0), (0, 1)))
+    unary[np.arange(scene.node_count), scene.candidate_count] = _outlier_unary(scene, hp)
+    unary[np.arange(MAX_CANDIDATES + 1) > scene.candidate_count[:, None]] = INF
     edges = build_sparse_neighborhood(scene.grid_width, scene.grid_height,
                                       keep=keep, skip=skip)
 

@@ -11,7 +11,7 @@ from crfpose.posemodel import (ELIMINATION_CHUNK, HyperParams, MAX_CANDIDATES,
                                build_sparse_neighborhood, build_stage_one_model,
                                build_stage_two_master, pairwise_cost,
                                pairwise_distances, _candidate_minima,
-                               _eliminate_candidates, _stage_one_unary, _worst_change)
+                               _eliminate_candidates, _worst_change)
 from crfpose.oracle import stage_one_energy
 from crfpose.posefit import cluster_hypotheses
 from crfpose.submodels import (Component, SubmodelSpec, enumerate_submodels,
@@ -533,7 +533,12 @@ def _eliminate_by_full_sum(scene, hp, unary, edges, coord_sq):
 
 
 def _both_rules(scene, hp, unary=None, edges=None, keep=48, skip=8):
-    unary = _stage_one_unary(scene, hp) if unary is None else unary
+    if unary is None:  # the stage-one unaries: candidates, then the outlier
+        count = scene.candidate_count
+        unary = np.pad((1.0 - scene.confidence) * hp.alpha, ((0, 0), (0, 1)))
+        unary[np.arange(scene.node_count), count] = \
+            scene.confidence.sum(axis=1) * hp.alpha / MAX_CANDIDATES
+        unary[np.arange(MAX_CANDIDATES + 1) > count[:, None]] = INF
     if edges is None:
         edges = build_sparse_neighborhood(scene.grid_width, scene.grid_height, keep=keep, skip=skip)
     with np.errstate(over="ignore"):
