@@ -550,14 +550,15 @@ def _both_rules(scene, hp, unary=None, edges=None, keep=48, skip=8):
 def test_degree_bound_eliminates_exactly_what_the_full_sum_does():
     from crfpose.oracle import sample_tiny_scene
     from crfpose.pipeline import DESK_SCALE_STAGE_ONE
-    zero_weight = eliminated = 0
+    zero_beta = zero_gamma = eliminated = 0
     for rng in np.random.default_rng(7).spawn(600):
         scene, hp, keep, skip = sample_tiny_scene(rng)
         fast, full = _both_rules(scene, hp, keep=keep, skip=skip)
         assert np.array_equal(fast, full)
-        zero_weight += hp.beta * hp.gamma == 0
+        zero_beta += hp.beta == 0
+        zero_gamma += hp.gamma == 0
         eliminated += int(full.sum())
-    assert zero_weight > 100 and eliminated > 500  # beta = 0 and gamma = 0 both drawn
+    assert zero_beta > 50 and zero_gamma > 50 and eliminated > 500
     from crfpose.synth import default_scenario, generate_bundle
     for width, height in ((32, 24), (64, 48)):  # a desk scene and a wide one
         scene = generate_bundle(default_scenario(
