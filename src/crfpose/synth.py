@@ -443,7 +443,7 @@ def scene_from_dict(doc: dict) -> SceneBundle:
                                    f"for {obs.node_count} nodes")
         try:
             given = np.array(labels, dtype=np.int64)
-        except OverflowError:  # a label past int64 is out of range as -1 is
+        except OverflowError:  # a label past int64 is out of range, as -1 is
             given = np.array([v if -2**63 <= v < 2**63 else -1 for v in labels])
         # node u's labels are its candidates and its outlier, 0..count[u]
         bad = np.flatnonzero((given < 0) | (given > obs.candidate_count))

@@ -568,25 +568,19 @@ def test_degree_bound_eliminates_exactly_what_the_full_sum_does():
         assert np.array_equal(fast, full)
 
 
-def _star(count=6):
-    # node 0 joined to nodes 1..count; every camera point and every object
-    # point coincide, so each edge's candidate minimum is 0 and its worst
-    # change exactly beta * gamma
-    xs = [(0.0, 0.0, 1.0)] * (count + 1)
-    scene = tiny_scene(xs, [[cand((0, 0, 0))]] * (count + 1))
-    edges = np.array([(0, v) for v in range(1, count + 1)])
-    unary = np.full((count + 1, MAX_CANDIDATES + 1), INF)
-    unary[:, :2] = 0.0
-    return scene, edges, unary
-
-
 def test_bound_score_within_the_rounding_margin_is_left_to_the_full_sum():
-    # six terms of 0.01 sum to 0.060000000000000005 in floats, one ulp above
-    # 6 * 0.01; a candidate unary of that sum against an outlier unary of 0
-    # scores exactly 0 in the full rule, so the candidate stays, while the
-    # bare bound -0.060000000000000005 + 6 * 0.01 is below 0
+    # node 0 joined to nodes 1..6; every camera point and every object point
+    # coincide, so each edge's candidate minimum is 0 and its worst change
+    # exactly beta * gamma.  Six terms of 0.01 sum to 0.060000000000000005 in
+    # floats, one ulp above 6 * 0.01; a candidate unary of that sum against
+    # an outlier unary of 0 scores exactly 0 in the full rule, so the
+    # candidate stays, while the bare bound -0.060000000000000005 + 6 * 0.01
+    # is below 0
     hp = HyperParams(alpha=1.0, beta=1.0, gamma=0.01)
-    scene, edges, unary = _star(6)
+    scene = tiny_scene([(0.0, 0.0, 1.0)] * 7, [[cand((0, 0, 0))]] * 7)
+    edges = np.array([(0, v) for v in range(1, 7)])
+    unary = np.full((7, MAX_CANDIDATES + 1), INF)
+    unary[:, :2] = 0.0
     terms = 0.0
     for _ in range(6):
         terms += hp.beta * hp.gamma
@@ -639,4 +633,3 @@ def test_neighborhood_is_memoised_and_read_only():
         again[:] = 0
     other = build_sparse_neighborhood(17, 9, keep=4, skip=0)
     assert {tuple(e) for e in other.tolist()} != {tuple(e) for e in edges.tolist()}
-    assert np.array_equal(build_sparse_neighborhood(17, 9), edges)
