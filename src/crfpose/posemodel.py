@@ -65,7 +65,8 @@ class SceneObservation:
     ``confidence[u, j]`` in [0, 1], from pixel ``source_pixel[u, j]`` (0..3,
     in the node's 2x2 block) of tree ``source_tree[u, j]`` (0..2); entries
     past the count are stored as 0.  Everything is checked once here, and an
-    error names ``nodes[u]`` or ``nodes[u].candidates[j]``.
+    error names the entry as ``<array>[u]`` or ``<array>[u][j]`` (for
+    example ``confidence[5][2]``), which is also its path in a scene file.
     """
 
     grid_width: int
@@ -96,17 +97,17 @@ class SceneObservation:
         past = np.arange(MAX_CANDIDATES) >= count[:, None]
         for a in (self.coords, conf, pixel, tree):
             a[past] = 0
-        for bad, what in (((count < 0) | (count > MAX_CANDIDATES),
-                           f"candidate count outside 0..{MAX_CANDIDATES}"),
-                          (~np.isfinite(self.points).all(axis=1), "camera point x is not finite"),
-                          (~((conf >= 0.0) & (conf <= 1.0)), "confidence outside [0,1]"),
-                          ((pixel < 0) | (pixel > 3), "source_pixel outside 0..3"),
-                          ((tree < 0) | (tree > 2), "source_tree outside 0..2"),
-                          (~np.isfinite(self.coords).all(axis=2), "object coordinate l is not finite")):
+        for name, bad, what in (
+                ("candidate_count", (count < 0) | (count > MAX_CANDIDATES),
+                 f"outside 0..{MAX_CANDIDATES}"),
+                ("points", ~np.isfinite(self.points).all(axis=1), "not finite"),
+                ("confidence", ~((conf >= 0.0) & (conf <= 1.0)), "outside [0,1]"),
+                ("source_pixel", (pixel < 0) | (pixel > 3), "outside 0..3"),
+                ("source_tree", (tree < 0) | (tree > 2), "outside 0..2"),
+                ("coords", ~np.isfinite(self.coords).all(axis=2), "not finite")):
             if bad.any():
-                u, *j = np.argwhere(bad)[0]
-                at = f"candidate at nodes[{u}].candidates[{j[0]}]" if j else f"node at nodes[{u}]"
-                raise ContractViolation(f"invalid {at}: {what}")
+                at = "".join(f"[{i}]" for i in np.argwhere(bad)[0])
+                raise ContractViolation(f"field '{name}{at}' is {what}")
         for name, _, _ in _SCENE_ARRAYS:
             getattr(self, name).flags.writeable = False
 

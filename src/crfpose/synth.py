@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .model import INF, ContractViolation
-from .posemodel import MAX_CANDIDATES, SceneObservation
+from .posemodel import _SCENE_ARRAYS, MAX_CANDIDATES, SceneObservation
 from .posefit import Pose, fixes_rotation, random_rotation
 
 SCENE_FORMAT = "crfpose-scene"
-SCENE_VERSION = 1
+SCENE_VERSION = 2
 
 #: fraction of the grid's smaller span the object is scaled to occupy
 _GRID_FILL = 0.62
@@ -273,22 +274,13 @@ def _require(mapping, key, path):
 
 def scene_to_dict(bundle: SceneBundle) -> dict:
     obs = bundle.observation
-    count = obs.candidate_count.tolist()
-    coords, conf, pixel, tree = (a.tolist() for a in (
-        obs.coords, obs.confidence, obs.source_pixel, obs.source_tree))
     doc = {
         "format": SCENE_FORMAT,
         "version": SCENE_VERSION,
         "grid_width": obs.grid_width,
         "grid_height": obs.grid_height,
         "object_diameter": obs.object_diameter,
-        "nodes": [
-            {"x": x,
-             "candidates": [{"l": coords[u][j], "p": conf[u][j],
-                             "pixel": pixel[u][j], "tree": tree[u][j]}
-                            for j in range(count[u])]}
-            for u, x in enumerate(obs.points.tolist())
-        ],
+        **{name: getattr(obs, name).tolist() for name, _, _ in _SCENE_ARRAYS},
     }
     if bundle.object_points is not None:
         doc["object_points"] = np.asarray(bundle.object_points, dtype=float).tolist()
@@ -341,6 +333,46 @@ def _typed(value, name, types=_NUMBER, count=None):
     return value
 
 
+def _int64(values) -> np.ndarray:
+    """JSON integers as int64; one past int64 is stored as -1, which every
+    index and label check refuses as out of range."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if -2**63 <= v < 2**63 else -1 for v in values], dtype=np.int64)
+
+
+def _array(doc, name, dtype, shape, grid) -> np.ndarray:
+    """``doc[name]`` as an array of ``shape``: nested lists of exactly that
+    shape, as ``tolist()`` writes them, whose entries are JSON numbers (JSON
+    integers for an int64 ``dtype``).  Each level is checked in one pass
+    over all its lists; the first bad one is looked for only on failure and
+    named by its path, e.g. ``coords[5][2]``."""
+    def at(k, dims):
+        return name + "".join(f"[{i}]" for i in np.unravel_index(k, dims))
+
+    rows = [_require(doc, name, "")]
+    for depth, size in enumerate(shape):
+        if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {size}):
+            k = next(k for k, row in enumerate(rows) if type(row) is not list or len(row) != size)
+            what = f"one entry per node of the {grid} grid" if depth == 0 else f"{size} entries"
+            raise SceneFormatError(f"field '{at(k, shape[:depth])}' must be a list of {what}")
+        rows = list(chain.from_iterable(rows))
+    types = _INTEGER if dtype is np.int64 else _NUMBER
+    if not set(map(type, rows)) <= set(types):
+        k = next(k for k, v in enumerate(rows) if type(v) not in types)
+        raise SceneFormatError(f"field '{at(k, shape)}' must be {_KINDS[types]}")
+    if types is _INTEGER:
+        return _int64(rows).reshape(shape)
+    try:
+        return np.array(rows, dtype=float).reshape(shape)
+    except OverflowError:  # _typed names the first integer no float holds
+        for k, v in enumerate(rows):
+            if type(v) is int and v.bit_length() > 1023:
+                _typed(v, at(k, shape))
+        raise
+
+
 def _pose(mapping, path) -> Pose:
     """The pose of ``mapping``'s ``rotation`` (rows of three numbers) and
     ``translation`` (three numbers)."""
@@ -363,70 +395,23 @@ def scene_from_dict(doc: dict) -> SceneBundle:
     width = _field(doc, "grid_width", "", _INTEGER)
     height = _field(doc, "grid_height", "", _INTEGER)
     diameter = _field(doc, "object_diameter", "")
-    raw_nodes = _require(doc, "nodes", "")
-    if type(raw_nodes) is not list:
-        raise SceneFormatError("field 'nodes' must be a list")
-    # every value is type-checked here, in document order; ranges and
-    # finiteness are checked once by SceneObservation.  A value of the usual
-    # type (a float; an int for pixel and tree) passes inline.  Any other goes
-    # to _field, which returns it (an integer where a number is asked for) or
-    # raises naming its path, so a path is formatted only then.
-    xs, counts, ls, ps, pixels, trees = [], [], [], [], [], []
-    for i, nd in enumerate(raw_nodes):
-        node = nd if type(nd) is dict else {}
-        x = node.get("x")
-        if not (type(x) is list and len(x) == 3 and type(x[0]) is float
-                and type(x[1]) is float and type(x[2]) is float):
-            x = _field(nd, "x", f"nodes[{i}].", count=3)
-        xs.append(x)
-        cands = node.get("candidates")
-        if type(cands) is not list:
-            cands = _require(nd, "candidates", f"nodes[{i}].")
-        if type(cands) is not list or len(cands) > MAX_CANDIDATES:
-            raise SceneFormatError(f"field 'nodes[{i}].candidates' must be a list of at most "
-                                   f"{MAX_CANDIDATES} candidates")
-        counts.append(len(cands))
-        for j, cd in enumerate(cands):
-            cand = cd if type(cd) is dict else {}
-            l, p, pixel, tree = (cand.get("l"), cand.get("p"), cand.get("pixel"),
-                                 cand.get("tree"))
-            if not (type(l) is list and len(l) == 3 and type(l[0]) is float
-                    and type(l[1]) is float and type(l[2]) is float):
-                l = _field(cd, "l", f"nodes[{i}].candidates[{j}].", count=3)
-            if type(p) is not float:
-                p = _field(cd, "p", f"nodes[{i}].candidates[{j}].")
-            if type(pixel) is not int:
-                pixel = _field(cd, "pixel", f"nodes[{i}].candidates[{j}].", _INTEGER)
-            if type(tree) is not int:
-                tree = _field(cd, "tree", f"nodes[{i}].candidates[{j}].", _INTEGER)
-            ls.append(l)
-            ps.append(p)
-            pixels.append(pixel)
-            trees.append(tree)
-    if len(xs) != width * height:
-        raise SceneFormatError(f"field 'nodes' has {len(xs)} nodes for a "
-                               f"{width}x{height} grid")
-    count = np.array(counts, dtype=np.int64)
-    filled = np.arange(MAX_CANDIDATES) < count[:, None]
-
-    def padded(values, shape, dtype):
-        out = np.zeros((len(xs), MAX_CANDIDATES, *shape), dtype=dtype)
-        try:
-            out[filled] = np.array(values, dtype=dtype).reshape(-1, *shape)
-        except OverflowError:
-            # a pixel or tree index past int64 is stored as -1, which
-            # SceneObservation refuses as out of range, naming the candidate
-            out[filled] = [v if -2**63 <= v < 2**63 else -1 for v in values]
-        return out
-
+    arrays = {name: _array(doc, name, dtype, (width * height, *shape), f"{width}x{height}")
+              for name, dtype, shape in _SCENE_ARRAYS}
     try:
-        obs = SceneObservation(
-            grid_width=width, grid_height=height, object_diameter=diameter,
-            points=np.array(xs, dtype=float).reshape(-1, 3), candidate_count=count,
-            coords=padded(ls, (3,), float), confidence=padded(ps, (), float),
-            source_pixel=padded(pixels, (), np.int64), source_tree=padded(trees, (), np.int64))
+        obs = SceneObservation(grid_width=width, grid_height=height,
+                               object_diameter=diameter, **arrays)
     except ContractViolation as exc:
         raise SceneFormatError(str(exc)) from None
+    # SceneObservation stores every entry past a node's count as 0; any other
+    # value there (-0.0 too) would not be written back as it was read
+    for name, given in arrays.items():
+        stored = getattr(obs, name)
+        bad = np.argwhere((stored != given) | (np.signbit(stored) != np.signbit(given)))
+        if bad.size:
+            u = bad[0][0]
+            at = "".join(f"[{i}]" for i in bad[0])
+            raise SceneFormatError(f"field '{name}{at}' is past the {obs.candidate_count[u]} "
+                                   f"candidates of node {u} and must be 0")
     object_points = None
     if "object_points" in doc:
         object_points = np.array(_field(doc, "object_points", "", count=3, each=True),
@@ -441,10 +426,7 @@ def scene_from_dict(doc: dict) -> SceneBundle:
         if len(labels) != obs.node_count:
             raise SceneFormatError(f"field 'ground_truth.labels' has {len(labels)} labels "
                                    f"for {obs.node_count} nodes")
-        try:
-            given = np.array(labels, dtype=np.int64)
-        except OverflowError:  # a label past int64 is out of range, as -1 is
-            given = np.array([v if -2**63 <= v < 2**63 else -1 for v in labels])
+        given = _int64(labels)
         # node u's labels are its candidates and its outlier, 0..count[u]
         bad = np.flatnonzero((given < 0) | (given > obs.candidate_count))
         if bad.size:

@@ -249,25 +249,41 @@ def test_cli_malformed_scenario_exits_2(tmp_path, capsys):
 def test_cli_malformed_scene_field_exits_2(tmp_path, capsys):
     doc = scene_to_dict(generate_bundle(default_scenario(seed=0, grid_width=20,
                                                          grid_height=15)))
-    doc["nodes"][5]["x"] = [0.0, 1.0]
+    doc["points"][5] = [0.0, 1.0]
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(doc))
     assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
-    assert "nodes[5].x" in capsys.readouterr().err
-    doc["nodes"][5]["x"] = [0.0, 1.0, 2.0]
+    assert "points[5]" in capsys.readouterr().err
+    doc["points"][5] = [0.0, 1.0, 2.0]
     doc["ground_truth"]["labels"][3] = "x"
     scene.write_text(json.dumps(doc))
     assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
     assert "ground_truth.labels[3]" in capsys.readouterr().err
-    doc["ground_truth"]["labels"][3] = len(doc["nodes"][3]["candidates"]) + 1
+    doc["ground_truth"]["labels"][3] = doc["candidate_count"][3] + 1
     scene.write_text(json.dumps(doc))
     assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
     assert "ground_truth.labels[3]" in capsys.readouterr().err
     doc["ground_truth"]["labels"][3] = 0
-    for version in ("true", "1.0"):
-        scene.write_text(json.dumps(doc).replace('"version": 1', f'"version": {version}'))
+    for version in ("true", "2.0"):
+        scene.write_text(json.dumps(doc).replace('"version": 2', f'"version": {version}'))
         assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
         assert "field 'version' must be an integer" in capsys.readouterr().err
+    doc["candidate_count"][7] = 11  # candidate 11 of node 7 left in place
+    scene.write_text(json.dumps(doc))
+    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
+    assert "field 'coords[7][11][0]' is past the 11 candidates of node 7" \
+        in capsys.readouterr().err
+
+
+def test_cli_version_1_scene_exits_2(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "format": "crfpose-scene", "version": 1, "grid_width": 1, "grid_height": 1,
+        "object_diameter": 0.05,
+        "nodes": [{"x": [0.0, 0.0, 1.0],
+                   "candidates": [{"l": [0.0, 0.0, 0.0], "p": 0.9, "pixel": 2, "tree": 1}]}]}))
+    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
+    assert "unsupported scene version 1; this build reads version 2" in capsys.readouterr().err
 
 
 def test_cli_missing_scene_exits_2(tmp_path):

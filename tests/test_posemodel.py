@@ -63,13 +63,13 @@ def test_scene_observation_checks_every_array_once():
     with pytest.raises(ValueError, match="read-only"):
         scene.coords[0, 0, 0] = 1.0
     for args, message in [
-        (("confidence", (1, 1), 1.5), r"nodes\[1\]\.candidates\[1\]: confidence"),
-        (("confidence", (1, 0), np.nan), r"nodes\[1\]\.candidates\[0\]: confidence"),
-        (("source_pixel", (1, 1), 4), r"nodes\[1\]\.candidates\[1\]: source_pixel"),
-        (("source_tree", (0, 0), -1), r"nodes\[0\]\.candidates\[0\]: source_tree"),
-        (("coords", (1, 1, 2), np.inf), r"nodes\[1\]\.candidates\[1\]: object coordinate l"),
-        (("points", (1, 0), np.nan), r"nodes\[1\]: camera point x"),
-        (("candidate_count", 0, 13), r"nodes\[0\]: candidate count"),
+        (("confidence", (1, 1), 1.5), r"^field 'confidence\[1\]\[1\]' is outside \[0,1\]$"),
+        (("confidence", (1, 0), np.nan), r"^field 'confidence\[1\]\[0\]' is outside \[0,1\]$"),
+        (("source_pixel", (1, 1), 4), r"^field 'source_pixel\[1\]\[1\]' is outside 0\.\.3$"),
+        (("source_tree", (0, 0), -1), r"^field 'source_tree\[0\]\[0\]' is outside 0\.\.2$"),
+        (("coords", (1, 1, 2), np.inf), r"^field 'coords\[1\]\[1\]' is not finite$"),
+        (("points", (1, 0), np.nan), r"^field 'points\[1\]' is not finite$"),
+        (("candidate_count", 0, 13), r"^field 'candidate_count\[0\]' is outside 0\.\.12$"),
         (("source_pixel", None, None, arrays["source_pixel"] + 0.0), "source_pixel must be"),
         (("coords", None, None, arrays["coords"][:, :11]), "coords must be"),
     ]:

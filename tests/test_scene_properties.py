@@ -1,8 +1,10 @@
 """Property test of the scene reader: mutated scene documents are either read
-back exactly or refused with a message that names where the fault is."""
+back exactly, and then solve to a report written as strict JSON, or are
+refused with a message that names where the fault is."""
 
 import copy
 import functools
+import json
 import re
 
 import pytest
@@ -11,6 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from crfpose.pipeline import canonical_report, desk_scale_config, solve_scene  # noqa: E402
 from crfpose.synth import (SceneFormatError, UnsupportedVersionError,  # noqa: E402
                            default_scenario, generate_bundle, sample_sphere_cloud,
                            scene_from_dict, scene_to_dict)
@@ -35,7 +38,7 @@ _VALUES = st.one_of(
 
 def _locations(value, keys=()):
     """(pattern, keys) of every value below ``value``; the pattern is the
-    key path without list indices, e.g. ``.nodes[].candidates[].pixel``."""
+    key path without list indices, e.g. ``.coords[][][]``."""
     items = (value.items() if isinstance(value, dict)
              else enumerate(value) if isinstance(value, list) else ())
     for key, item in items:
@@ -107,3 +110,11 @@ def test_mutated_scene_documents_round_trip_or_name_the_field(data):
         assert _names_a_present_path(str(exc), doc), str(exc)
     else:
         assert scene_to_dict(bundle) == doc
+        # canonical_report raises on a NaN or an infinity; loading it back
+        # refuses any token that strict JSON does not have
+        text = canonical_report(solve_scene(bundle, desk_scale_config()))
+        assert canonical_report(json.loads(text, parse_constant=_refuse)) == text
+
+
+def _refuse(token):
+    raise ValueError(f"non-JSON token {token}")

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 
@@ -133,11 +134,24 @@ def test_scene_file_bytes_are_pinned(tmp_path, overrides, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+#: the arrays that hold one entry per candidate slot, zero past the count
+SLOT_ARRAYS = ("coords", "confidence", "source_pixel", "source_tree")
+
+
+def cut_candidates(doc, node, kept):
+    """Keep the first ``kept`` candidates of ``node``, zeroing the rest."""
+    doc["candidate_count"][node] = kept
+    for name in SLOT_ARRAYS:
+        row = doc[name][node]
+        row[kept:] = [[0.0] * 3 if name == "coords" else 0.0 if name == "confidence" else 0
+                      for _ in row[kept:]]
+
+
 def test_scene_with_fewer_candidates_round_trips():
     doc = scene_to_dict(generate_bundle(default_scenario(seed=10, grid_width=20,
                                                          grid_height=15)))
     for node, kept in ((0, 0), (5, 1), (7, 11)):
-        del doc["nodes"][node]["candidates"][kept:]
+        cut_candidates(doc, node, kept)
         doc["ground_truth"]["labels"][node] = kept  # the outlier, label 12 before
     scene = scene_from_dict(doc).observation
     assert scene.candidate_count[[0, 5, 7, 8]].tolist() == [0, 1, 11, 12]
@@ -145,14 +159,22 @@ def test_scene_with_fewer_candidates_round_trips():
     assert scene_to_dict(scene_from_dict(doc)) == doc
 
 
+def test_scene_file_holds_the_padded_arrays():
+    bundle = generate_bundle(default_scenario(seed=0, grid_width=4, grid_height=3))
+    doc = scene_to_dict(bundle)
+    assert list(doc)[5:11] == list(SCENE_ARRAYS)
+    for name in SCENE_ARRAYS:
+        assert doc[name] == getattr(bundle.observation, name).tolist(), name
+
+
 def test_scene_missing_field_names_the_field():
     doc = scene_to_dict(generate_bundle(default_scenario(seed=8)))
-    del doc["nodes"][3]["x"]
-    with pytest.raises(SceneFormatError, match=r"nodes\[3\]\.x"):
+    del doc["points"]
+    with pytest.raises(SceneFormatError, match=r"missing required field 'points'"):
         scene_from_dict(doc)
     doc2 = scene_to_dict(generate_bundle(default_scenario(seed=8)))
-    del doc2["nodes"][0]["candidates"][2]["p"]
-    with pytest.raises(SceneFormatError, match=r"candidates\[2\]\.p"):
+    del doc2["confidence"][0][2]
+    with pytest.raises(SceneFormatError, match=r"'confidence\[0\]' must be a list of 12"):
         scene_from_dict(doc2)
     doc3 = scene_to_dict(generate_bundle(default_scenario(seed=8)))
     del doc3["grid_width"]
@@ -165,10 +187,25 @@ def test_scene_version_mismatch(tmp_path):
     doc["version"] = 99
     with pytest.raises(UnsupportedVersionError):
         scene_from_dict(doc)
-    doc["version"] = 1
+    doc["version"] = 2
     doc["format"] = "something-else"
     with pytest.raises(SceneFormatError):
         scene_from_dict(doc)
+
+
+#: a version-1 document: one dict per node and per candidate
+VERSION_1_SCENE = {
+    "format": "crfpose-scene", "version": 1, "grid_width": 1, "grid_height": 1,
+    "object_diameter": 0.05,
+    "nodes": [{"x": [0.0, 0.0, 1.0],
+               "candidates": [{"l": [0.0, 0.0, 0.0], "p": 0.9, "pixel": 2, "tree": 1}]}],
+}
+
+
+def test_version_1_scene_is_refused():
+    with pytest.raises(UnsupportedVersionError) as info:
+        scene_from_dict(json.loads(json.dumps(VERSION_1_SCENE)))
+    assert str(info.value) == "unsupported scene version 1; this build reads version 2"
 
 
 def test_scene_malformed_json_reports_line(tmp_path):
@@ -180,15 +217,14 @@ def test_scene_malformed_json_reports_line(tmp_path):
 
 def test_confidence_out_of_range_rejected():
     doc = scene_to_dict(generate_bundle(default_scenario(seed=10)))
-    doc["nodes"][0]["candidates"][0]["p"] = 1.5
+    doc["confidence"][0][0] = 1.5
     with pytest.raises(SceneFormatError):
         scene_from_dict(doc)
 
 
 @pytest.mark.parametrize("field, value, message", [
-    (("nodes", 3, "x", 0), float("nan"), r"nodes\[3\]: camera point x"),
-    (("nodes", 0, "candidates", 2, "l", 1), float("inf"),
-     r"nodes\[0\]\.candidates\[2\]: object coordinate l"),
+    (("points", 3, 0), float("nan"), r"'points\[3\]' is not finite"),
+    (("coords", 0, 2, 1), float("inf"), r"'coords\[0\]\[2\]' is not finite"),
     (("object_diameter",), float("inf"), "object_diameter"),
     (("object_points", 0, 0), float("nan"), "object_points"),
     (("ground_truth", "rotation", 1, 2), float("nan"),
@@ -198,14 +234,13 @@ def test_confidence_out_of_range_rejected():
     (("ground_truth", "translation", 2), float("-inf"),
      r"ground_truth: translation is not finite"),
     # wrong lengths and types, which name the field's path
-    (("nodes", 5, "x"), [0.0, 1.0], r"nodes\[5\]\.x"),
-    (("nodes", 5, "x"), [0.0, 0.0, 1.0, 2.0], r"nodes\[5\]\.x"),
-    (("nodes", 5, "candidates", 2, "l"), [0.0, 0.0], r"nodes\[5\]\.candidates\[2\]\.l"),
-    (("nodes", 5, "candidates", 2, "l"), [0.0] * 4, r"nodes\[5\]\.candidates\[2\]\.l"),
-    (("nodes", 5, "candidates", 2, "l", 1), "0.0", r"nodes\[5\]\.candidates\[2\]\.l"),
-    (("nodes", 5, "candidates", 2, "p"), "0.5", r"nodes\[5\]\.candidates\[2\]\.p"),
-    (("nodes", 5, "candidates", 2, "pixel"), 1.7,
-     r"nodes\[5\]\.candidates\[2\]\.pixel"),
+    (("points", 5), [0.0, 1.0], r"'points\[5\]' must be a list of 3 entries"),
+    (("points", 5), [0.0, 0.0, 1.0, 2.0], r"'points\[5\]' must be a list of 3 entries"),
+    (("coords", 5, 2), [0.0, 0.0], r"'coords\[5\]\[2\]' must be a list of 3 entries"),
+    (("coords", 5, 2), [0.0] * 4, r"'coords\[5\]\[2\]' must be a list of 3 entries"),
+    (("coords", 5, 2, 1), "0.0", r"'coords\[5\]\[2\]\[1\]' must be a number"),
+    (("confidence", 5, 2), "0.5", r"'confidence\[5\]\[2\]' must be a number"),
+    (("source_pixel", 5, 2), 1.7, r"'source_pixel\[5\]\[2\]' must be an integer"),
     (("grid_width",), "x", "grid_width"),
     (("ground_truth", "labels", 3), "x", r"ground_truth\.labels\[3\]' must be an integer"),
     (("ground_truth", "labels", 3), 2.5, r"ground_truth\.labels\[3\]' must be an integer"),
@@ -223,15 +258,15 @@ def test_confidence_out_of_range_rejected():
     pytest.param(("object_points", 1, 2), 10**400,
                  r"object_points\[1\]' holds an integer too large for a float",
                  id="object_points-10**400"),
-    pytest.param(("nodes", 5, "candidates", 2, "p"), -10**400,
-                 r"nodes\[5\]\.candidates\[2\]\.p' holds an integer too large for a float",
+    pytest.param(("confidence", 5, 2), -10**400,
+                 r"'confidence\[5\]\[2\]' holds an integer too large for a float",
                  id="p-minus-10**400"),
     # indices no int64 holds; these named no field
-    pytest.param(("nodes", 5, "candidates", 2, "pixel"), 2**64,
-                 r"^invalid candidate at nodes\[5\]\.candidates\[2\]: source_pixel outside 0\.\.3$",
+    pytest.param(("source_pixel", 5, 2), 2**64,
+                 r"^field 'source_pixel\[5\]\[2\]' is outside 0\.\.3$",
                  id="pixel-2**64"),
-    pytest.param(("nodes", 5, "candidates", 2, "tree"), -10**400,
-                 r"^invalid candidate at nodes\[5\]\.candidates\[2\]: source_tree outside 0\.\.2$",
+    pytest.param(("source_tree", 5, 2), -10**400,
+                 r"^field 'source_tree\[5\]\[2\]' is outside 0\.\.2$",
                  id="tree-minus-10**400"),
 ])
 def test_non_finite_scene_input_rejected(tmp_path, field, value, message):
@@ -253,34 +288,35 @@ def small_scene_doc():
                                                           grid_height=3)))
 
 
-_CAND = ("nodes", 5, "candidates", 2)
 _DROP = object()  # deletes the key instead of setting it
+#: node 5 cut to its first three candidates, the rest zero
+_CUT = [(("candidate_count", 5), 3)] + [
+    ((name, 5, j), [0.0] * 3 if name == "coords" else 0.0 if name == "confidence" else 0)
+    for name in SLOT_ARRAYS for j in range(3, 12)]
 
 
 @pytest.mark.parametrize("edits, message", [
-    ([(("nodes", 5), 7)], "missing required field 'nodes[5].x'"),
-    ([(_CAND, "x")], "missing required field 'nodes[5].candidates[2].l'"),
-    ([(("nodes", 5, "candidates"), _DROP)], "missing required field 'nodes[5].candidates'"),
-    ([(("nodes", 5, "candidates"), {})],
-     "field 'nodes[5].candidates' must be a list of at most 12 candidates"),
-    ([(("nodes", 5, "candidates", 12), {"l": [0.0] * 3, "p": 0.5, "pixel": 0, "tree": 0})],
-     "field 'nodes[5].candidates' must be a list of at most 12 candidates"),
-    ([(("nodes", 5, "x", 1), True)], "field 'nodes[5].x' must be a list of 3 numbers"),
-    ([(_CAND + ("l", 0), True)], "field 'nodes[5].candidates[2].l' must be a list of 3 numbers"),
-    ([(_CAND + ("p",), True)], "field 'nodes[5].candidates[2].p' must be a number"),
-    ([(_CAND + ("pixel",), True)], "field 'nodes[5].candidates[2].pixel' must be an integer"),
-    ([(_CAND + ("tree",), True)], "field 'nodes[5].candidates[2].tree' must be an integer"),
-    ([(("nodes", 5, "x", 2), 10**400)],
-     "field 'nodes[5].x' holds an integer too large for a float"),
-    ([(_CAND + ("l", 1), -10**400)],
-     "field 'nodes[5].candidates[2].l' holds an integer too large for a float"),
-    ([(_CAND + ("pixel",), 3.0)], "field 'nodes[5].candidates[2].pixel' must be an integer"),
-    ([(_CAND + ("tree",), "4")], "field 'nodes[5].candidates[2].tree' must be an integer"),
+    ([(("points", 5), 7)], "field 'points[5]' must be a list of 3 entries"),
+    ([(("coords", 5, 2), "x")], "field 'coords[5][2]' must be a list of 3 entries"),
+    ([(("coords",), _DROP)], "missing required field 'coords'"),
+    ([(("coords", 5), {})], "field 'coords[5]' must be a list of 12 entries"),
+    ([(("coords", 5, 12), [0.0] * 3)], "field 'coords[5]' must be a list of 12 entries"),
+    ([(("points", 5, 1), True)], "field 'points[5][1]' must be a number"),
+    ([(("coords", 5, 2, 0), True)], "field 'coords[5][2][0]' must be a number"),
+    ([(("confidence", 5, 2), True)], "field 'confidence[5][2]' must be a number"),
+    ([(("source_pixel", 5, 2), True)], "field 'source_pixel[5][2]' must be an integer"),
+    ([(("source_tree", 5, 2), True)], "field 'source_tree[5][2]' must be an integer"),
+    ([(("points", 5, 2), 10**400)],
+     "field 'points[5][2]' holds an integer too large for a float"),
+    ([(("coords", 5, 2, 1), -10**400)],
+     "field 'coords[5][2][1]' holds an integer too large for a float"),
+    ([(("source_pixel", 5, 2), 3.0)], "field 'source_pixel[5][2]' must be an integer"),
+    ([(("source_tree", 5, 2), "4")], "field 'source_tree[5][2]' must be an integer"),
     # the first fault in document order is the one reported
-    ([(("nodes", 5, "x"), None), (("nodes", 4, "candidates", 11, "tree"), 1.5)],
-     "field 'nodes[4].candidates[11].tree' must be an integer"),
-    ([(_CAND + ("p",), "0.5"), (_CAND + ("l",), [0.0])],
-     "field 'nodes[5].candidates[2].l' must be a list of 3 numbers"),
+    ([(("source_tree", 5, 0), None), (("source_tree", 4, 11), 1.5)],
+     "field 'source_tree[4][11]' must be an integer"),
+    ([(("confidence", 5, 2), "0.5"), (("coords", 5, 2), [0.0])],
+     "field 'coords[5][2]' must be a list of 3 entries"),
     # the version is an integer field like any other; these loaded as 1
     ([(("version",), True)], "field 'version' must be an integer"),
     ([(("version",), 1.0)], "field 'version' must be an integer"),
@@ -295,18 +331,41 @@ _DROP = object()  # deletes the key instead of setting it
      "field 'ground_truth.labels[4]' must be a label of node 4 (0..12)"),
     ([(("ground_truth", "labels", 6), 13)],
      "field 'ground_truth.labels[6]' must be a label of node 6 (0..12)"),
-    ([(("nodes", 6, "candidates"), [])],
+    ([(("candidate_count", 6), 0), (("coords", 6), [[0.0] * 3] * 12),
+      (("confidence", 6), [0.0] * 12), (("source_pixel", 6), [0] * 12),
+      (("source_tree", 6), [0] * 12)],
      "field 'ground_truth.labels[6]' must be a label of node 6 (0..0)"),
     ([(("ground_truth", "labels", 4), 10**400), (("ground_truth", "labels", 9), 13)],
      "field 'ground_truth.labels[4]' must be a label of node 4 (0..12)"),
     ([(("ground_truth", "labels", 9), -2**64)],
      "field 'ground_truth.labels[9]' must be a label of node 9 (0..12)"),
+    # new with the array layout: the shapes, the count and the padding
+    ([(("version",), 1)], "unsupported scene version 1; this build reads version 2"),
+    ([(("points", 11), _DROP)],
+     "field 'points' must be a list of one entry per node of the 4x3 grid"),
+    ([(("source_tree",), {})],
+     "field 'source_tree' must be a list of one entry per node of the 4x3 grid"),
+    ([(("candidate_count", 5), [12])], "field 'candidate_count[5]' must be an integer"),
+    ([(("candidate_count", 5), 12.0)], "field 'candidate_count[5]' must be an integer"),
+    ([(("candidate_count", 5), 13)], "field 'candidate_count[5]' is outside 0..12"),
+    ([(("candidate_count", 5), 2**64)], "field 'candidate_count[5]' is outside 0..12"),
+    ([(("candidate_count", 5), 3)],
+     "field 'coords[5][3][0]' is past the 3 candidates of node 5 and must be 0"),
+    (_CUT + [(("source_pixel", 5, 11), 2)],
+     "field 'source_pixel[5][11]' is past the 3 candidates of node 5 and must be 0"),
+    (_CUT + [(("coords", 5, 7, 2), -0.0)],
+     "field 'coords[5][7][2]' is past the 3 candidates of node 5 and must be 0"),
+    (_CUT + [(("confidence", 5, 4), float("nan"))],
+     "field 'confidence[5][4]' is past the 3 candidates of node 5 and must be 0"),
 ], ids=["node-not-object", "candidate-not-object", "no-candidates", "candidates-not-list",
         "13-candidates", "x-true", "l-true", "p-true", "pixel-true", "tree-true",
         "x-10**400", "l-minus-10**400", "pixel-float", "tree-string",
         "first-node-fault", "first-candidate-fault", "version-true", "version-float",
         "one-label", "40-labels", "13-labels", "label-minus-1", "label-past-outlier",
-        "label-of-a-cut-candidate", "label-10**400", "label-minus-2**64"])
+        "label-of-a-cut-candidate", "label-10**400", "label-minus-2**64",
+        "version-1", "points-short", "array-not-list", "count-list", "count-float",
+        "count-13", "count-2**64", "padding-left-in-place", "padding-pixel",
+        "padding-minus-zero", "padding-nan"])
 def test_scene_reader_messages_are_exact(small_scene_doc, edits, message):
     doc = json.loads(json.dumps(small_scene_doc))
     for path, value in edits:
@@ -316,12 +375,22 @@ def test_scene_reader_messages_are_exact(small_scene_doc, edits, message):
         if value is _DROP:
             del target[path[-1]]
         elif isinstance(target, list) and path[-1] == len(target):
-            target.append(value)
+            target.append(copy.deepcopy(value))
         else:
-            target[path[-1]] = value
+            target[path[-1]] = copy.deepcopy(value)
     with pytest.raises(SceneFormatError) as info:
         scene_from_dict(doc)
     assert str(info.value) == message
+
+
+def test_cut_scene_writes_the_bytes_it_read(small_scene_doc, tmp_path):
+    doc = json.loads(json.dumps(small_scene_doc))
+    cut_candidates(doc, 5, 3)
+    doc["ground_truth"]["labels"][5] = 3
+    path, again = tmp_path / "cut.json", tmp_path / "again.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    save_scene(load_scene(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_load_xyz(tmp_path):
