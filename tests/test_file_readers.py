@@ -51,15 +51,15 @@ SCENARIOS = {
 
 SCENE_DIGESTS = {
     "readme":
-        "d56469a0a77e9c23dd19ef75a7cbd4660ec4754f30e70993a041cc08e109b0c9",
+        "ca97999b402ac2130ed24276b84d38485223b9b9ea3216b2c1d3d42a1badc650",
     "box":
-        "a4ae780f777289545f33bd12d7d6fdcdb479eb2476dfd0961edbbf79a2eea951",
+        "94aac1b76cc8b294738ee300b8a1832a0263fbb80c0e0b3775642effd16a500d",
     "xyz":
-        "963da829da70aa1656c287957d1e3e026f7e4f92409f25eea257bc9e57799419",
+        "ad560c954fafbaeec307b638b6afead5d50798bd70a14199083ebadf14b523e4",
     "explicit-pose":
-        "8c09b892b77d01118438d82bfd86909fae693c8fbc62bb124a5033317ea58278",
+        "bfc34603e34ce7b8b330a9ea2945b750821638efb396945324975c8b0678d465",
     "every-number":
-        "180e229d2639dbd3721b96e247b8b01e0712ab3c215cc4ea59eee957cc55fa46",
+        "60edfb96bdbb15537586faf59e71642df3dd1e18d2873a60a7c4b858b8f648cf",
 }
 
 #: every config key, each set away from its default

@@ -123,10 +123,10 @@ def test_scene_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("overrides, digest", [
-    ({}, "057cfc8e53b0fc94b20353b2debe9a89150a0a9e58c1c1c3954e14179069a3a2"),
+    ({}, "ae623be28e61300e6f3d777c076e23c6c685b0fd28d98892f640880391a61931"),
     # the desk scenario
     (dict(inlier_rate=0.85, visible_fraction=0.8, coord_noise_sigma=1e-4),
-     "d56469a0a77e9c23dd19ef75a7cbd4660ec4754f30e70993a041cc08e109b0c9"),
+     "ca97999b402ac2130ed24276b84d38485223b9b9ea3216b2c1d3d42a1badc650"),
 ])
 def test_scene_file_bytes_are_pinned(tmp_path, overrides, digest):
     path = tmp_path / "scene.json"
