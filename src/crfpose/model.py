@@ -257,23 +257,11 @@ class PartialLabeling:
         if any(a < UNLABELED for a in self.assignment):
             raise ContractViolation("labels must be >= 0 or UNLABELED")
 
-    @classmethod
-    def from_labeling(cls, labeling: Sequence[int]) -> "PartialLabeling":
-        return cls(tuple(int(l) for l in labeling))
-
     def __len__(self) -> int:
         return len(self.assignment)
 
     def labeled_count(self) -> int:
         return sum(1 for a in self.assignment if a != UNLABELED)
-
-    def is_full(self) -> bool:
-        return all(a != UNLABELED for a in self.assignment)
-
-    def to_labeling(self) -> tuple[int, ...]:
-        if not self.is_full():
-            raise ContractViolation("partial labeling has unlabeled nodes")
-        return self.assignment
 
 
 def extend_partial(master_size: int, sub: PartialLabeling,

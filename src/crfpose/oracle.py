@@ -458,10 +458,9 @@ def verify_prop1(trials: int = 200, max_nodes: int = 12, seed: int = 0,
             keep.add(0)
         sub, node_map = induce_submodel(master, keep)
         sub_opt = brute_force(sub)
-        extended = extend_partial(master.node_count,
-                                  PartialLabeling.from_labeling(sub_opt.optima[0]),
+        extended = extend_partial(master.node_count, PartialLabeling(sub_opt.optima[0]),
                                   node_map, fill=0)
-        energy = evaluate_energy(master, extended.to_labeling())
+        energy = evaluate_energy(master, extended.assignment)
         gap = abs(energy - master_opt.optimal_energy)
         if gap <= tolerance:
             report.passes += 1

@@ -36,7 +36,6 @@ class Component:
 @dataclass(frozen=True)
 class SubmodelSpec:
     seed_component: int
-    member_components: frozenset[int]
     node_set: frozenset[int]
 
 
@@ -72,27 +71,21 @@ def enumerate_submodels(components, scene: SceneObservation) -> list[SubmodelSpe
     bounds = np.cumsum([0] + [len(c) for c in components])
     specs = []
     for a, f in enumerate(components):
-        members = {f.serial}
         nodes = set(f.nodes)
         for b, g in enumerate(components):
             if g.serial <= f.serial:
                 continue
             block = dist[bounds[a]:bounds[a + 1], bounds[b]:bounds[b + 1]]
             if block.max() <= scene.object_diameter:
-                members.add(g.serial)
                 nodes.update(g.nodes)
-        specs.append(SubmodelSpec(
-            seed_component=f.serial,
-            member_components=frozenset(members),
-            node_set=frozenset(nodes),
-        ))
+        specs.append(SubmodelSpec(seed_component=f.serial, node_set=frozenset(nodes)))
     return specs
 
 
 def per_node_submodels(points: np.ndarray, diameter: float) -> list[SubmodelSpec]:
     """Alternative scheme: one spec per node, containing every node within
     camera distance ``diameter`` of it."""
-    return [SubmodelSpec(seed_component=u, member_components=frozenset(),
+    return [SubmodelSpec(seed_component=u,
                          node_set=frozenset(np.flatnonzero(row <= diameter).tolist()))
             for u, row in enumerate(pairwise_distances(points))]
 

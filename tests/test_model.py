@@ -354,7 +354,7 @@ def test_induce_rejects_empty_keep():
 def test_extend_partial_empty_submodel_gives_all_fill():
     out = extend_partial(4, PartialLabeling(()), (), fill=0)
     assert out.assignment == (0, 0, 0, 0)
-    assert out.is_full()
+    assert out.labeled_count() == 4
 
 
 def test_extend_partial_places_and_propagates():
@@ -390,8 +390,8 @@ def test_extend_partial_rejects_out_of_range_targets():
 def test_partial_labeling_helpers():
     p = PartialLabeling((0, UNLABELED, 2))
     assert p.labeled_count() == 2
-    assert not p.is_full()
+    assert UNLABELED in p.assignment
     with pytest.raises(ContractViolation):
-        p.to_labeling()
-    full = PartialLabeling.from_labeling([1, 0])
-    assert full.to_labeling() == (1, 0)
+        PartialLabeling((0, UNLABELED - 1))
+    full = PartialLabeling([1, 0])
+    assert full.assignment == (1, 0) and full.labeled_count() == len(full)

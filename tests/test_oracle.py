@@ -89,7 +89,7 @@ def test_prop1_identity_induction():
         sub_opt = brute_force(sub)
         ext = extend_partial(m.node_count, PartialLabeling(sub_opt.optima[0]),
                              node_map, fill=0)
-        assert evaluate_energy(m, ext.to_labeling()) == pytest.approx(
+        assert evaluate_energy(m, ext.assignment) == pytest.approx(
             opt.optimal_energy, abs=1e-12)
 
 
@@ -103,7 +103,7 @@ def test_prop1_exact_support_induction():
         sub_opt = brute_force(sub)
         ext = extend_partial(m.node_count, PartialLabeling(sub_opt.optima[0]),
                              node_map, fill=0)
-        assert evaluate_energy(m, ext.to_labeling()) == pytest.approx(
+        assert evaluate_energy(m, ext.assignment) == pytest.approx(
             opt.optimal_energy, abs=1e-12)
 
 

@@ -232,8 +232,8 @@ def cluster_scene():
 
 def test_cluster_hypotheses_sizes():
     scene, pose = cluster_scene()
-    spec_a = SubmodelSpec(0, frozenset({0}), frozenset(range(5)))
-    spec_b = SubmodelSpec(1, frozenset({1}), frozenset({4, 5}))
+    spec_a = SubmodelSpec(0, frozenset(range(5)))
+    spec_b = SubmodelSpec(1, frozenset({4, 5}))
     results = [
         (PartialLabeling((1, 1, 1, 1, 1, 0)), spec_a),   # 5 label-1 nodes
         (PartialLabeling((0, 0, 0, 0, 1, 1)), spec_b),   # only 2: dropped
@@ -248,7 +248,7 @@ def test_cluster_hypotheses_sizes():
 
 def test_cluster_hypotheses_drops_unlabeled_nodes():
     scene, _ = cluster_scene()
-    spec = SubmodelSpec(0, frozenset({0}), frozenset(range(6)))
+    spec = SubmodelSpec(0, frozenset(range(6)))
     partial = PartialLabeling((1, 1, 1, -1, -1, 0))
     hyps = cluster_hypotheses([(partial, spec)], scene, list(range(6)), [0] * 6)
     assert len(hyps) == 1

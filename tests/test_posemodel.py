@@ -341,8 +341,7 @@ def test_cluster_hypotheses_pairs_each_labeled_candidate_with_its_point():
     cand_lists = [[cand((0.5, 0, 0)), cand((0, 0, 0))], [cand((0.02, 0, 0))],
                   [cand((0, 0.02, 0))], [cand((0.01, 0.01, 0.01))]]
     scene = tiny_scene(xs, cand_lists, width=2, diameter=0.05)
-    spec = SubmodelSpec(seed_component=4, member_components=frozenset({4}),
-                        node_set=frozenset(range(4)))
+    spec = SubmodelSpec(seed_component=4, node_set=frozenset(range(4)))
     master_grid_nodes, stage_one = [0, 1, 2, 3], [1, 0, 0, 1]
 
     def cluster(assignment, labels=stage_one):
@@ -366,8 +365,7 @@ def test_cluster_hypotheses_pairs_match_planted_coordinates():
                           visible_fraction=0.9)
     scene, truth = generate_scene(sc)
     planted = [u for u, l in enumerate(truth) if l != MAX_CANDIDATES]
-    spec = SubmodelSpec(seed_component=0, member_components=frozenset({0}),
-                        node_set=frozenset(range(len(planted))))
+    spec = SubmodelSpec(seed_component=0, node_set=frozenset(range(len(planted))))
     (h,) = cluster_hypotheses([(PartialLabeling((1,) * len(planted)), spec)], scene,
                               planted, truth)
     assert h.correspondence_count == len(planted)

@@ -39,7 +39,7 @@ def test_submodular_models_fully_labeled_and_optimal():
         # fully labeled + persistent means the labeling is an exact optimum
         energy = brute_force(m).optimal_energy
         from crfpose.model import evaluate_energy
-        assert evaluate_energy(m, partial.to_labeling()) == pytest.approx(energy, abs=1e-9)
+        assert evaluate_energy(m, partial.assignment) == pytest.approx(energy, abs=1e-9)
 
 
 def test_frustrated_cycle_is_all_unlabeled():

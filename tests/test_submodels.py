@@ -109,7 +109,7 @@ def test_enumerate_three_distant_components():
     scene = grid_scene(points, width=6, diameter=0.05)
     comps = [comp(0, {0, 1}), comp(1, {2, 3}), comp(2, {4, 5})]
     specs = enumerate_submodels(comps, scene)
-    assert [sorted(s.member_components) for s in specs] == [[0], [1], [2]]
+    assert [s.node_set for s in specs] == [{0, 1}, {2, 3}, {4, 5}]
     assert [s.seed_component for s in specs] == [0, 1, 2]
 
 
@@ -119,10 +119,9 @@ def test_enumerate_hand_traced_mixed_case():
     scene = grid_scene(points, width=6, diameter=0.05)
     comps = [comp(0, {0, 1}), comp(1, {2, 3}), comp(2, {4, 5})]
     specs = enumerate_submodels(comps, scene)
-    assert sorted(specs[0].member_components) == [0, 1]
     assert specs[0].node_set == frozenset({0, 1, 2, 3})
-    assert sorted(specs[1].member_components) == [1]
-    assert sorted(specs[2].member_components) == [2]
+    assert specs[1].node_set == frozenset({2, 3})
+    assert specs[2].node_set == frozenset({4, 5})
 
 
 def test_enumerate_requires_all_nodes_within_distance():
@@ -132,7 +131,7 @@ def test_enumerate_requires_all_nodes_within_distance():
     comps = [comp(0, {0, 1}), comp(1, {2, 3})]
     specs = enumerate_submodels(comps, scene)
     # max pairwise distance 0.08 > 0.05, so no merge
-    assert sorted(specs[0].member_components) == [0]
+    assert specs[0].node_set == frozenset({0, 1})
 
 
 def test_enumerate_single_component_and_determinism():
@@ -151,8 +150,9 @@ def test_spec_invariants():
     scene = grid_scene(points, width=4, diameter=0.05)
     comps = [comp(0, {0, 1}), comp(1, {2, 3})]
     for s in enumerate_submodels(comps, scene):
-        assert s.seed_component in s.member_components
-        assert all(g >= s.seed_component for g in s.member_components)
+        # the seed's nodes, plus nodes of later components only
+        assert comps[s.seed_component].nodes <= s.node_set
+        assert s.node_set <= set().union(*(c.nodes for c in comps[s.seed_component:]))
 
 
 def test_per_node_scheme():
@@ -221,7 +221,7 @@ def test_solve_decomposed_requires_zero_form():
     m = GraphicalModel((2, 2), [np.zeros(2), np.zeros(2)], ((0, 1),),
                        pairwise=[np.ones((2, 2))])
     with pytest.raises(ContractViolation):
-        solve_decomposed(m, [SubmodelSpec(0, frozenset({0}), frozenset({0, 1}))])
+        solve_decomposed(m, [SubmodelSpec(0, frozenset({0, 1}))])
 
 
 def test_solve_decomposed_empty_specs():
@@ -239,7 +239,7 @@ def test_solve_decomposed_spec_covering_optimum_support_is_persistent():
     m = GraphicalModel((2,) * 4, unary, edges, pairwise=[z, z, z, rep])
     opt = brute_force(m)
     assert opt.optima == [(1, 1, 1, 0)]
-    results = solve_decomposed(m, [SubmodelSpec(0, frozenset({0}), frozenset({0, 1, 2}))])
+    results = solve_decomposed(m, [SubmodelSpec(0, frozenset({0, 1, 2}))])
     extension, _ = results[0]
     # the extension (fill 0 outside the submodel) matches the optimum exactly
     assert check_persistency(m, extension)
@@ -251,10 +251,10 @@ def test_solve_decomposed_all_zero_optimum_consistent_everywhere():
     edges = tuple((u, v) for u in range(5) for v in range(u + 1, 5))
     z = np.array([[0.0, 0.0], [0.0, 1.0]])
     m = GraphicalModel((2,) * 5, unary, edges, pairwise=[z.copy() for _ in edges])
-    specs = [SubmodelSpec(0, frozenset({0}), frozenset({0, 1, 2})),
-             SubmodelSpec(1, frozenset({1}), frozenset({2, 3, 4}))]
+    specs = [SubmodelSpec(0, frozenset({0, 1, 2})),
+             SubmodelSpec(1, frozenset({2, 3, 4}))]
     for extension, _ in solve_decomposed(m, specs):
-        assert extension.is_full()
+        assert UNLABELED not in extension.assignment
         assert extension.assignment == (0,) * 5
 
 
@@ -271,7 +271,7 @@ def test_solve_decomposed_randomized_guarantee():
                 keep.add(u)
         if not keep:
             keep.add(0)
-        spec = SubmodelSpec(0, frozenset({0}), frozenset(keep))
+        spec = SubmodelSpec(0, frozenset(keep))
         extension, _ = solve_decomposed(m, [spec])[0]
         assert check_persistency(m, extension)
 
@@ -279,8 +279,8 @@ def test_solve_decomposed_randomized_guarantee():
 def test_solve_decomposed_results_sorted_by_seed():
     m = sample_zero_form_model(np.random.default_rng(2), max_nodes=8)
     n = m.node_count
-    specs = [SubmodelSpec(2, frozenset({2}), frozenset(range(n))),
-             SubmodelSpec(0, frozenset({0}), frozenset(range(min(3, n))))]
+    specs = [SubmodelSpec(2, frozenset(range(n))),
+             SubmodelSpec(0, frozenset(range(min(3, n))))]
     results = solve_decomposed(m, specs)
     assert [s.seed_component for _, s in results] == [0, 2]
 
@@ -297,8 +297,8 @@ def test_decomposition_reduces_infinite_pairs():
     master = build_stage_two_master(scene, STAGE_TWO_DEFAULTS, set(range(8)),
                                     [0] * 8)
     assert count_infinite_pairs(master) == 16
-    specs = [SubmodelSpec(0, frozenset({0}), frozenset(range(4))),
-             SubmodelSpec(1, frozenset({1}), frozenset(range(4, 8)))]
+    specs = [SubmodelSpec(0, frozenset(range(4))),
+             SubmodelSpec(1, frozenset(range(4, 8)))]
     total = 0
     for spec in specs:
         sub, _ = induce_submodel(master, spec.node_set)
