@@ -6,14 +6,22 @@ candidate with probability ``inlier_rate`` among uniformly wrong ones,
 background and occluded nodes carry only wrong candidates, and camera points
 come from the posed object or from a clutter plane behind it.  Everything is
 deterministic in the scenario seed.
+
+A scene file (version 2) holds the grid, the object diameter and the six
+``SceneObservation`` arrays under their own names, each nested as
+``tolist()`` writes it, plus the optional object cloud and ground truth.
+``scene_from_dict`` checks each array's shape and entry types and that
+every entry past a node's candidate count is 0; ``SceneObservation``
+checks the ranges.  Every refusal names the entry by its path in the file,
+e.g. ``confidence[5][2]``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
