@@ -219,6 +219,16 @@ def test_qpbo_is_pinned_on_a_desk_master(monkeypatch):
         "2a61fecec61b377149aecbecbc545f2a4fca5cc675c455cfa3c41c096c7ea404"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_qpbo_assignments_are_pinned():
+    # Assignments alone: they stay put when the network qpbo solves changes.
+    h = hashlib.sha256()
+    for m in _pinned_binary_models() + _desk_models():
+        h.update(repr(qpbo(m).assignment).encode())
+    assert h.hexdigest() == \
+        "48f812e00055508d0088aa9919f0cc526c2a32f243eead4ad206098330657247"
+
+
 def _random_network(rng):
     # self-loops, parallel arcs and zero capacities included
     n = int(rng.integers(2, 12))
