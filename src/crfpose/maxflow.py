@@ -21,10 +21,6 @@ import numpy as np
 
 from .model import ContractViolation
 
-# residuals below RESIDUAL_EPS * max_capacity count as saturated; keeps float
-# cancellation noise from leaking reachability across a saturated cut
-RESIDUAL_EPS = 1e-10
-
 ARC = np.dtype([("tail", np.int64), ("head", np.int64), ("capacity", float)])
 
 
@@ -79,12 +75,21 @@ def _adjacency(arcs: np.ndarray, n: int) -> tuple[list, list, list]:
 
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
-    """Dinic's algorithm; returns the flow value and the reachable-side cut."""
+    """Dinic's algorithm; returns the flow value and the reachable-side cut.
+
+    A residual edge is usable while its residual is above 0, and saturated
+    only at exactly 0.  An augmentation pushes x, the smallest residual on
+    its path, so it leaves its bottleneck edge at exactly x - x = 0 and every
+    other edge at r - x > 0 (a float difference of r > x is positive).  So
+    each augmentation saturates an edge of the level graph, which stays
+    saturated for the rest of the phase (only its reverse, which runs a
+    level down, gains residual), and Dinic's bounds on phases and
+    augmentations hold in floats.
+    """
     n, source, sink = net.node_count, net.source, net.sink
     arcs = net.arcs[net.arcs["tail"] != net.arcs["head"]]
     edges, heads, start = _adjacency(arcs, n)
     res = np.stack([arcs["capacity"], np.zeros(arcs.size)], axis=1).reshape(-1).tolist()
-    eps = RESIDUAL_EPS * (float(net.arcs["capacity"].max()) if net.arcs.size else 1.0)
 
     total = 0.0
     while True:
@@ -95,7 +100,7 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
             next_level = level[u] + 1
             a, b = start[u], start[u + 1]
             for e, v in zip(edges[a:b], heads[a:b]):
-                if level[v] < 0 and res[e] > eps:
+                if level[v] < 0 and res[e] > 0.0:
                     level[v] = next_level
                     queue.append(v)
         if level[sink] < 0:
@@ -109,7 +114,7 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
             i, m, next_level = pos[u], start[u + 1], level[u] + 1
             while i < m:
                 v = heads[i]
-                if level[v] == next_level and res[edges[i]] > eps:
+                if level[v] == next_level and res[edges[i]] > 0.0:
                     break
                 i += 1
             pos[u] = i
@@ -136,7 +141,7 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
                 r = res[e] - pushed
                 res[e] = r
                 res[e ^ 1] += pushed
-                if r <= eps and first < 0:
+                if r == 0.0 and first < 0:
                     first = k
             total += pushed
             del path[first:], nodes[first + 1:]

@@ -4,7 +4,7 @@ import importlib
 import numpy as np
 import pytest
 
-from crfpose.maxflow import RESIDUAL_EPS, FlowNetwork, max_flow
+from crfpose.maxflow import FlowNetwork, max_flow
 from crfpose.model import (INF, GraphicalModel, UNLABELED,
                            ContractViolation)
 from crfpose.oracle import (brute_force, check_persistency, sample_binary_model,
@@ -118,6 +118,30 @@ def test_infinite_pairs_never_labeled_jointly():
         assert check_persistency(m, partial)
 
 
+def _tiny_cost_models(count=200):
+    """10-node zero-form models whose finite costs (within +-1e-6) sit far
+    below one label-1 unary of 1e4 and the clamp of their infinite (1,1)
+    entries (20% of the edges)."""
+    models = []
+    for rng in _spawn(20261018, count):
+        edges = tuple((u, v) for u in range(10) for v in range(u + 1, 10)
+                      if rng.random() < 0.5)
+        tables = np.zeros((len(edges), 2, 2))
+        tables[:, 1, 1] = rng.uniform(-1e-6, 1e-6, len(edges))
+        tables[rng.random(len(edges)) < 0.2, 1, 1] = INF
+        unary = rng.uniform(-1e-6, 1e-6, (10, 2))
+        unary[0, 1] = 1e4
+        models.append(GraphicalModel((2,) * 10, unary, edges, pairwise=tables))
+    return models
+
+
+def test_tiny_costs_beside_a_large_one_stay_persistent():
+    # A residual below a fraction of the largest capacity once counted as
+    # saturated, so a cut through such tiny arcs gave non-persistent labels.
+    for m in _tiny_cost_models():
+        assert check_persistency(m, qpbo(m))
+
+
 # ---------------------------------------------------------------------------
 # QPBO and max-flow pinned to the last bit
 
@@ -211,7 +235,7 @@ def test_qpbo_is_pinned_on_random_models(monkeypatch):
     # Pins the assignment, every arc of the doubled network (capacities to
     # the last bit), the flow value and the cut.
     assert _qpbo_digest(_pinned_binary_models(), monkeypatch) == \
-        "9fb9cac1c94686203015d50c1b4a6881f6609c37ea7187739903c6bd83e69cd0"
+        "2dbbc3a13af8ccc589e70fe95e93a7f795c268a1c19c1431e3cba746b93a5536"
 
 
 def test_qpbo_is_pinned_on_a_desk_master(monkeypatch):
@@ -305,7 +329,6 @@ def _traced_dinic(net):
             res.append(c)
             out[b].append([len(res), a])
             res.append(0.0)
-    eps = RESIDUAL_EPS * (float(net.arcs["capacity"].max()) if net.arcs.size else 1.0)
     flow, phases, mid_retreats, dead_ends = 0.0, 0, 0, 0
     while True:
         phases += 1
@@ -313,7 +336,7 @@ def _traced_dinic(net):
         level[s] = 0
         for u in queue:
             for e, v in out[u]:
-                if res[e] > eps and level[v] < 0:
+                if res[e] > 0.0 and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
         if level[t] < 0:
@@ -323,7 +346,7 @@ def _traced_dinic(net):
             u = nodes[-1]
             while pos[u] < len(out[u]):
                 e, v = out[u][pos[u]]
-                if res[e] > eps and level[v] == level[u] + 1:
+                if res[e] > 0.0 and level[v] == level[u] + 1:
                     break
                 pos[u] += 1
             else:
@@ -342,7 +365,7 @@ def _traced_dinic(net):
                     res[e] -= pushed
                     res[e ^ 1] += pushed
                 flow += pushed
-                keep = [res[e] <= eps for e in path].index(True)
+                keep = [res[e] == 0.0 for e in path].index(True)
                 mid_retreats += keep > 0
                 del path[keep:], nodes[keep + 1:]
 
