@@ -145,29 +145,35 @@ def test_tiny_costs_beside_a_large_one_stay_persistent():
 # ---------------------------------------------------------------------------
 # QPBO and max-flow pinned to the last bit
 
+def _planted_zero_form_model(rng):
+    """A zero-form model with an infinite (1,1) entry on 30% of its edges."""
+    m = sample_zero_form_model(rng)
+    return _with_infinite_pairs(m, [rng.random() < 0.3 for _ in range(m.edge_count)])
+
+
+def _wide_range_model(rng):
+    """Costs over six orders of magnitude, inf anywhere, β = 0 in a third."""
+    n = int(rng.integers(2, 13))
+    edges = tuple((u, v) for u in range(n) for v in range(u + 1, n)
+                  if rng.random() < 0.5)
+
+    def costs(shape):
+        return rng.uniform(-1.0, 3.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+
+    tables = [costs((2, 2)) for _ in edges]
+    for t in tables:
+        t[rng.random((2, 2)) < 0.15] = INF
+    weight = 0.0 if rng.random() < 1 / 3 else float(rng.uniform(0.5, 2.5))
+    return GraphicalModel((2,) * n, [costs(2) for _ in range(n)], edges,
+                          pairwise=tables, pairwise_weight=weight)
+
+
 def _pinned_binary_models():
     rngs = _spawn(1618, 130)
     models = [sample_binary_model(rng, max_nodes=12) for rng in rngs[:40]]
     models += [sample_submodular_binary_model(rng) for rng in rngs[40:70]]
-    for rng in rngs[70:100]:
-        m = sample_zero_form_model(rng)
-        models.append(_with_infinite_pairs(m, [rng.random() < 0.3 for _ in range(m.edge_count)]))
-    for rng in rngs[100:]:
-        # costs over six orders of magnitude, inf anywhere, β = 0 in a third
-        n = int(rng.integers(2, 13))
-        edges = tuple((u, v) for u in range(n) for v in range(u + 1, n)
-                      if rng.random() < 0.5)
-
-        def costs(shape):
-            return rng.uniform(-1.0, 3.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
-
-        tables = [costs((2, 2)) for _ in edges]
-        for t in tables:
-            t[rng.random((2, 2)) < 0.15] = INF
-        weight = 0.0 if rng.random() < 1 / 3 else float(rng.uniform(0.5, 2.5))
-        models.append(GraphicalModel((2,) * n, [costs(2) for _ in range(n)], edges,
-                                     pairwise=tables, pairwise_weight=weight))
-    return models
+    models += [_planted_zero_form_model(rng) for rng in rngs[70:100]]
+    return models + [_wide_range_model(rng) for rng in rngs[100:]]
 
 
 def _desk_models():
@@ -388,3 +394,76 @@ def test_max_flow_is_pinned_on_deep_networks():
     assert kept == 46
     assert h.hexdigest() == \
         "8adafc331ecb8650316777211e60410014cd50aca12d596ff6046714a9303e56"
+
+
+# ---------------------------------------------------------------------------
+# the presolve against QPBO on the doubled network of every node
+
+def _full_network_qpbo(model):
+    """``qpbo``'s assignment from the doubled network of all nodes, with no
+    node fixed beforehand: the build ``qpbo`` used before its presolve."""
+    n, tables = model.node_count, model.pairwise
+    unary, inf = model.unary.copy(), np.isinf(tables)
+    t = np.zeros(tables.shape)
+    np.multiply(model.pairwise_weight, tables, out=t, where=~inf)
+    edge_mass = np.abs(t).reshape(-1, 4).cumsum(axis=1)[:, -1]
+    t[inf] = 1.0 + np.cumsum(np.append(np.abs(unary).sum(), edge_mass))[-1]
+    rows = t.min(axis=2)
+    t -= rows[:, :, None]
+    cols = t.min(axis=1)
+    t -= cols[:, None, :]
+    np.add.at(unary, (np.repeat(model.edges, 2, axis=1).reshape(-1),
+                      np.tile([0, 1], 2 * model.edge_count)),
+              np.stack([rows, cols], axis=1).reshape(-1))
+    source, sink = 2 * n, 2 * n + 1
+    arcs = []
+    for x, c in enumerate((unary[:, 1] - unary[:, 0]).tolist()):
+        if c > 0:
+            arcs += [(source, x, c / 2), (x + n, sink, c / 2)]
+        elif c < 0:
+            arcs += [(x, sink, -c / 2), (source, x + n, -c / 2)]
+    for (a, b), p in zip(model.edges.tolist(), t[:, [0, 1, 1, 0], [1, 0, 1, 0]].tolist()):
+        for (tail, head, mirror_tail, mirror_head), cap in zip(
+                ((a, b, b + n, a + n), (b, a, a + n, b + n),
+                 (a + n, b, b + n, a), (a, b + n, b, a + n)), p):
+            if cap > 0:
+                arcs += [(tail, head, cap / 2), (mirror_tail, mirror_head, cap / 2)]
+    net = FlowNetwork(2 * n + 2, source, sink, arcs)
+    side = max_flow(net).source_side
+    plain, mirror = side[:n], side[n:2 * n]
+    assignment = np.where(plain & ~mirror, 0, np.where(mirror & ~plain, 1, UNLABELED))
+    for (a, b), hard in zip(model.edges.tolist(), inf):
+        la, lb = assignment[a], assignment[b]
+        if la != UNLABELED and lb != UNLABELED and hard[la, lb]:
+            assignment[a] = assignment[b] = UNLABELED
+    return tuple(assignment.tolist())
+
+
+def test_presolve_labels_random_models_as_the_full_network_does():
+    samplers = (sample_binary_model, sample_submodular_binary_model,
+                _planted_zero_form_model, _wide_range_model)
+    models = [samplers[i % 4](rng) for i, rng in enumerate(_spawn(577, 2000))]
+    for m in models + _tiny_cost_models():
+        assert qpbo(m).assignment == _full_network_qpbo(m)
+
+
+def test_presolve_labels_corpus_submodels_as_the_full_network_does(monkeypatch):
+    from test_report_corpus import CORPUS
+
+    from crfpose.pipeline import desk_scale_config, solve_scene
+    from crfpose.synth import default_scenario, generate_bundle
+    submodels = importlib.import_module("crfpose.submodels")
+    solved = []
+
+    def checked_qpbo(model):
+        partial = qpbo(model)
+        assert partial.assignment == _full_network_qpbo(model)
+        solved.append(model.node_count)
+        return partial
+
+    monkeypatch.setattr(submodels, "qpbo", checked_qpbo)
+    for width, height, seed in CORPUS:
+        solve_scene(generate_bundle(default_scenario(
+            seed=seed, grid_width=width, grid_height=height, inlier_rate=0.85,
+            visible_fraction=0.8, coord_noise_sigma=1e-4)), desk_scale_config())
+    assert len(solved) > len(CORPUS)
