@@ -238,15 +238,15 @@ def _qpbo_digest(models, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_qpbo_is_pinned_on_random_models(monkeypatch):
-    # Pins the assignment, every arc of the doubled network (capacities to
-    # the last bit), the flow value and the cut.
+    # Pins the assignment, every arc of the network over the free nodes
+    # (capacities to the last bit), the flow value and the cut.
     assert _qpbo_digest(_pinned_binary_models(), monkeypatch) == \
-        "2dbbc3a13af8ccc589e70fe95e93a7f795c268a1c19c1431e3cba746b93a5536"
+        "626cfc2bb285346550e4e618f1be94ddba4566144ae2388ea7617894e836991a"
 
 
 def test_qpbo_is_pinned_on_a_desk_master(monkeypatch):
     assert _qpbo_digest(_desk_models(), monkeypatch) == \
-        "2a61fecec61b377149aecbecbc545f2a4fca5cc675c455cfa3c41c096c7ea404"
+        "dae7b3e81e741e445801f8e3c5d1e89ba25fc88d16488624a886e72b194caeca"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
