@@ -316,9 +316,11 @@ def _eliminate_candidates(scene: SceneObservation, hp: HyperParams, unary: np.nd
         u, v = edges[lo:lo + ELIMINATION_CHUNK].T
         blocks = undecided[u] | undecided[v] if nan_free else None
         for node, minima in zip((u, v), _candidate_minima(scene, coord_sq, u, v, blocks)):
-            total += np.bincount((node[:, None] * MAX_CANDIDATES + slot).ravel(),
-                                 weights=_worst_change(minima, hp).ravel(),
-                                 minlength=total.size)
+            # only the bins of the chunk's node range, so a chunk costs no O(n)
+            lo, hi = node.min() * MAX_CANDIDATES, (node.max() + 1) * MAX_CANDIDATES
+            total[lo:hi] += np.bincount((node[:, None] * MAX_CANDIDATES + slot).ravel() - lo,
+                                        weights=_worst_change(minima, hp).ravel(),
+                                        minlength=hi - lo)
     # a decided node's sum is partial, but the bound already took all its
     # candidates; elsewhere the bound takes a subset of what the score does
     score = gain + total.reshape(n, MAX_CANDIDATES)
