@@ -73,7 +73,15 @@ def fixes_rotation(points) -> bool:
             or not np.isfinite(points).all():
         return False
     centered = points - points.mean(axis=0)
-    return _rank_two(np.linalg.svd(centered.T @ centered, compute_uv=False))
+    with np.errstate(over="ignore"):
+        product = centered.T @ centered
+    if not np.isfinite(product).all():
+        # an exact power of two brings the largest |coordinate| into [1, 2):
+        # the product is then finite and its largest singular value >= 1, so
+        # the rank test's threshold stays relative and gives the same answer
+        centered = np.ldexp(centered, 1 - np.frexp(np.abs(centered).max())[1])
+        product = centered.T @ centered
+    return _rank_two(np.linalg.svd(product, compute_uv=False))
 
 
 def kabsch(correspondences: Sequence[tuple]) -> Pose:

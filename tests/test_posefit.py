@@ -6,7 +6,7 @@ import pytest
 from crfpose.model import INF, ContractViolation, PartialLabeling
 from crfpose.oracle import _spawn
 from crfpose.posefit import (DegenerateInput, Hypothesis, IcpConfig, Pose,
-                             cluster_hypotheses, icp_refine, kabsch,
+                             cluster_hypotheses, fixes_rotation, icp_refine, kabsch,
                              pose_correct, random_rotation, ransac_iterations,
                              select_best)
 from crfpose.posemodel import MAX_CANDIDATES, SceneObservation
@@ -72,6 +72,17 @@ def test_kabsch_reflective_degenerate_planar_set_stays_proper():
     pose = kabsch(pairs(obj, scn))
     assert abs(np.linalg.det(pose.rotation) - 1.0) < 1e-9
     assert np.linalg.norm(pose.rotation.T @ pose.rotation - np.eye(3)) < 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_fixes_rotation_past_the_range_of_the_product():
+    # centered.T @ centered overflows past about 1e154: the first cloud was
+    # refused as not finite or not fixing a rotation
+    big = 1e160
+    assert fixes_rotation([[big, 0, 0], [0, big, 0], [0, 0, big], [1, 1, 1]])
+    assert fixes_rotation([[1e300, 0, 0], [0, 1e300, 0], [0, 0, -1e300], [1, 1, 1]])
+    assert not fixes_rotation([[big * k, 2 * big * k, -big * k] for k in range(4)])
+    assert not fixes_rotation([[big, 0, 0], [-big, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_hypothesis_needs_three_correspondences():
