@@ -127,7 +127,7 @@ def test_scene_roundtrip(tmp_path):
     # the desk scenario
     (dict(inlier_rate=0.85, visible_fraction=0.8, coord_noise_sigma=1e-4),
      "ca97999b402ac2130ed24276b84d38485223b9b9ea3216b2c1d3d42a1badc650"),
-])
+], ids=["default", "desk"])
 def test_scene_file_bytes_are_pinned(tmp_path, overrides, digest):
     path = tmp_path / "scene.json"
     save_scene(generate_bundle(default_scenario(seed=0, **overrides)), path)
