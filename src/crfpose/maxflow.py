@@ -8,9 +8,10 @@ with a parallel list of their heads.  The BFS and the augmenting loop run
 per edge in Python on those lists.  The loop keeps its path as parallel
 edge and node lists, so a retreat reads the node it returns to; each
 augmentation is one loop for the bottleneck and one that pushes and finds
-the first saturated edge.  That per-augmentation cost is what counts: the
-pipeline's doubled networks take about one augmentation per arc, each along
-a three-edge path (source, node, mirror node, sink).
+the first saturated edge.  A residual edge counts as saturated only at
+exactly 0, with no tolerance (see ``max_flow``).  QPBO hands it only the
+nodes its presolve leaves open, so most of the pipeline's networks hold
+just the source and the sink.
 """
 
 from __future__ import annotations

@@ -1,22 +1,25 @@
 """Roof-duality partial optimality for binary pairwise models.
 
 The model is reparameterized into normal form (nonnegative tables with zero
-row/column minima), compiled into the symmetric doubled network, and solved
-with max-flow.  A node is labeled only when its two copies land on opposite,
-consistent sides of the reachability min-cut, which yields a persistent
-partial labeling: some exact optimum agrees with every labeled node.
+row/column minima).  A one-pass dominance presolve fixes every node one of
+whose labels lowers the energy whatever its neighbours take (see
+``qpbo``), and the doubled network over the nodes left open is solved with
+max-flow, once per model even when no node is left open.  A free node is
+labeled only when its two copies land on opposite, consistent sides of the
+reachability min-cut.  This yields a persistent partial labeling: some
+exact optimum agrees with every labeled node.
 
-Infinite pairwise entries are clamped to a capacity exceeding the total
-finite cost mass; a post-check demotes any labeled pair that would realize a
-truly infinite cost back to unlabeled.
+Infinite pairwise entries are clamped to a capacity exceeding the whole
+model's total finite cost mass; a post-check over all edges demotes any
+labeled pair that would realize a truly infinite cost back to unlabeled.
 
-Everything up to the max-flow runs as array passes over the model's
-(E, 2, 2) table stack.  The result equals a per-edge build to the last bit:
-the row and column minima are folded into the unaries in edge order (u
-before v), the finite mass is summed table by table in edge order, and the
-network's arcs come in a fixed order (per node its two unary arcs, then per
-edge the arc pairs for (0,1), (1,0), (1,1) and (0,0)), which fixes the order
-in which Dinic's algorithm tries them.
+Everything but the max-flow runs as array passes over the model's
+(E, 2, 2) table stack.  The nonzero row and column minima are folded into
+the unaries in edge order (u before v), the finite mass is summed table by
+table in edge order, and the network's arcs come in a fixed order (per
+free node its two unary arcs, then per edge between free nodes the arc
+pairs for (0,1), (1,0), (1,1) and (0,0)), which fixes the order in which
+Dinic's algorithm tries them.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ def qpbo(model: GraphicalModel) -> PartialLabeling:
     t = np.zeros(tables.shape)
     np.multiply(model.pairwise_weight, tables, out=t, where=~inf)
     # one table's four entries in order, then the tables in edge order
-    a = np.abs(t).reshape(-1, 4)
-    edge_mass = a[:, 0] + a[:, 1] + a[:, 2] + a[:, 3]
+    mass = np.abs(t).reshape(-1, 4)
+    edge_mass = mass[:, 0] + mass[:, 1] + mass[:, 2] + mass[:, 3]
     finite_mass = np.cumsum(np.append(np.abs(unary).sum(), edge_mass))[-1]
     t[inf] = 1.0 + finite_mass
 
@@ -100,8 +103,8 @@ def qpbo(model: GraphicalModel) -> PartialLabeling:
     # switches from 0 to 1, over the other end's two labels
     u, v = model.edges.T
     ends = np.concatenate([u, v])
-    a, b, c, d = t.reshape(-1, 4).T
-    rise = (c - a, d - b), (b - a, d - c)  # (u's, v's) over the other end's labels
+    t00, t01, t10, t11 = t.reshape(-1, 4).T
+    rise = (t10 - t00, t11 - t01), (t01 - t00, t11 - t10)  # u's, then v's
     up = np.bincount(ends, np.concatenate([np.maximum(*r) for r in rise]), minlength=n)
     down = np.bincount(ends, -np.concatenate([np.minimum(*r) for r in rise]), minlength=n)
     margin = (np.bincount(ends, minlength=n) + 2) * np.finfo(float).eps
