@@ -105,13 +105,13 @@ def qpbo(model: GraphicalModel) -> PartialLabeling:
     ends = np.concatenate([u, v])
     t00, t01, t10, t11 = t.reshape(-1, 4).T
     rise = (t10 - t00, t11 - t01), (t01 - t00, t11 - t10)  # u's, then v's
-    up = np.bincount(ends, np.concatenate([np.maximum(*r) for r in rise]), minlength=n)
-    down = np.bincount(ends, -np.concatenate([np.minimum(*r) for r in rise]), minlength=n)
+    d1 = np.bincount(ends, np.concatenate([np.maximum(*r) for r in rise]), minlength=n)
+    d0 = np.bincount(ends, -np.concatenate([np.minimum(*r) for r in rise]), minlength=n)
     margin = (np.bincount(ends, minlength=n) + 2) * np.finfo(float).eps
     c = unary[:, 1] - unary[:, 0]
     assignment = np.full(n, UNLABELED)
-    assignment[c + up < -margin * (np.abs(c) + up)] = 1
-    assignment[-c + down < -margin * (np.abs(c) + down)] = 0
+    assignment[c + d1 < -margin * (np.abs(c) + d1)] = 1
+    assignment[-c + d0 < -margin * (np.abs(c) + d0)] = 0
     free = assignment == UNLABELED
     lu, lv = assignment[u], assignment[v]
     free_u, free_v = lu == UNLABELED, lv == UNLABELED
