@@ -183,6 +183,38 @@ def test_overflowing_beta_times_gamma_names_the_line():
     # used to exit 1 with "int too large to convert to float", no field named
     ({"inlier_rate": 10**400}, "field 'inlier_rate' holds an integer too large for a float"),
     ({"object": {"radius": -10**400}}, "field 'object.radius' holds an integer too large"),
+# the names the cases were first collected under, kept so that a message
+# edit renames no case
+], ids=[
+    "doc0-field 'grid_width' must be an integer",
+    "doc1-unknown field 'inlier_rat'",
+    "doc2-field 'seed' must be an integer",
+    "doc3-field 'seed' must be >= 0",
+    "doc4-field 'object' must be an object",
+    "doc5-a scenario must be a JSON object",
+    "doc6-coord_noise_sigma must be finite",
+    "doc7-depth_noise_sigma must be finite",
+    "doc8-inlier_rate outside",
+    "doc9-field 'inlier_rate' must be a number",
+    "doc10-grid_height must be >= 1",
+    "doc11-field 'object.shape' is 'cone'",
+    "doc12-unknown field 'object.radiu'",
+    "doc13-unknown field 'object.radius'",
+    "doc14-field 'object.points' must be an integer",
+    "doc15-field 'object.points' must be >= 1",
+    "doc16-object cloud must be finite and fix a rotation",
+    "doc17-object cloud must be finite",
+    "doc18-field 'object.extents'",
+    "doc19-missing required field 'object.path'",
+    "doc20-field 'pose.random' must be true or false",
+    "doc21-unknown field 'pose.rotate'",
+    "doc22-field 'pose.rotation'",
+    "doc23-invalid pose at pose: rotation is not orthonormal",
+    "doc24-unknown field 'confidence.sprea'",
+    "doc25-confidence values must be finite and spread >= 0",
+    "doc26-confidence values must be finite",
+    "doc27-field 'inlier_rate' holds an integer too large for a float",
+    "doc28-field 'object.radius' holds an integer too large",
 ])
 def test_bad_scenario_values_exit_2_naming_the_field(tmp_path, capsys, doc, message):
     # each of these was once read as something else, ignored, or an exit 1

@@ -254,19 +254,41 @@ def test_confidence_out_of_range_rejected():
     (("object_points",), [[0.001 * k, 0.002 * k, -0.001 * k] for k in range(50)],
      "object_points' must be finite and fix a rotation"),
     # JSON integers a float cannot hold; these exited 1 or named no field
-    pytest.param(("object_points", 1, 2), 10**400,
-                 r"object_points\[1\]' holds an integer too large for a float",
-                 id="object_points-10**400"),
-    pytest.param(("confidence", 5, 2), -10**400,
-                 r"'confidence\[5\]\[2\]' holds an integer too large for a float",
-                 id="p-minus-10**400"),
+    (("object_points", 1, 2), 10**400,
+     r"object_points\[1\]' holds an integer too large for a float"),
+    (("confidence", 5, 2), -10**400,
+     r"'confidence\[5\]\[2\]' holds an integer too large for a float"),
     # indices no int64 holds; these named no field
-    pytest.param(("source_pixel", 5, 2), 2**64,
-                 r"^field 'source_pixel\[5\]\[2\]' is outside 0\.\.3$",
-                 id="pixel-2**64"),
-    pytest.param(("source_tree", 5, 2), -10**400,
-                 r"^field 'source_tree\[5\]\[2\]' is outside 0\.\.2$",
-                 id="tree-minus-10**400"),
+    (("source_pixel", 5, 2), 2**64, r"^field 'source_pixel\[5\]\[2\]' is outside 0\.\.3$"),
+    (("source_tree", 5, 2), -10**400, r"^field 'source_tree\[5\]\[2\]' is outside 0\.\.2$"),
+# the names the cases were first collected under, kept so that a message
+# edit renames no case
+], ids=[
+    r"field0-nan-'points\[3\]' is not finite",
+    r"field1-inf-'coords\[0\]\[2\]' is not finite",
+    "field2-inf-object_diameter",
+    "field3-nan-object_points",
+    "field4-nan-ground_truth: rotation is not finite",
+    "field5-nan-ground_truth: translation is not finite",
+    "field6--inf-ground_truth: translation is not finite",
+    r"field7-value7-'points\[5\]' must be a list of 3 entries",
+    r"field8-value8-'points\[5\]' must be a list of 3 entries",
+    r"field9-value9-'coords\[5\]\[2\]' must be a list of 3 entries",
+    r"field10-value10-'coords\[5\]\[2\]' must be a list of 3 entries",
+    r"field11-0.0-'coords\[5\]\[2\]\[1\]' must be a number",
+    r"field12-0.5-'confidence\[5\]\[2\]' must be a number",
+    r"field13-1.7-'source_pixel\[5\]\[2\]' must be an integer",
+    "field14-x-grid_width",
+    r"field15-x-ground_truth\.labels\[3\]' must be an integer",
+    r"field16-2.5-ground_truth\.labels\[3\]' must be an integer",
+    r"field17-2-ground_truth\.labels\[3\]' must be an integer",
+    r"field18-12-ground_truth\.labels' must be a list",
+    r"field19-value19-object_points\[1\]' must be a list of 3",
+    r"field20-0.5-object_points\[1\]' must be a list of 3",
+    "field21-value21-object_points",
+    "field22-value22-object_points' must be finite and fix",
+    "field23-value23-object_points' must be finite and fix a rotation",
+    "object_points-10**400", "p-minus-10**400", "pixel-2**64", "tree-minus-10**400",
 ])
 def test_non_finite_scene_input_rejected(tmp_path, field, value, message):
     doc = scene_to_dict(generate_bundle(default_scenario(
