@@ -308,39 +308,6 @@ _KINDS = {_NUMBER: "a number", _INTEGER: "an integer", _STRING: "a string",
           _BOOLEAN: "true or false"}
 
 
-def _field(mapping, key, path, types=_NUMBER, count=None, each=False):
-    """``mapping[key]`` checked by ``_typed``, or given ``each``, a list
-    whose every entry is."""
-    name, value = f"{path}{key}", _require(mapping, key, path)
-    if not each:
-        return _typed(value, name, types, count)
-    if type(value) is not list:
-        raise SceneFormatError(f"field '{name}' must be a list")
-    return [_typed(v, f"{name}[{i}]", types, count) for i, v in enumerate(value)]
-
-
-def _typed(value, name, types=_NUMBER, count=None):
-    """``value``, required to be a JSON value of ``types`` (a number by
-    default) or, given ``count``, a list of ``count`` numbers.  A number
-    must also be one a float can hold."""
-    if count is None:
-        valid = type(value) in types
-    else:
-        valid = type(value) is list and len(value) == count \
-            and all(type(v) in types for v in value)
-    if not valid:
-        what = f"a list of {count} numbers" if count is not None else _KINDS[types]
-        raise SceneFormatError(f"field '{name}' must be {what}")
-    if types is _NUMBER:
-        try:
-            for v in value if count is not None else (value,):
-                float(v)
-        except OverflowError:
-            raise SceneFormatError(f"field '{name}' holds an integer too large "
-                                   "for a float") from None
-    return value
-
-
 def _int64(values) -> np.ndarray:
     """JSON integers as int64; one past int64 is stored as -1, which every
     index and label check refuses as out of range."""
@@ -350,44 +317,57 @@ def _int64(values) -> np.ndarray:
         return np.array([v if -2**63 <= v < 2**63 else -1 for v in values], dtype=np.int64)
 
 
-def _array(doc, name, dtype, shape, grid) -> np.ndarray:
-    """``doc[name]`` as an array of ``shape``: nested lists of exactly that
-    shape, as ``tolist()`` writes them, whose entries are JSON numbers (JSON
-    integers for an int64 ``dtype``).  Each level is checked in one pass
-    over all its lists; the first bad one is looked for only on failure and
-    named by its path, e.g. ``coords[5][2]``."""
-    def at(k, dims):
-        return name + "".join(f"[{i}]" for i in np.unravel_index(k, dims))
+#: the least integer magnitude that ``float()`` refuses: it rounds up to 2**1024
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
-    rows = [_require(doc, name, "")]
-    for depth, size in enumerate(shape):
+
+def _field(mapping, key, path="", types=_NUMBER, shape=(), grid=None):
+    """``mapping[key]``, a JSON value of ``types`` (a number by default) or,
+    given ``shape``, nested lists of exactly that shape, as ``tolist()``
+    writes them, whose entries are.  Only ``shape[0]`` may be None (any
+    length); ``grid`` (e.g. ``4x3``) says that a fixed ``shape[0]`` counts
+    that grid's nodes.  Each level is checked in one pass over all its
+    lists; the first bad entry is looked for only on failure and named by
+    its path, e.g. ``coords[5][2]`` or ``object_points[4][0]``.  Lists of
+    numbers come back as a float array, of integers as an int64 one; a
+    single value comes back as read, a number once a float can hold it."""
+    def at(k):
+        return f"{path}{key}" + "".join(f"[{i}]" for i in np.unravel_index(k, dims))
+
+    rows, dims = [_require(mapping, key, path)], []
+    for size in shape:
+        if size is None and type(rows[0]) is list:
+            size = len(rows[0])
         if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {size}):
             k = next(k for k, row in enumerate(rows) if type(row) is not list or len(row) != size)
-            what = f"one entry per node of the {grid} grid" if depth == 0 else f"{size} entries"
-            raise SceneFormatError(f"field '{at(k, shape[:depth])}' must be a list of {what}")
+            what = ("" if size is None else
+                    f" of one entry per node of the {grid} grid" if grid and not dims else
+                    f" of {size} entries")
+            raise SceneFormatError(f"field '{at(k)}' must be a list{what}")
         rows = list(chain.from_iterable(rows))
-    types = _INTEGER if dtype is np.int64 else _NUMBER
+        dims.append(size)
     if not set(map(type, rows)) <= set(types):
         k = next(k for k, v in enumerate(rows) if type(v) not in types)
-        raise SceneFormatError(f"field '{at(k, shape)}' must be {_KINDS[types]}")
-    if types is _INTEGER:
-        return _int64(rows).reshape(shape)
-    try:
-        return np.array(rows, dtype=float).reshape(shape)
-    except OverflowError:  # _typed names the first integer no float holds
-        for k, v in enumerate(rows):
-            if type(v) is int and v.bit_length() > 1023:
-                _typed(v, at(k, shape))
-        raise
+        raise SceneFormatError(f"field '{at(k)}' must be {_KINDS[types]}")
+    if types is _NUMBER:
+        try:
+            values = np.array(rows, dtype=float)
+        except OverflowError:
+            k = next(k for k, v in enumerate(rows) if type(v) is int and abs(v) >= _FLOAT_OVERFLOW)
+            raise SceneFormatError(f"field '{at(k)}' holds an integer too large "
+                                   "for a float") from None
+    if not dims:
+        return rows[0]
+    return (_int64(rows) if types is _INTEGER else values).reshape(dims)
 
 
 def _pose(mapping, path) -> Pose:
-    """The pose of ``mapping``'s ``rotation`` (rows of three numbers) and
+    """The pose of ``mapping``'s ``rotation`` (3x3 numbers) and
     ``translation`` (three numbers)."""
-    rotation = _field(mapping, "rotation", path, count=3, each=True)
-    translation = _field(mapping, "translation", path, count=3)
+    rotation = _field(mapping, "rotation", path, shape=(3, 3))
+    translation = _field(mapping, "translation", path, shape=(3,))
     try:
-        return Pose(np.array(rotation, dtype=float), np.array(translation, dtype=float))
+        return Pose(rotation, translation)
     except ContractViolation as exc:
         raise SceneFormatError(f"invalid pose at {path[:-1]}: {exc}") from None
 
@@ -396,14 +376,15 @@ def scene_from_dict(doc: dict) -> SceneBundle:
     fmt = _require(doc, "format", "")
     if fmt != SCENE_FORMAT:
         raise SceneFormatError(f"field 'format' is '{fmt}', expected '{SCENE_FORMAT}'")
-    version = _field(doc, "version", "", _INTEGER)
+    version = _field(doc, "version", types=_INTEGER)
     if version != SCENE_VERSION:
         raise UnsupportedVersionError(
             f"unsupported scene version {version!r}; this build reads version {SCENE_VERSION}")
-    width = _field(doc, "grid_width", "", _INTEGER)
-    height = _field(doc, "grid_height", "", _INTEGER)
-    diameter = _field(doc, "object_diameter", "")
-    arrays = {name: _array(doc, name, dtype, (width * height, *shape), f"{width}x{height}")
+    width = _field(doc, "grid_width", types=_INTEGER)
+    height = _field(doc, "grid_height", types=_INTEGER)
+    diameter = _field(doc, "object_diameter")
+    arrays = {name: _field(doc, name, "", _INTEGER if dtype is np.int64 else _NUMBER,
+                           (width * height, *shape), f"{width}x{height}")
               for name, dtype, shape in _SCENE_ARRAYS}
     try:
         obs = SceneObservation(grid_width=width, grid_height=height,
@@ -422,26 +403,24 @@ def scene_from_dict(doc: dict) -> SceneBundle:
                                    f"candidates of node {u} and must be 0")
     object_points = None
     if "object_points" in doc:
-        object_points = np.array(_field(doc, "object_points", "", count=3, each=True),
-                                 dtype=float).reshape(-1, 3)
+        object_points = _field(doc, "object_points", shape=(None, 3))
         if not fixes_rotation(object_points):
             raise SceneFormatError("field 'object_points' must be finite and fix a rotation "
                                    "(three or more points, not all on one line)")
     ground_truth = None
     if "ground_truth" in doc:
         pose = _pose(doc["ground_truth"], "ground_truth.")
-        labels = _field(doc["ground_truth"], "labels", "ground_truth.", _INTEGER, each=True)
+        labels = _field(doc["ground_truth"], "labels", "ground_truth.", _INTEGER, (None,))
         if len(labels) != obs.node_count:
             raise SceneFormatError(f"field 'ground_truth.labels' has {len(labels)} labels "
                                    f"for {obs.node_count} nodes")
-        given = _int64(labels)
         # node u's labels are its candidates and its outlier, 0..count[u]
-        bad = np.flatnonzero((given < 0) | (given > obs.candidate_count))
+        bad = np.flatnonzero((labels < 0) | (labels > obs.candidate_count))
         if bad.size:
             u = int(bad[0])
             raise SceneFormatError(f"field 'ground_truth.labels[{u}]' must be a label of "
                                    f"node {u} (0..{obs.candidate_count[u]})")
-        ground_truth = GroundTruth(pose=pose, labels=tuple(labels))
+        ground_truth = GroundTruth(pose=pose, labels=tuple(labels.tolist()))
     return SceneBundle(observation=obs, object_points=object_points,
                        ground_truth=ground_truth)
 
@@ -507,7 +486,7 @@ def _object_points(obj, seed) -> np.ndarray:
             kwargs["radius"] = float(_field(obj, "radius", "object."))
         return sample_sphere_cloud(**kwargs)
     if "extents" in obj:
-        kwargs["extents"] = tuple(map(float, _field(obj, "extents", "object.", count=3)))
+        kwargs["extents"] = _field(obj, "extents", "object.", shape=(3,))
     return sample_box_cloud(seed=seed, **kwargs)
 
 
@@ -517,8 +496,8 @@ def scenario_from_dict(doc: dict, seed_override: int | None = None) -> Synthetic
     the grid sizes and ``object.points`` are JSON integers, every other
     number a JSON number; an error names the field path."""
     _known(doc, "", (*_SCENARIO_NUMBERS, *_SCENARIO_INTEGERS, "object", "pose", "confidence"))
-    given = {k: _field(doc, k, "", _INTEGER) for k in _SCENARIO_INTEGERS if k in doc}
-    given.update((k, float(_field(doc, k, ""))) for k in _SCENARIO_NUMBERS if k in doc)
+    given = {k: _field(doc, k, types=_INTEGER) for k in _SCENARIO_INTEGERS if k in doc}
+    given.update((k, float(_field(doc, k))) for k in _SCENARIO_NUMBERS if k in doc)
     seed = given.pop("seed", 0)
     if seed_override is not None:
         seed = int(seed_override)

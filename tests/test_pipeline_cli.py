@@ -318,7 +318,7 @@ def test_cli_scene_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(doc))
     assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
-    assert "field 'object_points[4]' holds an integer too large" in capsys.readouterr().err
+    assert "field 'object_points[4][0]' holds an integer too large" in capsys.readouterr().err
 
 
 def test_cli_unknown_and_bad_config_key_exits_2(tmp_path, capsys):

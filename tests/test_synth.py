@@ -246,7 +246,7 @@ def test_confidence_out_of_range_rejected():
     (("ground_truth", "labels", 3), "2", r"ground_truth\.labels\[3\]' must be an integer"),
     (("ground_truth", "labels"), "12", r"ground_truth\.labels' must be a list"),
     (("object_points", 1), [0.0, 1.0], r"object_points\[1\]' must be a list of 3"),
-    (("object_points", 1, 2), "0.5", r"object_points\[1\]' must be a list of 3"),
+    (("object_points", 1, 2), "0.5", r"object_points\[1\]\[2\]' must be a number"),
     (("object_points",), [], "object_points"),
     # one point, or 50 collinear ones, cannot fix a rotation; both used to
     # load and score correct: true
@@ -255,7 +255,7 @@ def test_confidence_out_of_range_rejected():
      "object_points' must be finite and fix a rotation"),
     # JSON integers a float cannot hold; these exited 1 or named no field
     (("object_points", 1, 2), 10**400,
-     r"object_points\[1\]' holds an integer too large for a float"),
+     r"object_points\[1\]\[2\]' holds an integer too large for a float"),
     (("confidence", 5, 2), -10**400,
      r"'confidence\[5\]\[2\]' holds an integer too large for a float"),
     # indices no int64 holds; these named no field
