@@ -72,13 +72,19 @@ def fixes_rotation(points) -> bool:
     if points.ndim != 2 or points.shape[0] < 3 or points.shape[1] != 3 \
             or not np.isfinite(points).all():
         return False
-    centered = points - points.mean(axis=0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = points - points.mean(axis=0)
         product = centered.T @ centered
     if not np.isfinite(product).all():
-        # an exact power of two brings the largest |coordinate| into [1, 2):
-        # the product is then finite and its largest singular value >= 1, so
-        # the rank test's threshold stays relative and gives the same answer
+        # the sum, the mean or the product overflowed.  In a copy scaled by
+        # 2**-k (n < 2**k points) the sums, the mean and the offsets stay
+        # finite, and they are the unscaled ones scaled: exactly, but for
+        # entries below 2**-1022 * 2**k, far under the rank test's threshold.
+        # A second exact power of two brings the largest |offset| into
+        # [1, 2): the product is then finite and its largest singular value
+        # >= 1, so the threshold stays relative and gives the same answer
+        scaled = np.ldexp(points, -points.shape[0].bit_length())
+        centered = scaled - scaled.mean(axis=0)
         centered = np.ldexp(centered, 1 - np.frexp(np.abs(centered).max())[1])
         product = centered.T @ centered
     return _rank_two(np.linalg.svd(product, compute_uv=False))

@@ -83,6 +83,9 @@ def test_fixes_rotation_past_the_range_of_the_product():
     assert fixes_rotation([[1e300, 0, 0], [0, 1e300, 0], [0, 0, -1e300], [1, 1, 1]])
     assert not fixes_rotation([[big * k, 2 * big * k, -big * k] for k in range(4)])
     assert not fixes_rotation([[big, 0, 0], [-big, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # the column sum overflows too; this raised "SVD did not converge".  The
+    # unit offsets are far below the rank test's relative threshold
+    assert not fixes_rotation([[1.7e308, 0, 0], [1.7e308, 1, 0], [0, 0, 1]])
 
 
 def test_hypothesis_needs_three_correspondences():

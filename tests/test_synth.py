@@ -253,6 +253,9 @@ def test_confidence_out_of_range_rejected():
     (("object_points",), [[0.01, 0.02, 0.03]], "object_points' must be finite and fix"),
     (("object_points",), [[0.001 * k, 0.002 * k, -0.001 * k] for k in range(50)],
      "object_points' must be finite and fix a rotation"),
+    # its column sum overflows; this exited 1 with "SVD did not converge"
+    (("object_points",), [[1.7e308, 0, 0], [1.7e308, 1, 0], [0, 0, 1]],
+     "object_points' must be finite and fix a rotation"),
     # JSON integers a float cannot hold; these exited 1 or named no field
     (("object_points", 1, 2), 10**400,
      r"object_points\[1\]\[2\]' holds an integer too large for a float"),
@@ -288,6 +291,7 @@ def test_confidence_out_of_range_rejected():
     "field21-value21-object_points",
     "field22-value22-object_points' must be finite and fix",
     "field23-value23-object_points' must be finite and fix a rotation",
+    "object_points-overflowing-sum",
     "object_points-10**400", "p-minus-10**400", "pixel-2**64", "tree-minus-10**400",
 ])
 def test_non_finite_scene_input_rejected(tmp_path, field, value, message):
