@@ -34,18 +34,20 @@ def _guard(model: GraphicalModel) -> int:
     return total
 
 
-def _labeling_block(model: GraphicalModel, start: int, stop: int) -> np.ndarray:
-    """Rows are labelings ``start..stop`` in lexicographic order (node 0 most
-    significant); deterministic, order-stable."""
-    n = model.node_count
-    idx = np.arange(start, stop, dtype=np.int64)
-    block = np.empty((stop - start, n), dtype=np.int64)
-    stride = 1
-    for u in range(n - 1, -1, -1):
-        k = model.labels_per_node[u]
-        block[:, u] = (idx // stride) % k
-        stride *= k
-    return block
+def _labeling_blocks(model: GraphicalModel):
+    """Every labeling as rows, in blocks of at most ``_CHUNK``, in
+    lexicographic order (node 0 most significant); deterministic,
+    order-stable.  A label space past the guard is refused."""
+    total, n = _guard(model), model.node_count
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        block = np.empty((idx.size, n), dtype=np.int64)
+        stride = 1
+        for u in range(n - 1, -1, -1):
+            k = model.labels_per_node[u]
+            block[:, u] = (idx // stride) % k
+            stride *= k
+        yield block
 
 
 @dataclass
@@ -58,12 +60,10 @@ class OracleResult:
 
 def brute_force(model: GraphicalModel, cap: int = 1024) -> OracleResult:
     """Exhaustive exact minimization; optima listed lexicographically up to ``cap``."""
-    total = _guard(model)
     best = INF
     optima: list[tuple[int, ...]] = []
     truncated = False
-    for start in range(0, total, _CHUNK):
-        block = _labeling_block(model, start, min(start + _CHUNK, total))
+    for block in _labeling_blocks(model):
         energies = block_energies(model, block)
         lo = energies.min()
         if lo < best:
@@ -85,13 +85,11 @@ def check_persistency(model: GraphicalModel, partial: PartialLabeling) -> bool:
     that is iff the labelings that agree with it reach the global minimum."""
     if len(partial) != model.node_count:
         raise ContractViolation("partial labeling size mismatch")
-    total = _guard(model)
     assignment = np.array(partial.assignment, dtype=np.int64)
     labeled = np.flatnonzero(assignment != UNLABELED)
     best = agreeing = INF
     agrees_anywhere = False
-    for start in range(0, total, _CHUNK):
-        block = _labeling_block(model, start, min(start + _CHUNK, total))
+    for block in _labeling_blocks(model):
         energies = block_energies(model, block)
         best = min(best, float(energies.min()))
         agree = (block[:, labeled] == assignment[labeled]).all(axis=1)
@@ -402,8 +400,7 @@ def verify_zero_form(trials: int = 100, max_nodes: int = 8, seed: int = 0,
         m = sample_binary_model(rng, max_nodes=max_nodes)
         z, _ = to_zero_form(m)
         worst = 0.0
-        for start in range(0, 2 ** m.node_count, _CHUNK):
-            block = _labeling_block(m, start, min(start + _CHUNK, 2 ** m.node_count))
+        for block in _labeling_blocks(m):
             gap = block_energies(m, block) - block_energies(z, block)
             worst = max(worst, float(np.abs(gap).max()))
         if worst <= tolerance:
