@@ -249,21 +249,14 @@ def _geometric_violations(results, scene, master_grid_nodes) -> int:
     return count
 
 
-def _strip_timings(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_timings(v) for k, v in obj.items() if k != "timings"}
-    if isinstance(obj, list):
-        return [_strip_timings(v) for v in obj]
-    return obj
-
-
 def canonical_report(report: dict) -> str:
-    """Byte-stable strict JSON: timings stripped, keys sorted, compact separators.
+    """Byte-stable strict JSON: the top-level timings dropped, keys sorted,
+    compact separators.
 
     A NaN or an infinity raises ``ValueError`` instead of being written as a
     token that JSON does not have; ``solve_scene`` writes an inf score as null.
     """
-    return json.dumps(_strip_timings(report), sort_keys=True,
+    return json.dumps({k: v for k, v in report.items() if k != "timings"}, sort_keys=True,
                       separators=(",", ":"), allow_nan=False) + "\n"
 
 
