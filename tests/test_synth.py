@@ -334,6 +334,9 @@ _CUT = [(("candidate_count", 5), 3)] + [
      "field 'points[5][2]' holds an integer too large for a float"),
     ([(("coords", 5, 2, 1), -10**400)],
      "field 'coords[5][2][1]' holds an integer too large for a float"),
+    # the least integer that float() refuses, past one it rounds down
+    ([(("coords", 5, 1, 0), 2**1024 - 2**970 - 1), (("coords", 5, 2, 1), 2**1024 - 2**970)],
+     "field 'coords[5][2][1]' holds an integer too large for a float"),
     ([(("source_pixel", 5, 2), 3.0)], "field 'source_pixel[5][2]' must be an integer"),
     ([(("source_tree", 5, 2), "4")], "field 'source_tree[5][2]' must be an integer"),
     # the first fault in document order is the one reported
@@ -382,7 +385,7 @@ _CUT = [(("candidate_count", 5), 3)] + [
      "field 'confidence[5][4]' is past the 3 candidates of node 5 and must be 0"),
 ], ids=["node-not-object", "candidate-not-object", "no-candidates", "candidates-not-list",
         "13-candidates", "x-true", "l-true", "p-true", "pixel-true", "tree-true",
-        "x-10**400", "l-minus-10**400", "pixel-float", "tree-string",
+        "x-10**400", "l-minus-10**400", "l-least-overflow", "pixel-float", "tree-string",
         "first-node-fault", "first-candidate-fault", "version-true", "version-float",
         "one-label", "40-labels", "13-labels", "label-minus-1", "label-past-outlier",
         "label-of-a-cut-candidate", "label-10**400", "label-minus-2**64",
