@@ -12,8 +12,10 @@ A scene file (version 2) holds the grid, the object diameter and the six
 ``tolist()`` writes it, plus the optional object cloud and ground truth.
 ``scene_from_dict`` checks each array's shape and entry types and that
 every entry past a node's candidate count is 0; ``SceneObservation``
-checks the ranges.  Every refusal names the entry by its path in the file,
-e.g. ``confidence[5][2]``.
+checks the ranges.  One checker, ``_field``, reads every value of scene and
+scenario documents, level by level.  Every refusal names the entry by its
+path in the file, e.g. ``confidence[5][2]``, and so do those in the object
+cloud and the poses, e.g. ``object_points[4][0]``.
 """
 
 from __future__ import annotations
