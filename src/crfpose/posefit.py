@@ -33,9 +33,12 @@ class Pose:
         for name, value in (("rotation", r), ("translation", t)):
             if not np.isfinite(value).all():
                 raise ContractViolation(f"{name} is not finite")
-        if np.linalg.norm(r.T @ r - np.eye(3)) > ORTHONORMALITY_TOL:
+        # an orthonormal matrix has no entry past 1, and r.T @ r cannot
+        # overflow below that; each test is written so that NaN fails it
+        if not ((np.abs(r) <= 1.0 + ORTHONORMALITY_TOL).all()
+                and np.linalg.norm(r.T @ r - np.eye(3)) <= ORTHONORMALITY_TOL):
             raise ContractViolation("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
+        if not abs(np.linalg.det(r) - 1.0) <= ORTHONORMALITY_TOL:
             raise ContractViolation("rotation is not proper (det != +1)")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)

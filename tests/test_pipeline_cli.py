@@ -12,6 +12,7 @@ from crfpose.pipeline import (ConfigError, PipelineConfig, canonical_report,
                               write_report)
 from crfpose.posemodel import STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS
 from crfpose.synth import default_scenario, generate_bundle, save_scene, scene_to_dict
+from test_posefit import HUGE_ROTATION
 
 SCENARIO = {
     "seed": 3, "grid_width": 32, "grid_height": 24,
@@ -264,6 +265,12 @@ def test_cli_malformed_scene_field_exits_2(tmp_path, capsys):
     assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
     assert "ground_truth.labels[3]" in capsys.readouterr().err
     doc["ground_truth"]["labels"][3] = 0
+    rotation = doc["ground_truth"]["rotation"]
+    doc["ground_truth"]["rotation"] = HUGE_ROTATION
+    scene.write_text(json.dumps(doc))
+    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
+    assert "ground_truth: rotation is not orthonormal" in capsys.readouterr().err
+    doc["ground_truth"]["rotation"] = rotation
     for version in ("true", "2.0"):
         scene.write_text(json.dumps(doc).replace('"version": 2', f'"version": {version}'))
         assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ def pairs(obj, scn):
     return list(zip(obj, scn))
 
 
+#: finite, with a determinant of 2**1061 * 2**-1061 = 1, but r.T @ r overflows
+HUGE_ROTATION = [[2.0**530, 2.0**530, 0.0], [2.0**530, -2.0**530, 0.0], [0.0, 0.0, -2.0**-1061]]
+
+
 def test_pose_validates_rotation():
     with pytest.raises(ContractViolation):
         Pose(np.eye(3) * 2.0, np.zeros(3))
@@ -28,6 +33,11 @@ def test_pose_validates_rotation():
         Pose(nan_rotation, np.zeros(3))
     with pytest.raises(ContractViolation, match="translation is not finite"):
         Pose(np.eye(3), np.array([0.0, np.inf, 0.0]))
+    # an entry past 1 is refused before r.T @ r, whose entries would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation, match="rotation is not orthonormal"):
+            Pose(HUGE_ROTATION, np.zeros(3))
     p = Pose(np.eye(3), np.zeros(3))
     assert np.array_equal(p.apply(np.ones((2, 3))), np.ones((2, 3)))
 
