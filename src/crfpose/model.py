@@ -74,7 +74,7 @@ def _padded(tables, counts: np.ndarray, size: int, kind: str, item: str, name) -
 
 @dataclass(eq=False)
 class GraphicalModel:
-    """A pairwise model: per-node label sets, unary tables, weighted edges.
+    """A pairwise model: per-node label sets, unary tables, edge tables.
 
     The model is held as read-only arrays, each stored once, L being the
     largest label count:
@@ -90,6 +90,9 @@ class GraphicalModel:
       ``edge_table(e)`` call, which checks and returns a fresh table;
       nothing is stored and ``pairwise`` is one ``None`` per edge.
 
+    The tables are the energy's own pairwise terms: a weight such as the
+    paper's β is applied where they are made (``weighted_table``), and the
+    energy of a labeling is the constant plus its unary and table entries.
     Given arrays are copied, so a model is immutable after construction.
     Costs may be +inf, never NaN or -inf.
     """
@@ -99,7 +102,6 @@ class GraphicalModel:
     edges: np.ndarray
     pairwise: list | np.ndarray | None = None
     table_fn: Callable[[int, int], np.ndarray] | None = None
-    pairwise_weight: float = 1.0
     constant: float = 0.0
 
     def __post_init__(self):
@@ -185,10 +187,12 @@ def _check_labeling(model: GraphicalModel, labeling: Sequence[int]) -> None:
 def weighted_table(table: np.ndarray, weight: float) -> np.ndarray:
     """``weight * table`` with every ±inf entry +inf, also at weight 0.
 
-    Only the finite entries are multiplied, so ``0 * inf`` never runs.
+    Models hold their tables weighted, so this runs where tables are built.
+    No inf is multiplied, so ``0 * inf`` never runs, and a NaN stays NaN
+    for the model's cost check to refuse.
     """
     out = np.full(table.shape, INF)
-    np.multiply(weight, table, out=out, where=np.isfinite(table))
+    np.multiply(weight, table, out=out, where=~np.isinf(table))
     return out
 
 
@@ -196,16 +200,14 @@ def block_energies(model: GraphicalModel, block: np.ndarray) -> np.ndarray:
     """Total energies of the labelings that are the rows of the (B, n) ``block``.
 
     The one summation order for a model's energy: the constant, then the
-    unaries in node order, then the ``weighted_table`` entries in edge
-    order.  A row with any inf term is inf (regardless of the pairwise
-    weight), and repeated evaluation is bit-identical.
+    unaries in node order, then the table entries in edge order.  A row
+    with any inf term is inf, and repeated evaluation is bit-identical.
     """
     energies = np.full(block.shape[0], model.constant, dtype=float)
     for u in range(model.node_count):
         energies += model.unary[u, block[:, u]]
     for e, (u, v) in enumerate(model.edges.tolist()):
-        energies += weighted_table(model.edge_table(e)[block[:, u], block[:, v]],
-                                   model.pairwise_weight)
+        energies += model.edge_table(e)[block[:, u], block[:, v]]
     return energies
 
 
@@ -221,8 +223,8 @@ def induce_submodel(model: GraphicalModel, keep) -> tuple[GraphicalModel, tuple[
     Keeps all edges internal to ``keep``, in the model's edge order, with
     unchanged unary and pairwise costs.  Returns the submodel and the node
     map (new index -> old index).  The submodel's constant is 0: its energy
-    is exactly the master's unary sum over ``keep`` plus the weighted
-    internal pairwise sum.  A model with lazy tables is refused.
+    is exactly the master's unary sum over ``keep`` plus its internal
+    pairwise sum.  A model with lazy tables is refused.
     """
     if model.table_fn is not None:
         raise ContractViolation("cannot induce a submodel of a model with lazy tables")
@@ -240,7 +242,6 @@ def induce_submodel(model: GraphicalModel, keep) -> tuple[GraphicalModel, tuple[
         unary=model.unary[keep],
         edges=local[internal],
         pairwise=model.pairwise[internal],
-        pairwise_weight=model.pairwise_weight,
         constant=0.0,
     )
     return sub, tuple(keep.tolist())

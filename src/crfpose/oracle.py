@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import (INF, ContractViolation, GraphicalModel, PartialLabeling,
                     UNLABELED, block_energies, evaluate_energy, extend_partial,
-                    induce_submodel)
+                    induce_submodel, weighted_table)
 
 STATE_SPACE_GUARD = 10 ** 7
 _CHUNK = 1 << 15
@@ -111,19 +111,22 @@ def _random_edges(rng: np.random.Generator, n: int, edge_prob: float) -> list[tu
             if rng.random() < edge_prob]
 
 
+def _weighted_model(labels, unary, edges, tables, weight: float) -> GraphicalModel:
+    """A model whose pairwise terms are ``tables`` scaled by ``weight``."""
+    return GraphicalModel(labels_per_node=labels, unary=unary, edges=tuple(edges),
+                          pairwise=[weighted_table(t, weight) for t in tables])
+
+
 def sample_sparse_model(rng: np.random.Generator, max_nodes: int = 10,
                         max_labels: int = 4, edge_prob: float = 0.4) -> GraphicalModel:
-    """Random finite-cost multi-label model with a random pairwise weight."""
+    """Random finite-cost multi-label model, its tables scaled by a random
+    pairwise weight."""
     n = int(rng.integers(2, max_nodes + 1))
     labels = tuple(int(rng.integers(2, max_labels + 1)) for _ in range(n))
     edges = _random_edges(rng, n, edge_prob)
-    return GraphicalModel(
-        labels_per_node=labels,
-        unary=[rng.uniform(0.0, 3.0, size=k) for k in labels],
-        edges=tuple(edges),
-        pairwise=[rng.uniform(0.0, 3.0, size=(labels[u], labels[v])) for u, v in edges],
-        pairwise_weight=float(rng.uniform(0.5, 2.5)),
-    )
+    unary = [rng.uniform(0.0, 3.0, size=k) for k in labels]
+    tables = [rng.uniform(0.0, 3.0, size=(labels[u], labels[v])) for u, v in edges]
+    return _weighted_model(labels, unary, edges, tables, float(rng.uniform(0.5, 2.5)))
 
 
 def sample_hard_model(rng: np.random.Generator, max_nodes: int = 8,
@@ -133,7 +136,7 @@ def sample_hard_model(rng: np.random.Generator, max_nodes: int = 8,
     Label counts are 1..``max_labels``; about 30% of the unary and pairwise
     entries are inf, but never one on label 0, so label 0 stays compatible
     with every neighbour and a finite optimum exists.  A quarter of the
-    models have pairwise weight 0.
+    models weight their tables by 0: every finite pairwise cost is 0.
     """
     n = int(rng.integers(2, max_nodes + 1))
     labels = tuple(int(rng.integers(1, max_labels + 1)) for _ in range(n))
@@ -144,13 +147,10 @@ def sample_hard_model(rng: np.random.Generator, max_nodes: int = 8,
         t[(rng.random(shape) < 0.3) & (np.indices(shape) > 0).all(axis=0)] = INF
         return t
 
-    return GraphicalModel(
-        labels_per_node=labels,
-        unary=[costs((k,)) for k in labels],
-        edges=tuple(edges),
-        pairwise=[costs((labels[u], labels[v])) for u, v in edges],
-        pairwise_weight=0.0 if rng.random() < 0.25 else float(rng.uniform(0.5, 2.5)),
-    )
+    unary = [costs((k,)) for k in labels]
+    tables = [costs((labels[u], labels[v])) for u, v in edges]
+    weight = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.5, 2.5))
+    return _weighted_model(labels, unary, edges, tables, weight)
 
 
 def sample_tree_model(rng: np.random.Generator, max_nodes: int = 8,
@@ -165,13 +165,9 @@ def sample_tree_model(rng: np.random.Generator, max_nodes: int = 8,
         u, v = int(order[i]), int(order[j])
         edges.append((min(u, v), max(u, v)))
     edges.sort()
-    return GraphicalModel(
-        labels_per_node=labels,
-        unary=[rng.uniform(0.0, 3.0, size=k) for k in labels],
-        edges=tuple(edges),
-        pairwise=[rng.uniform(0.0, 3.0, size=(labels[u], labels[v])) for u, v in edges],
-        pairwise_weight=float(rng.uniform(0.5, 2.5)),
-    )
+    unary = [rng.uniform(0.0, 3.0, size=k) for k in labels]
+    tables = [rng.uniform(0.0, 3.0, size=(labels[u], labels[v])) for u, v in edges]
+    return _weighted_model(labels, unary, edges, tables, float(rng.uniform(0.5, 2.5)))
 
 
 def sample_binary_model(rng: np.random.Generator, max_nodes: int = 14,
@@ -179,34 +175,9 @@ def sample_binary_model(rng: np.random.Generator, max_nodes: int = 14,
     """Random two-label model with mixed submodular/supermodular edges."""
     n = int(rng.integers(2, max_nodes + 1))
     edges = _random_edges(rng, n, edge_prob)
-    return GraphicalModel(
-        labels_per_node=(2,) * n,
-        unary=[rng.uniform(0.0, 3.0, size=2) for _ in range(n)],
-        edges=tuple(edges),
-        pairwise=[rng.uniform(0.0, 4.0, size=(2, 2)) for _ in edges],
-        pairwise_weight=float(rng.uniform(0.5, 2.0)),
-    )
-
-
-def sample_submodular_binary_model(rng: np.random.Generator,
-                                   max_nodes: int = 12) -> GraphicalModel:
-    """Random binary model with every edge submodular (QPBO labels everything)."""
-    n = int(rng.integers(2, max_nodes + 1))
-    edges = _random_edges(rng, n, 0.5)
-    tables = []
-    for _ in edges:
-        a, d = rng.uniform(0.0, 2.0, size=2)
-        slack = rng.uniform(0.0, 2.0)
-        b = rng.uniform(0.0, a + d + slack)
-        c = a + d + slack - b
-        tables.append(np.array([[a, b], [c, d]]))
-    return GraphicalModel(
-        labels_per_node=(2,) * n,
-        unary=[rng.uniform(-2.0, 2.0, size=2) for _ in range(n)],
-        edges=tuple(edges),
-        pairwise=tables,
-        pairwise_weight=1.0,
-    )
+    unary = [rng.uniform(0.0, 3.0, size=2) for _ in range(n)]
+    tables = [rng.uniform(0.0, 4.0, size=(2, 2)) for _ in edges]
+    return _weighted_model((2,) * n, unary, edges, tables, float(rng.uniform(0.5, 2.0)))
 
 
 def sample_zero_form_model(rng: np.random.Generator, max_nodes: int = 12,
@@ -221,7 +192,6 @@ def sample_zero_form_model(rng: np.random.Generator, max_nodes: int = 12,
         unary=[rng.uniform(-1.0, 1.0, size=2) for _ in range(n)],
         edges=tuple(edges),
         pairwise=tables,
-        pairwise_weight=1.0,
     )
 
 
@@ -283,8 +253,8 @@ def stage_one_energy(scene, hp, keep: int, skip: int) -> GraphicalModel:
                              scene.object_diameter)
         table[:ku, :kv] = cost[:ku, ku:]
         tables.append(table)
-    return GraphicalModel(labels_per_node=[k + 1 for k in count], unary=unary,
-                          edges=edges, pairwise=tables, pairwise_weight=hp.beta)
+    return GraphicalModel(labels_per_node=[k + 1 for k in count], unary=unary, edges=edges,
+                          pairwise=[weighted_table(t, hp.beta) for t in tables])
 
 
 # ---------------------------------------------------------------------------

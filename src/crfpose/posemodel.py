@@ -18,12 +18,13 @@ stage-two test of "within the object diameter" reads
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import INF, ContractViolation, GraphicalModel
+from .model import INF, ContractViolation, GraphicalModel, weighted_table
 
 MAX_CANDIDATES = 12  # 4 pixels x 3 trees
 
@@ -222,9 +223,10 @@ def _candidate_minima(scene: SceneObservation, coord_sq: np.ndarray,
     and on every edge whose camera points are further apart than the
     diameter.  Only the edges of the mask ``blocks`` (all by default) get a
     block; the others' minima are inf too.  The arithmetic is the lazy
-    table's, so the minima are its minima to the last bit.  A non-finite
-    camera distance (checked on every edge) or a NaN object-frame distance
-    raises, naming the edge.
+    table's before weighting, and rounding a product by β >= 0 keeps order,
+    so ``weighted_table`` of the minima gives the table's minima to the last
+    bit.  A non-finite camera distance (checked on every edge) or a NaN
+    object-frame distance raises, naming the edge.
     """
     d = scene.points[u] - scene.points[v]
     with np.errstate(over="ignore"):
@@ -332,9 +334,10 @@ def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
     """The stage-one energy restricted to the labels an optimum can use.
 
     The energy is a sparse multi-label model over the full grid: an edge
-    table holds the geometric costs between candidate pairs (inf when the
-    camera points are further apart than the diameter), gamma on
-    candidate/outlier transitions and zero on outlier/outlier.
+    table holds β times the geometric costs between candidate pairs (inf
+    when the camera points are further apart than the diameter, also at
+    β = 0), βγ on candidate/outlier transitions and zero on
+    outlier/outlier.
     ``_eliminate_candidates`` removes candidates no optimum uses; a node left
     with its outlier label alone is fixed.  The model keeps every node and
     label index: an eliminated candidate's unary is +inf, only edges between
@@ -362,33 +365,36 @@ def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
     unary[:, :MAX_CANDIDATES][eliminated] = INF
     edges = edges[kept]
 
-    points, diameter = scene.points, scene.object_diameter
+    diameter = scene.object_diameter
     # per-node views, made once: slicing in every call slows the table build
-    coords, coord_sq = list(scene.coords), list(coord_sq)
+    points, coords, coord_sq = list(scene.points), list(scene.coords), list(coord_sq)
 
     def table_fn(u, v):
         ku, kv = count[u], count[v]
         table = np.full((ku + 1, kv + 1), hp.gamma)
         table[ku, kv] = 0.0
         if ku and kv:
-            # the pass's arithmetic on one edge, over all 12 slots: a 1-D norm
-            # (pairwise_distances differs in the last bit on ~10% of pairs)
-            # and a 12x12 product (a smaller one differs in the last bit)
-            x_dist = float(np.linalg.norm(points[u] - points[v]))
+            # the pass's arithmetic on one edge, over all 12 slots: the root
+            # of a 1-D dot product (pairwise_distances differs in the last bit
+            # on ~10% of pairs) and a 12x12 product (a smaller one differs in
+            # the last bit), in place where that rounds alike
+            d = points[u] - points[v]
+            x_dist = math.sqrt(d @ d)
             if x_dist > diameter:
                 table[:ku, :kv] = INF
             else:
-                d2 = coord_sq[u][:, None] + coord_sq[v][None, :] \
-                    - 2.0 * coords[u] @ coords[v].T
-                table[:ku, :kv] = np.abs(np.sqrt(np.maximum(d2, 0.0)) - x_dist)[:ku, :kv]
-        return table
+                d2 = coord_sq[u][:, None] + coord_sq[v]
+                d2 -= 2.0 * coords[u] @ coords[v].T
+                np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+                d2 -= x_dist
+                table[:ku, :kv] = np.abs(d2[:ku, :kv])
+        return weighted_table(table, hp.beta)
 
     return GraphicalModel(
         labels_per_node=tuple(k + 1 for k in count),
         unary=unary,
         edges=edges,
         table_fn=table_fn,
-        pairwise_weight=hp.beta,
     )
 
 
@@ -398,8 +404,9 @@ def build_stage_two_master(scene: SceneObservation, hp: HyperParams,
 
     Master node k corresponds to ``sorted(inliers)[k]``; label 1 keeps that
     node's stage-one candidate, label 0 is the outlier.  Every table is built
-    here, with the ``pairwise_cost`` entry at (1,1).  With the default
-    gamma = 0 the construction is already in zero form.
+    here, β-weighted: γ at (0,1) and (1,0) and the ``pairwise_cost`` entry
+    at (1,1).  With the default gamma = 0 the construction is already in
+    zero form.
     """
     grid_nodes = np.array(sorted(set(int(u) for u in inliers)), dtype=np.int64)
     if not grid_nodes.size:
@@ -420,6 +427,5 @@ def build_stage_two_master(scene: SceneObservation, hp: HyperParams,
         labels_per_node=(2,) * grid_nodes.size,
         unary=unary,
         edges=np.stack([rows, cols], axis=1),
-        pairwise=tables,
-        pairwise_weight=hp.beta,
+        pairwise=weighted_table(tables, hp.beta),
     )

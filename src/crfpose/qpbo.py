@@ -14,8 +14,9 @@ model's total finite cost mass; a post-check over all edges demotes any
 labeled pair that would realize a truly infinite cost back to unlabeled.
 
 Everything but the max-flow runs as array passes over the model's
-(E, 2, 2) table stack.  The nonzero row and column minima are folded into
-the unaries in edge order (u before v), the finite mass is summed table by
+(E, 2, 2) table stack, whose tables are the energy's pairwise terms with β
+already applied.  The nonzero row and column minima are folded into the
+unaries in edge order (u before v), the finite mass is summed table by
 table in edge order, and the network's arcs come in a fixed order (per
 free node its two unary arcs, then per edge between free nodes the arc
 pairs for (0,1), (1,0), (1,1) and (0,0)), which fixes the order in which
@@ -75,8 +76,7 @@ def qpbo(model: GraphicalModel) -> PartialLabeling:
         raise ContractViolation("unaries must be finite")
 
     inf = np.isinf(tables)
-    t = np.zeros(tables.shape)
-    np.multiply(model.pairwise_weight, tables, out=t, where=~inf)
+    t = np.where(inf, 0.0, tables)
     # one table's four entries in order, then the tables in edge order
     mass = np.abs(t).reshape(-1, 4)
     edge_mass = mass[:, 0] + mass[:, 1] + mass[:, 2] + mass[:, 3]

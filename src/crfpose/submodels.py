@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .model import (ContractViolation, GraphicalModel, PartialLabeling,
-                    extend_partial, induce_submodel, weighted_table)
+                    extend_partial, induce_submodel)
 from .posemodel import SceneObservation, pairwise_distances
 from .qpbo import binary_tables, qpbo
 
@@ -99,10 +99,9 @@ def to_zero_form(model: GraphicalModel) -> tuple[GraphicalModel, float]:
     and (1,0), preserving the energy of every labeling exactly.
 
     Already-zero-form models are returned unchanged with shift 0.  Otherwise
-    the pairwise weight is folded into the tables (output weight 1) and the
-    moved mass lands in the unaries and the constant; the returned shift is
-    the constant added, summed in edge order.  Infinite entries are only
-    allowed at (1,1).
+    the mass moved out of each table lands in the unaries and the constant;
+    the returned shift is the constant added, summed in edge order.
+    Infinite entries are only allowed at (1,1).
     """
     if is_zero_form(model):
         return model, 0.0
@@ -111,21 +110,20 @@ def to_zero_form(model: GraphicalModel) -> tuple[GraphicalModel, float]:
     if outside.size:
         raise ContractViolation(f"edge {model.edge_pair(outside[0])} has an infinite "
                                 "cost outside (1,1); cannot zero it")
-    wa, wb, wc, wd = weighted_table(t, model.pairwise_weight).reshape(-1, 4).T
-    # w*T(x,y) = wa + (wc-wa)x + (wb-wa)y + (wa+wd-wb-wc)xy
-    shift = float(np.cumsum(np.append(0.0, wa))[-1])
+    ta, tb, tc, td = t.reshape(-1, 4).T
+    # T(x,y) = ta + (tc-ta)x + (tb-ta)y + (ta+td-tb-tc)xy
+    shift = float(np.cumsum(np.append(0.0, ta))[-1])
     unary = model.unary.copy()
     # per edge u before v, in edge order
     np.add.at(unary[:, 1], model.edges.reshape(-1),
-              np.stack([wc - wa, wb - wa], axis=1).reshape(-1))
+              np.stack([tc - ta, tb - ta], axis=1).reshape(-1))
     tables = np.zeros(t.shape)
-    tables[:, 1, 1] = wa + wd - wb - wc
+    tables[:, 1, 1] = ta + td - tb - tc
     out = GraphicalModel(
         labels_per_node=model.labels_per_node,
         unary=unary,
         edges=model.edges,
         pairwise=tables,
-        pairwise_weight=1.0,
         constant=model.constant + shift,
     )
     return out, shift

@@ -16,13 +16,14 @@ compiled arrays; energy minus bound is a gap that certifies the labeling
 gap is at most ``GAP_TOLERANCE * max(1, |energy|)``, and otherwise after
 ``TrwsConfig.iterations``.
 
-Every pairwise table is held once, β-weighted and INF-padded, in one
-(E, Lmax, Lmax) array indexed by edge id, and the unaries are the model's
-(n, Lmax) array.  The per-slot messages and unary shares are (S, Lmax)
-arrays, INF past each node's label count, with the slots numbered by
-(node, chain order) so that a node's slots are one row range.  What a slot
-passes on along its chain is recomputed as message + share where it is
-read, not stored.
+Every pairwise table is held once, INF-padded, in one (E, Lmax, Lmax)
+array indexed by edge id: the model's own stack, or one built from its
+lazy tables.  The tables are the energy's pairwise terms, β already
+applied, and the unaries are the model's (n, Lmax) array.  The per-slot
+messages and unary shares are (S, Lmax) arrays, INF past each node's label
+count, with the slots numbered by (node, chain order) so that a node's
+slots are one row range.  What a slot passes on along its chain is
+recomputed as message + share where it is read, not stored.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import INF, ContractViolation, GraphicalModel, weighted_table
-
-#: edges weighted per step when the edge tensor is built
-WEIGHT_CHUNK = 2048
+from .model import INF, ContractViolation, GraphicalModel
 
 #: relative gap at which a rounded labeling certifies the bound; it accepts
 #: the slightly negative gaps that rounding produces
@@ -121,28 +119,24 @@ def _chain_slots(model: GraphicalModel):
 class _Compiled:
     """Chain structure flattened into node-ordered slot arrays.
 
-    ``tables[e]`` is edge e's β-weighted table, INF-padded to (Lmax, Lmax),
-    INF wherever the model's entry is ±inf (also at β = 0).  Edges are stored
-    as (u, v) with u < v and chains climb the node order, so a link from a
-    predecessor is always (v, u) with v < u and one to a successor (u, v)
-    with u < v: no table is ever transposed.
+    ``tables[e]`` is edge e's table, INF-padded to (Lmax, Lmax): a
+    materialized model's read-only stack itself, or the lazy tables built
+    once into a new one.  Edges are stored as (u, v) with u < v and chains
+    climb the node order, so a link from a predecessor is always (v, u)
+    with v < u and one to a successor (u, v) with u < v: no table is ever
+    transposed.
     """
 
     def __init__(self, model: GraphicalModel):
         n = model.node_count
         labels = np.array(model.labels_per_node, dtype=np.int64)
         lmax = int(labels.max())
-        self.tables = np.full((model.edge_count, lmax, lmax), INF)
-        source = model.pairwise  # the model's own (E, Lmax, Lmax) stack
+        self.tables = model.pairwise
         if model.table_fn is not None:
+            self.tables = np.full((model.edge_count, lmax, lmax), INF)
             k = model.labels_per_node
             for e, (u, v) in enumerate(model.edges.tolist()):
                 self.tables[e, : k[u], : k[v]] = model.edge_table(e)
-            source = self.tables
-        # in chunks, so no temporary is full-size
-        for lo in range(0, model.edge_count, WEIGHT_CHUNK):
-            chunk = slice(lo, lo + WEIGHT_CHUNK)
-            self.tables[chunk] = weighted_table(source[chunk], model.pairwise_weight)
         self.unary = model.unary
 
         slot_node, prev, next_, prev_edge, self.head_slots = _chain_slots(model)
@@ -193,8 +187,8 @@ class _Compiled:
         return labeling, fallback
 
     def energy(self, labeling: np.ndarray) -> float:
-        """Unary plus β-weighted pairwise energy of ``labeling``, from the
-        compiled arrays (inf if any term is); the model constant is not in it."""
+        """Unary plus pairwise energy of ``labeling``, from the compiled
+        arrays (inf if any term is); the model constant is not in it."""
         u, v = self.edges.T
         return float(self.unary[np.arange(labeling.size), labeling].sum()
                      + self.tables[np.arange(u.size), labeling[u], labeling[v]].sum())

@@ -5,7 +5,7 @@ import pytest
 
 from crfpose.model import (INF, UNLABELED, ContractViolation, GraphicalModel,
                            PartialLabeling, block_energies, evaluate_energy,
-                           extend_partial, induce_submodel)
+                           extend_partial, induce_submodel, weighted_table)
 from crfpose.oracle import _spawn, sample_hard_model, sample_sparse_model
 from crfpose.qpbo import binary_tables
 
@@ -30,8 +30,7 @@ def test_all_outlier_labeling_has_no_pairwise_contribution():
     table = np.array([[2.0, 0.7], [0.7, 0.0]])
     edges = tuple((u, v) for u in range(4) for v in range(u + 1, 4))
     m = GraphicalModel((2,) * 4, [np.array([0.5, 0.1 * (u + 1)]) for u in range(4)],
-                       edges, pairwise=[table.copy() for _ in edges],
-                       pairwise_weight=3.0)
+                       edges, pairwise=[weighted_table(table, 3.0) for _ in edges])
     assert evaluate_energy(m, [1, 1, 1, 1]) == pytest.approx(
         sum(0.1 * (u + 1) for u in range(4)), abs=0)
 
@@ -43,8 +42,8 @@ def test_energy_matches_double_loop_resummation():
     edges = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5), (1, 2)]
     unary = [rng.uniform(0, 5, k) for k in labels]
     tables = [rng.uniform(0, 5, (labels[u], labels[v])) for u, v in edges]
-    m = GraphicalModel(labels, unary, tuple(edges), pairwise=tables,
-                       pairwise_weight=2.0, constant=0.25)
+    m = GraphicalModel(labels, unary, tuple(edges),
+                       pairwise=[weighted_table(t, 2.0) for t in tables], constant=0.25)
     for _ in range(20):
         l = [int(rng.integers(k)) for k in labels]
         expected = 0.25
@@ -55,6 +54,21 @@ def test_energy_matches_double_loop_resummation():
         assert evaluate_energy(m, l) == expected
 
 
+def test_weighted_table_keeps_inf_and_nan():
+    # ±inf is +inf at any weight, 0 * inf never runs, and a NaN stays NaN, so
+    # a table weighted before the model checks it is still refused
+    table = np.array([[np.nan, INF], [-INF, -2.0]])
+    assert weighted_table(table, 0.0).tolist()[1] == [INF, -0.0]
+    assert np.isnan(weighted_table(table, 3.0)[0, 0])
+    assert weighted_table(table, 3.0)[0, 1] == INF
+    with pytest.raises(ContractViolation, match="NaN"):
+        GraphicalModel((2, 2), np.zeros((2, 2)), ((0, 1),),
+                       pairwise=[weighted_table(table, 0.0)])
+    with pytest.raises(ContractViolation, match="NaN"):
+        GraphicalModel((2, 2), np.zeros((2, 2)), ((0, 1),),
+                       table_fn=lambda u, v: weighted_table(table, 0.0)).edge_table(0)
+
+
 def test_energy_infinite_term_gives_infinity():
     t = np.array([[INF, 1.0], [1.0, 0.0]])
     m = GraphicalModel((2, 2), [np.zeros(2), np.zeros(2)], ((0, 1),), pairwise=[t])
@@ -62,7 +76,7 @@ def test_energy_infinite_term_gives_infinity():
     assert evaluate_energy(m, [1, 1]) == 0.0
     # infinite pairwise dominates even a zero weight
     m0 = GraphicalModel((2, 2), [np.zeros(2), np.zeros(2)], ((0, 1),),
-                        pairwise=[t.copy()], pairwise_weight=0.0)
+                        pairwise=[weighted_table(t, 0.0)])
     assert evaluate_energy(m0, [0, 0]) == INF
 
 
@@ -211,12 +225,12 @@ def test_table_stack_and_table_list_give_one_model():
     tables = rng.uniform(0.0, 3.0, (4, 2, 2))
     tables[1, 0, 1] = INF
     unary = [rng.uniform(0.0, 3.0, 2) for _ in range(4)]
-    stacked = GraphicalModel((2,) * 4, unary, edges, pairwise=tables, pairwise_weight=1.5)
-    listed = GraphicalModel((2,) * 4, unary, edges, pairwise=list(tables), pairwise_weight=1.5)
+    stacked = GraphicalModel((2,) * 4, unary, edges, pairwise=tables)
+    listed = GraphicalModel((2,) * 4, unary, edges, pairwise=list(tables))
     assert isinstance(stacked.pairwise, np.ndarray) and isinstance(listed.pairwise, np.ndarray)
     assert stacked.edges.tolist() == listed.edges.tolist() == [[0, 1], [1, 3], [0, 2], [1, 2]]
     assert np.array_equal(stacked.pairwise, listed.pairwise)
-    lazy = GraphicalModel((2,) * 4, unary, edges, pairwise_weight=1.5,
+    lazy = GraphicalModel((2,) * 4, unary, edges,
                           table_fn=lambda u, v: stacked.edge_table(
                               stacked.edges.tolist().index([u, v])))
     for keep in ({0, 1, 2}, {1, 3}, {0, 3}):
@@ -266,8 +280,8 @@ def test_lazy_and_materialized_tables_agree():
 
 
 def test_block_energies_follow_the_one_summation_order():
-    # the constant, then the unaries in node order, then the weighted pairwise
-    # entries in edge order; an inf term makes the row inf, also at β = 0
+    # the constant, then the unaries in node order, then the pairwise entries
+    # in edge order; an inf term makes the row inf, also in a model weighted by 0
     for rng in _spawn(61, 30):
         m = sample_hard_model(rng)
         k = np.array(m.labels_per_node)
@@ -278,8 +292,7 @@ def test_block_energies_follow_the_one_summation_order():
             for u, l in enumerate(row):
                 total += float(m.unary[u, l])
             for e, (u, v) in enumerate(m.edges.tolist()):
-                c = float(m.edge_table(e)[row[u], row[v]])
-                total += INF if c == INF else m.pairwise_weight * c
+                total += float(m.edge_table(e)[row[u], row[v]])
             expected.append(total)
         assert block_energies(m, block).tolist() == expected
         assert [evaluate_energy(m, row) for row in block] == expected
@@ -335,14 +348,14 @@ def test_induced_energy_is_master_restriction():
         for _ in range(10):
             sub_l = [int(rng.integers(sub.labels_per_node[i]))
                      for i in range(sub.node_count)]
-            # oracle: master unaries on keep + weighted internal pairwise
+            # oracle: master unaries on keep + internal pairwise
             expected = 0.0
             for i, old in enumerate(node_map):
                 expected += m.unary[old][sub_l[i]]
             pos = {old: i for i, old in enumerate(node_map)}
             for e, (u, v) in enumerate(m.edges):
                 if u in pos and v in pos:
-                    expected += m.pairwise_weight * m.edge_table(e)[sub_l[pos[u]], sub_l[pos[v]]]
+                    expected += m.edge_table(e)[sub_l[pos[u]], sub_l[pos[v]]]
             assert evaluate_energy(sub, sub_l) == pytest.approx(expected, abs=1e-12)
 
 

@@ -384,7 +384,7 @@ def _model_digest(model):
         h.update(np.asarray(model.unary[u], dtype=float)[:k].tobytes())
     for e in range(model.edge_count):
         h.update(repr(tuple(int(x) for x in model.edges[e])).encode())
-        h.update(weighted_table(model.edge_table(e), model.pairwise_weight).tobytes())
+        h.update(np.asarray(model.edge_table(e), dtype=float).tobytes())
     return h.hexdigest()
 
 
@@ -418,7 +418,9 @@ def _desk_20x15(**kw):
 
 def test_candidate_minima_are_those_of_the_lazy_tables():
     # every node of the 20x15 scene has 12 candidates; the second scene
-    # draws 0..12 per node, so some blocks are short or empty
+    # draws 0..12 per node, so some blocks are short or empty.  The tables
+    # are β-weighted: for β >= 0 rounding a product keeps order, so the
+    # weighted minima are the minima of the weighted tables
     from crfpose.pipeline import DESK_SCALE_STAGE_ONE
     from dataclasses import replace
     full = _desk_20x15().observation
@@ -426,7 +428,8 @@ def test_candidate_minima_are_those_of_the_lazy_tables():
     for scene in (full, replace(full, candidate_count=counts)):
         table_fn = build_stage_one_model(scene, DESK_SCALE_STAGE_ONE).table_fn
         u, v = build_sparse_neighborhood(scene.grid_width, scene.grid_height).T
-        rows, cols = _candidate_minima(scene, (scene.coords ** 2).sum(axis=2), u, v)
+        rows, cols = (weighted_table(minima, DESK_SCALE_STAGE_ONE.beta) for minima in
+                      _candidate_minima(scene, (scene.coords ** 2).sum(axis=2), u, v))
         for e, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
             ka, kb = scene.candidate_count[a], scene.candidate_count[b]
             block = table_fn(a, b)[:ka, :kb]

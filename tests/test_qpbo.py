@@ -6,11 +6,25 @@ import pytest
 
 from crfpose.maxflow import FlowNetwork, max_flow
 from crfpose.model import (INF, GraphicalModel, UNLABELED,
-                           ContractViolation)
+                           ContractViolation, weighted_table)
 from crfpose.oracle import (brute_force, check_persistency, sample_binary_model,
-                            sample_submodular_binary_model, sample_zero_form_model,
-                            _spawn)
+                            sample_zero_form_model, _random_edges, _spawn)
 from crfpose.qpbo import count_infinite_pairs, qpbo
+
+
+def sample_submodular_binary_model(rng, max_nodes=12):
+    """Random binary model with every edge submodular (QPBO labels everything)."""
+    n = int(rng.integers(2, max_nodes + 1))
+    edges = _random_edges(rng, n, 0.5)
+    tables = []
+    for _ in edges:
+        a, d = rng.uniform(0.0, 2.0, size=2)
+        slack = rng.uniform(0.0, 2.0)
+        b = rng.uniform(0.0, a + d + slack)
+        c = a + d + slack - b
+        tables.append(np.array([[a, b], [c, d]]))
+    return GraphicalModel((2,) * n, [rng.uniform(-2.0, 2.0, size=2) for _ in range(n)],
+                          tuple(edges), pairwise=tables)
 
 
 def test_single_node_unary_argmin():
@@ -77,8 +91,7 @@ def test_permutation_invariance():
             (2,) * m.node_count,
             [m.unary[int(inv[k])].copy() for k in range(m.node_count)],
             tuple(edges[i] for i in order),
-            pairwise=[tables[i] for i in order],
-            pairwise_weight=m.pairwise_weight)
+            pairwise=[tables[i] for i in order])
         got = qpbo(pm)
         want = qpbo(m)
         assert tuple(got.assignment[perm[u]] for u in range(m.node_count)) \
@@ -99,8 +112,7 @@ def _with_infinite_pairs(m, planted):
     """``m`` rebuilt with an infinite (1,1) entry on every edge in ``planted``."""
     tables = m.pairwise.copy()
     tables[np.array(planted, dtype=bool), 1, 1] = INF
-    return GraphicalModel(m.labels_per_node, m.unary, m.edges, pairwise=tables,
-                          pairwise_weight=m.pairwise_weight)
+    return GraphicalModel(m.labels_per_node, m.unary, m.edges, pairwise=tables)
 
 
 def test_infinite_pairs_never_labeled_jointly():
@@ -165,7 +177,7 @@ def _wide_range_model(rng):
         t[rng.random((2, 2)) < 0.15] = INF
     weight = 0.0 if rng.random() < 1 / 3 else float(rng.uniform(0.5, 2.5))
     return GraphicalModel((2,) * n, [costs(2) for _ in range(n)], edges,
-                          pairwise=tables, pairwise_weight=weight)
+                          pairwise=[weighted_table(t, weight) for t in tables])
 
 
 def _pinned_binary_models():
@@ -236,7 +248,6 @@ def _qpbo_digest(models, monkeypatch):
     return h.hexdigest()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_qpbo_is_pinned_on_random_models(monkeypatch):
     # Pins the assignment, every arc of the network over the free nodes
     # (capacities to the last bit), the flow value and the cut.
@@ -249,7 +260,6 @@ def test_qpbo_is_pinned_on_a_desk_master(monkeypatch):
         "dae7b3e81e741e445801f8e3c5d1e89ba25fc88d16488624a886e72b194caeca"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_qpbo_assignments_are_pinned():
     # Assignments alone: they stay put when the network qpbo solves changes.
     h = hashlib.sha256()
@@ -404,8 +414,7 @@ def _full_network_qpbo(model):
     node fixed beforehand: the build ``qpbo`` used before its presolve."""
     n, tables = model.node_count, model.pairwise
     unary, inf = model.unary.copy(), np.isinf(tables)
-    t = np.zeros(tables.shape)
-    np.multiply(model.pairwise_weight, tables, out=t, where=~inf)
+    t = np.where(inf, 0.0, tables)
     edge_mass = np.abs(t).reshape(-1, 4).cumsum(axis=1)[:, -1]
     t[inf] = 1.0 + np.cumsum(np.append(np.abs(unary).sum(), edge_mass))[-1]
     rows = t.min(axis=2)

@@ -3,7 +3,7 @@ import pytest
 
 from crfpose.model import (INF, ContractViolation, GraphicalModel,
                            PartialLabeling, UNLABELED, evaluate_energy,
-                           induce_submodel)
+                           induce_submodel, weighted_table)
 from crfpose.oracle import (brute_force, check_persistency,
                             sample_binary_model, sample_zero_form_model, _spawn)
 from crfpose.posemodel import (MAX_CANDIDATES, STAGE_TWO_DEFAULTS, SceneObservation,
@@ -175,7 +175,7 @@ def test_zero_form_leaves_zero_form_models_untouched():
 
 def test_zero_form_single_constant_edge():
     m = GraphicalModel((2, 2), [np.zeros(2), np.zeros(2)], ((0, 1),),
-                       pairwise=[np.ones((2, 2))], pairwise_weight=1.0)
+                       pairwise=[np.ones((2, 2))])
     out, shift = to_zero_form(m)
     assert is_zero_form(out)
     for l in [(0, 0), (0, 1), (1, 0), (1, 1)]:
@@ -206,7 +206,7 @@ def test_zero_form_allows_infinite_1_1():
     t = np.array([[1.0, 0.5], [0.25, INF]])
     for weight in (2.0, 0.0):  # at weight 0 the inf entry stays inf, not 0 * inf
         m = GraphicalModel((2, 2), [np.zeros(2), np.zeros(2)], ((0, 1),),
-                           pairwise=[t], pairwise_weight=weight)
+                           pairwise=[weighted_table(t, weight)])
         out, _ = to_zero_form(m)
         assert out.edge_table(0)[1, 1] == INF
         for l in [(0, 0), (0, 1), (1, 0)]:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from crfpose.model import (INF, ContractViolation, GraphicalModel,
-                           evaluate_energy)
+                           evaluate_energy, weighted_table)
 from crfpose.oracle import (brute_force, sample_hard_model, sample_sparse_model,
                             sample_tree_model, _spawn)
-from crfpose.trws import (GAP_TOLERANCE, TrwsConfig, _chain_slots, extract_inliers,
-                          monotone_chains, solve_trws)
+from crfpose.trws import (GAP_TOLERANCE, TrwsConfig, _chain_slots, _Compiled,
+                          extract_inliers, monotone_chains, solve_trws)
 
 
 def test_single_node_exact():
@@ -66,10 +66,11 @@ def test_exact_on_random_chains():
         n = int(rng.integers(2, 7))
         labels = tuple(int(rng.integers(2, 5)) for _ in range(n))
         edges = tuple((u, u + 1) for u in range(n - 1))
-        m = GraphicalModel(labels, [rng.uniform(0, 3, k) for k in labels], edges,
-                           pairwise=[rng.uniform(0, 3, (labels[u], labels[v]))
-                                     for u, v in edges],
-                           pairwise_weight=float(rng.uniform(0.5, 2.0)))
+        unary = [rng.uniform(0, 3, k) for k in labels]
+        tables = [rng.uniform(0, 3, (labels[u], labels[v])) for u, v in edges]
+        weight = float(rng.uniform(0.5, 2.0))
+        m = GraphicalModel(labels, unary, edges,
+                           pairwise=[weighted_table(t, weight) for t in tables])
         res = solve_trws(m, TrwsConfig(iterations=10))
         opt = brute_force(m).optimal_energy
         assert res.lower_bound == pytest.approx(opt, abs=1e-9)
@@ -141,7 +142,7 @@ def test_infinite_rounded_energy_runs_to_the_cap():
         t[rng.integers(labels[u]), rng.integers(labels[v])] = INF
         tables.append(t)
     m = GraphicalModel(labels, [rng.uniform(0, 3, k) for k in labels], edges,
-                       pairwise=tables, pairwise_weight=0.0)
+                       pairwise=[weighted_table(t, 0.0) for t in tables])
     assert np.isfinite(brute_force(m).optimal_energy)
     res = solve_trws(m, TrwsConfig(iterations=10))
     assert evaluate_energy(m, res.labeling) == INF
@@ -177,15 +178,14 @@ def test_infinite_entries_do_not_produce_nan():
             if rng.random() < 0.4:
                 # an infinite row trims one label but leaves others finite
                 t[int(rng.integers(t.shape[0])), :] = INF
-        m = GraphicalModel(m.labels_per_node, m.unary, m.edges, pairwise=tables,
-                           pairwise_weight=m.pairwise_weight)
+        m = GraphicalModel(m.labels_per_node, m.unary, m.edges, pairwise=tables)
         res = solve_trws(m, TrwsConfig(iterations=6))
         assert not any(np.isnan(b) for b in res.bound_history)
         assert res.lower_bound <= evaluate_energy(m, res.labeling) + 1e-9 \
             or evaluate_energy(m, res.labeling) == INF
 
 
-def test_padded_infinite_tables_at_zero_pairwise_weight():
+def test_padded_infinite_tables_weighted_by_zero():
     # mixed label counts make the sweeps read the INF padding of the shared
     # edge array; at weight 0 an inf entry must stay inf, never 0 * inf = NaN.
     # No inf touches label 0, so the rounding pass can always keep a finite
@@ -200,22 +200,21 @@ def test_padded_infinite_tables_at_zero_pairwise_weight():
             t[1:, 1:][rng.random((labels[u] - 1, labels[v] - 1)) < 0.5] = INF
             tables.append(t)
         m = GraphicalModel(labels, [rng.uniform(0, 3, k) for k in labels], edges,
-                           pairwise=tables, pairwise_weight=0.0)
+                           pairwise=[weighted_table(t, 0.0) for t in tables])
         res = solve_trws(m, TrwsConfig(iterations=8))
         assert not np.isnan(res.bound_history).any()
         assert res.lower_bound <= brute_force(m).optimal_energy + 1e-9
         assert np.isfinite(evaluate_energy(m, res.labeling))
 
 
-def test_zero_pairwise_weight_with_inf_entries_raises_no_warning():
+def test_inf_entries_weighted_by_zero_raise_no_warning():
     # valid input: β = 0 must not multiply an inf entry (0 * inf = NaN)
-    t = np.array([[0.0, INF], [2.0, INF]])
-    m = GraphicalModel((2, 2, 1), [np.array([1.0, 0.5]), np.array([0.0, 3.0]),
-                                   np.array([2.0])],
-                       ((0, 1), (1, 2)), pairwise=[t, np.array([[1.0], [INF]])],
-                       pairwise_weight=0.0)
+    tables = [np.array([[0.0, INF], [2.0, INF]]), np.array([[1.0], [INF]])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        m = GraphicalModel((2, 2, 1), [np.array([1.0, 0.5]), np.array([0.0, 3.0]),
+                                       np.array([2.0])],
+                           ((0, 1), (1, 2)), pairwise=[weighted_table(t, 0.0) for t in tables])
         res = solve_trws(m, TrwsConfig(iterations=4))
         opt = brute_force(m).optimal_energy
     assert res.labeling == (1, 0, 0)
@@ -225,7 +224,8 @@ def test_zero_pairwise_weight_with_inf_entries_raises_no_warning():
 def test_hard_model_sampler_reaches_the_inf_regimes():
     models = [sample_hard_model(rng) for rng in _spawn(8, 60)]
     assert any(1 in m.labels_per_node for m in models)
-    assert any(m.pairwise_weight == 0.0 for m in models)
+    # a weight of 0 leaves every finite table entry of a model at 0
+    assert any(not m.pairwise[np.isfinite(m.pairwise)].any() for m in models if m.edge_count)
     assert any(np.isinf(m.edge_table(e)).any() for m in models for e in range(m.edge_count))
     for m in models:  # label 0 is never forbidden
         assert all(np.isfinite(t[0]) for t in m.unary)
@@ -282,8 +282,8 @@ def _pinned_sparse_model(rng):
         t[int(rng.integers(t.size))] = rng.uniform(0.0, 3.0)  # some label stays finite
     weight = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.5, 2.5))
     return GraphicalModel(labels, unary, edges,
-                          pairwise=[costs((labels[u], labels[v])) for u, v in edges],
-                          pairwise_weight=weight)
+                          pairwise=[weighted_table(costs((labels[u], labels[v])), weight)
+                                    for u, v in edges])
 
 
 def _pinned_star_model(rng, hub_labels):
@@ -292,10 +292,11 @@ def _pinned_star_model(rng, hub_labels):
     leaves = int(rng.integers(9, 15))
     labels = (hub_labels,) + tuple(int(k) for k in rng.integers(1, 5, leaves))
     edges = tuple((0, v) for v in range(1, leaves + 1))
-    return GraphicalModel(
-        labels, [rng.uniform(0.0, 3.0, k) * 10.0 ** rng.integers(-3, 4, k) for k in labels],
-        edges, pairwise=[rng.uniform(0.0, 3.0, (hub_labels, labels[v])) for _, v in edges],
-        pairwise_weight=float(rng.uniform(0.5, 2.5)))
+    unary = [rng.uniform(0.0, 3.0, k) * 10.0 ** rng.integers(-3, 4, k) for k in labels]
+    tables = [rng.uniform(0.0, 3.0, (hub_labels, labels[v])) for _, v in edges]
+    weight = float(rng.uniform(0.5, 2.5))
+    return GraphicalModel(labels, unary, edges,
+                          pairwise=[weighted_table(t, weight) for t in tables])
 
 
 def _solve_digest(models, iterations):
@@ -307,7 +308,6 @@ def _solve_digest(models, iterations):
     return h.hexdigest()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solver_output_is_pinned_on_random_models():
     # Pins labeling, bound history, gap and diagnostics to the last bit; a
     # change of the solver's schedule, stop rule or summation order shows here.
@@ -348,6 +348,12 @@ def test_stage_one_model_stores_no_tables():
     for e in range(0, model.edge_count, 97):
         first, second = model.edge_table(e), model.edge_table(e)
         assert first is not second and np.array_equal(first, second)
+
+
+def test_materialized_tables_are_read_in_place():
+    # the model's read-only stack is the solver's edge array: no copy
+    m = sample_sparse_model(np.random.default_rng(6))
+    assert _Compiled(m).tables is m.pairwise
 
 
 def test_edgeless_model_has_a_zero_gap():
