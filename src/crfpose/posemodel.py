@@ -261,14 +261,12 @@ def _candidate_minima(scene: SceneObservation, coord_sq: np.ndarray,
 
 
 def _worst_change(minima: np.ndarray, hp: HyperParams) -> np.ndarray:
-    """max(−βγ, βγ − β·m) per candidate minimum m, with β·inf read as inf
-    (so 0·inf never runs): the most by which an edge's weighted cost can
-    change when its node switches from that candidate to the outlier."""
+    """max(−βγ, βγ − β·m) per candidate minimum m, β·m as ``weighted_table``
+    gives it (inf at m = inf, also at β = 0): the most by which an edge's
+    weighted cost can change when its node switches from that candidate to
+    the outlier."""
     bg = hp.beta * hp.gamma
-    finite = np.isfinite(minima)
-    change = np.full(minima.shape, -bg)
-    np.maximum(-bg, bg - hp.beta * np.where(finite, minima, 0.0), out=change, where=finite)
-    return change
+    return np.maximum(-bg, bg - weighted_table(minima, hp.beta))
 
 
 def _eliminate_candidates(scene: SceneObservation, hp: HyperParams, unary: np.ndarray,
@@ -374,10 +372,10 @@ def build_stage_one_model(scene: SceneObservation, hp: HyperParams,
         table = np.full((ku + 1, kv + 1), hp.gamma)
         table[ku, kv] = 0.0
         if ku and kv:
-            # the pass's arithmetic on one edge, over all 12 slots: the root
-            # of a 1-D dot product (pairwise_distances differs in the last bit
-            # on ~10% of pairs) and a 12x12 product (a smaller one differs in
-            # the last bit), in place where that rounds alike
+            # the pass's arithmetic on one edge, step for step, over all 12
+            # slots: the root of a 1-D dot product (pairwise_distances differs
+            # in the last bit on ~10% of pairs) and a 12x12 product (a smaller
+            # one differs in the last bit)
             d = points[u] - points[v]
             x_dist = math.sqrt(d @ d)
             if x_dist > diameter:
