@@ -185,14 +185,14 @@ def _check_labeling(model: GraphicalModel, labeling: Sequence[int]) -> None:
 
 
 def weighted_table(table: np.ndarray, weight: float) -> np.ndarray:
-    """``weight * table`` with every ±inf entry +inf, also at weight 0.
+    """A copy of ``table`` with its finite entries multiplied by ``weight``.
 
-    Models hold their tables weighted, so this runs where tables are built.
-    No inf is multiplied, so ``0 * inf`` never runs, and a NaN stays NaN
-    for the model's cost check to refuse.
+    An inf or NaN entry is kept as it is: ``0 * inf`` never runs, and the
+    model's cost check still refuses a NaN or -inf.  Models hold their
+    tables weighted, so this runs where tables are built.
     """
-    out = np.full(table.shape, INF)
-    np.multiply(weight, table, out=out, where=~np.isinf(table))
+    out = np.array(table, dtype=float)
+    np.multiply(weight, out, out=out, where=np.isfinite(out))
     return out
 
 

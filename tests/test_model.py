@@ -54,19 +54,22 @@ def test_energy_matches_double_loop_resummation():
         assert evaluate_energy(m, l) == expected
 
 
-def test_weighted_table_keeps_inf_and_nan():
-    # ±inf is +inf at any weight, 0 * inf never runs, and a NaN stays NaN, so
-    # a table weighted before the model checks it is still refused
+def test_weighted_table_leaves_non_finite_entries_as_they_are():
+    # 0 * inf never runs, and a NaN or -inf weighted before the model checks
+    # its tables is still refused, materialized or lazy
     table = np.array([[np.nan, INF], [-INF, -2.0]])
-    assert weighted_table(table, 0.0).tolist()[1] == [INF, -0.0]
-    assert np.isnan(weighted_table(table, 3.0)[0, 0])
-    assert weighted_table(table, 3.0)[0, 1] == INF
-    with pytest.raises(ContractViolation, match="NaN"):
-        GraphicalModel((2, 2), np.zeros((2, 2)), ((0, 1),),
-                       pairwise=[weighted_table(table, 0.0)])
-    with pytest.raises(ContractViolation, match="NaN"):
-        GraphicalModel((2, 2), np.zeros((2, 2)), ((0, 1),),
-                       table_fn=lambda u, v: weighted_table(table, 0.0)).edge_table(0)
+    for weight in (0.0, 3.0):
+        out = weighted_table(table, weight)
+        assert np.isnan(out[0, 0]) and out[0, 1] == INF and out[1, 0] == -INF
+        assert out[1, 1] == -2.0 * weight
+    for bad, kind in ((table, "NaN"), (np.array([[0.0, -INF], [1.0, 2.0]]), "-inf")):
+        weighted = weighted_table(bad, 0.0)
+        with pytest.raises(ContractViolation, match=kind):
+            GraphicalModel((2, 2), np.zeros((2, 2)), ((0, 1),), pairwise=[weighted])
+        lazy = GraphicalModel((2, 2), np.zeros((2, 2)), ((0, 1),),
+                              table_fn=lambda u, v: weighted)
+        with pytest.raises(ContractViolation, match=kind):
+            lazy.edge_table(0)
 
 
 def test_energy_infinite_term_gives_infinity():
