@@ -32,7 +32,7 @@ from .posemodel import _SCENE_ARRAYS, MAX_CANDIDATES, SceneObservation
 from .posefit import Pose, fixes_rotation, random_rotation
 
 SCENE_FORMAT = "crfpose-scene"
-SCENE_VERSION = 2
+SCENE_VERSION = 3
 
 #: fraction of the grid's smaller span the object is scaled to occupy
 _GRID_FILL = 0.62
@@ -428,9 +428,23 @@ def scene_from_dict(doc: dict) -> SceneBundle:
 
 
 def save_scene(bundle: SceneBundle, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scene_to_dict(bundle), fh, indent=1)
-        fh.write("\n")
+    """Write ``bundle`` as a scene archive (version 3) at ``path``, whatever
+    its suffix: one uncompressed ``.npz`` of the header text and the arrays."""
+    obs = bundle.observation
+    header = {"format": SCENE_FORMAT, "version": SCENE_VERSION, "grid_width": obs.grid_width,
+              "grid_height": obs.grid_height, "object_diameter": obs.object_diameter}
+    arrays = {"header": np.array(json.dumps(header)),
+              **{name: getattr(obs, name) for name, _, _ in _SCENE_ARRAYS}}
+    if bundle.object_points is not None:
+        arrays["object_points"] = np.asarray(bundle.object_points, dtype=float)
+    if bundle.ground_truth is not None:
+        gt = bundle.ground_truth
+        arrays.update({"ground_truth.rotation": gt.pose.rotation,
+                       "ground_truth.translation": gt.pose.translation,
+                       "ground_truth.labels": np.array(gt.labels, dtype=np.int64)})
+    # through a handle: given a path, np.savez would append ".npz" to it
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def _load_json(path):

@@ -1,7 +1,6 @@
 """Scenario and pipeline-config files: what each reader gives for valid
 documents, pinned byte for byte, and how it refuses bad ones."""
 
-import hashlib
 import json
 import math
 import re
@@ -15,6 +14,7 @@ from crfpose.posemodel import HyperParams
 from crfpose.synth import (SceneFormatError, default_scenario, generate_bundle,
                            save_scene, scenario_from_dict)
 from crfpose.trws import TrwsConfig
+from test_synth import archive_digest
 
 #: the scenario example of README.md, "Scenario files"
 README_SCENARIO = {
@@ -49,17 +49,18 @@ SCENARIOS = {
                                     "background_mean": 0, "spread": 0.05}},
 }
 
+#: ``test_synth.archive_digest`` of each scenario's scene file
 SCENE_DIGESTS = {
     "readme":
-        "ca97999b402ac2130ed24276b84d38485223b9b9ea3216b2c1d3d42a1badc650",
+        "66670c0520232614469dc504f111d28cce2a8f8dcc87beea44edc7a587dbba92",
     "box":
-        "94aac1b76cc8b294738ee300b8a1832a0263fbb80c0e0b3775642effd16a500d",
+        "f3e151ca5932be8f92c58099932b307941e046e037be870022ad18bcdb3ad7d3",
     "xyz":
-        "ad560c954fafbaeec307b638b6afead5d50798bd70a14199083ebadf14b523e4",
+        "18ecf38404f4a9cadc3e781c9fe519bdfba97f5dbcb576ee2a2dac598e1d2e54",
     "explicit-pose":
-        "bfc34603e34ce7b8b330a9ea2945b750821638efb396945324975c8b0678d465",
+        "34442d043381b12c95eb5d60dc9bbd0ea4c1a640aa9c5c7a251d81b96230111b",
     "every-number":
-        "60edfb96bdbb15537586faf59e71642df3dd1e18d2873a60a7c4b858b8f648cf",
+        "dff4de21afabaeeceeb67999aa95b51516a0e3254b8f8a6b41c3cc0c33d76379",
 }
 
 #: every config key, each set away from its default
@@ -98,7 +99,7 @@ def test_valid_scenarios_and_config_are_pinned(tmp_path, monkeypatch):
     for name, doc in SCENARIOS.items():
         path = tmp_path / f"{name}.json"
         save_scene(generate_bundle(scenario_from_dict(doc)), path)
-        digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        digests[name] = archive_digest(path)
     assert digests == SCENE_DIGESTS
     assert parse_config(CONFIG_TEXT) == PipelineConfig(
         stage_one=HyperParams(alpha=0.3, beta=20.0, gamma=1.2e-4),
