@@ -67,12 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a synthetic scene file")
     g.add_argument("--config", required=True, help="scenario JSON file")
-    g.add_argument("--out", required=True, help="output scene JSON path")
+    g.add_argument("--out", required=True, help="output scene file (.npz, whatever the suffix)")
     g.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     g.set_defaults(func=_cmd_generate)
 
     s = sub.add_parser("solve", help="run the full pipeline on a scene file")
-    s.add_argument("--scene", required=True, help="scene JSON file")
+    s.add_argument("--scene", required=True, help="scene file written by generate")
     s.add_argument("--config", default=None, help="pipeline config file")
     s.add_argument("--out", required=True, help="output report JSON path")
     s.add_argument("--scheme", choices=SCHEMES, default=None)

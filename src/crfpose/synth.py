@@ -7,23 +7,21 @@ background and occluded nodes carry only wrong candidates, and camera points
 come from the posed object or from a clutter plane behind it.  Everything is
 deterministic in the scenario seed.
 
-A scene file (version 2) holds the grid, the object diameter and the six
-``SceneObservation`` arrays under their own names, each nested as
-``tolist()`` writes it, plus the optional object cloud and ground truth.
-``scene_from_dict`` checks each array's shape and entry types and that
-every entry past a node's candidate count is 0; ``SceneObservation``
-checks the ranges.  One checker, ``_field``, reads every value of scene and
-scenario documents, level by level.  Every refusal names the entry by its
-path in the file, e.g. ``confidence[5][2]``, and so do those in the object
-cloud and the poses, e.g. ``object_points[4][0]``.
+A scene file (version 3) is one uncompressed ``.npz``: a JSON header
+(format, version, grid, diameter), the six ``SceneObservation`` arrays
+under their own names, and the optional object cloud and ground truth.
+``load_scene`` checks each array's size, dtype and shape before reading it;
+``SceneObservation`` checks the ranges.  ``_field`` reads header and
+scenario values.  A refusal names the array, field or entry at fault, e.g.
+``coords``, ``grid_width`` or ``confidence[5][2]``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field, fields
-from itertools import chain
 
 import numpy as np
 
@@ -33,6 +31,10 @@ from .posefit import Pose, fixes_rotation, random_rotation
 
 SCENE_FORMAT = "crfpose-scene"
 SCENE_VERSION = 3
+#: the largest grid side and object cloud a scene or scenario file may give:
+#: room for the paper's 160x120 grid and a 20,000-point cloud
+MAX_GRID_SIDE = 1024
+MAX_OBJECT_POINTS = 100_000
 
 #: fraction of the grid's smaller span the object is scaled to occupy
 _GRID_FILL = 0.62
@@ -102,8 +104,7 @@ def sample_box_cloud(count: int = 300, extents=(0.04, 0.03, 0.02),
     pts = rng.uniform(-0.5, 0.5, size=(count, 3)) * ex
     face = rng.integers(0, 3, size=count)
     side = rng.integers(0, 2, size=count)
-    for k in range(count):
-        pts[k, face[k]] = (side[k] - 0.5) * ex[face[k]]
+    pts[np.arange(count), face] = (side - 0.5) * ex[face]
     return pts
 
 
@@ -112,10 +113,9 @@ def load_xyz(path) -> np.ndarray:
     rows = []
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
             if len(parts) != 3:
                 raise SceneFormatError(f"{path}:{ln}: expected three columns")
             try:
@@ -187,8 +187,7 @@ def generate_scene(sc: SyntheticScenario) -> tuple[SceneObservation, tuple[int, 
                 cy + (r - (h - 1) / 2.0) * spacing)
 
     # object points -> nearest node; per node keep the laterally closest point
-    anchor: dict[int, int] = {}
-    anchor_d: dict[int, float] = {}
+    anchor: dict[int, tuple[float, int]] = {}  # node -> (squared distance, point)
     for k in range(cam.shape[0]):
         c = round((cam[k, 0] - cx) / spacing + (w - 1) / 2.0)
         r = round((cam[k, 1] - cy) / spacing + (h - 1) / 2.0)
@@ -197,9 +196,8 @@ def generate_scene(sc: SyntheticScenario) -> tuple[SceneObservation, tuple[int, 
         u = r * w + c
         gx, gy = node_center(r, c)
         d = (cam[k, 0] - gx) ** 2 + (cam[k, 1] - gy) ** 2
-        if u not in anchor or d < anchor_d[u]:
-            anchor[u] = k
-            anchor_d[u] = d
+        if u not in anchor or d < anchor[u][0]:
+            anchor[u] = (d, k)
     object_nodes = sorted(anchor)
     if not object_nodes:
         raise ContractViolation("degenerate scenario: object covers no grid node")
@@ -210,11 +208,8 @@ def generate_scene(sc: SyntheticScenario) -> tuple[SceneObservation, tuple[int, 
     if n_visible == 0:
         raise ContractViolation("degenerate scenario: no visible object nodes")
     angle = rng.uniform(0.0, 2.0 * math.pi)
-    direction = (math.cos(angle), math.sin(angle))
-    def sweep_key(u):
-        r, c = divmod(u, w)
-        return (c * direction[0] + r * direction[1], u)
-    visible = set(sorted(object_nodes, key=sweep_key)[:n_visible])
+    cos, sin = math.cos(angle), math.sin(angle)
+    visible = set(sorted(object_nodes, key=lambda u: (u % w * cos + u // w * sin, u))[:n_visible])
 
     obj_lo = sc.object_points.min(axis=0)
     obj_hi = sc.object_points.max(axis=0)
@@ -228,7 +223,7 @@ def generate_scene(sc: SyntheticScenario) -> tuple[SceneObservation, tuple[int, 
     for u in range(n):
         true_slot, band = -1, "background"
         if u in visible:
-            k = anchor[u]
+            k = anchor[u][1]
             points[u] = cam[k]
             if sc.depth_noise_sigma > 0:
                 points[u, 2] += rng.normal(0.0, sc.depth_noise_sigma)
@@ -276,160 +271,163 @@ class SceneBundle:
     ground_truth: GroundTruth | None = None
 
 
-def _require(mapping, key, path):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise SceneFormatError(f"missing required field '{path}{key}'")
-    return mapping[key]
-
-
-def scene_to_dict(bundle: SceneBundle) -> dict:
-    obs = bundle.observation
-    doc = {
-        "format": SCENE_FORMAT,
-        "version": SCENE_VERSION,
-        "grid_width": obs.grid_width,
-        "grid_height": obs.grid_height,
-        "object_diameter": obs.object_diameter,
-        **{name: getattr(obs, name).tolist() for name, _, _ in _SCENE_ARRAYS},
-    }
-    if bundle.object_points is not None:
-        doc["object_points"] = np.asarray(bundle.object_points, dtype=float).tolist()
-    if bundle.ground_truth is not None:
-        gt = bundle.ground_truth
-        doc["ground_truth"] = {
-            "rotation": gt.pose.rotation.tolist(),
-            "translation": gt.pose.translation.tolist(),
-            "labels": list(gt.labels),
-        }
-    return doc
-
-
 # exact JSON types: bool is an int subclass
 _NUMBER, _INTEGER, _STRING, _BOOLEAN = (int, float), (int,), (str,), (bool,)
 _KINDS = {_NUMBER: "a number", _INTEGER: "an integer", _STRING: "a string",
           _BOOLEAN: "true or false"}
 
-
-def _int64(values) -> np.ndarray:
-    """JSON integers as int64; one past int64 is stored as -1, which every
-    index and label check refuses as out of range."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array([v if -2**63 <= v < 2**63 else -1 for v in values], dtype=np.int64)
-
-
 #: the least integer magnitude that ``float()`` refuses: it rounds up to 2**1024
 _FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
-def _field(mapping, key, path="", types=_NUMBER, shape=(), grid=None):
-    """``mapping[key]``, a JSON value of ``types`` (a number by default) or,
-    given ``shape``, nested lists of exactly that shape, as ``tolist()``
-    writes them, whose entries are.  Only ``shape[0]`` may be None (any
-    length); ``grid`` (e.g. ``4x3``) says that a fixed ``shape[0]`` counts
-    that grid's nodes.  Each level is checked in one pass over all its
-    lists; the first bad entry is looked for only on failure and named by
-    its path, e.g. ``coords[5][2]`` or ``object_points[4][0]``.  Lists of
-    numbers come back as a float array, of integers as an int64 one; a
-    single value comes back as read, a number once a float can hold it."""
-    def at(k):
-        return f"{path}{key}" + "".join(f"[{i}]" for i in np.unravel_index(k, dims))
-
-    rows, dims = [_require(mapping, key, path)], []
-    for size in shape:
-        if size is None and type(rows[0]) is list:
-            size = len(rows[0])
-        if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {size}):
-            k = next(k for k, row in enumerate(rows) if type(row) is not list or len(row) != size)
-            what = ("" if size is None else
-                    f" of one entry per node of the {grid} grid" if grid and not dims else
-                    f" of {size} entries")
-            raise SceneFormatError(f"field '{at(k)}' must be a list{what}")
-        rows = list(chain.from_iterable(rows))
-        dims.append(size)
-    if not set(map(type, rows)) <= set(types):
-        k = next(k for k, v in enumerate(rows) if type(v) not in types)
-        raise SceneFormatError(f"field '{at(k)}' must be {_KINDS[types]}")
-    if types is _NUMBER:
-        try:
-            values = np.array(rows, dtype=float)
-        except OverflowError:
-            k = next(k for k, v in enumerate(rows) if type(v) is int and abs(v) >= _FLOAT_OVERFLOW)
-            raise SceneFormatError(f"field '{at(k)}' holds an integer too large "
-                                   "for a float") from None
-    if not dims:
-        return rows[0]
-    return (_int64(rows) if types is _INTEGER else values).reshape(dims)
+def _field(mapping, key, path="", types=_NUMBER, shape=(), limit=None):
+    """``mapping[key]``, a JSON value of ``types`` (a number by default; an
+    integer in 1..``limit`` if given) as read, a number once a float can
+    hold it, or, given ``shape``, nested lists of numbers of exactly that
+    shape as a float array.  A bad entry is named by its path."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise SceneFormatError(f"missing required field '{path}{key}'")
+    value = _value(mapping[key], f"{path}{key}", types, shape)
+    if limit and not 1 <= value <= limit:
+        raise SceneFormatError(f"field '{path}{key}' must be "
+                               f"{'>= 1' if value < 1 else f'<= {limit}'}, not {_shown(value)}")
+    return value
 
 
-def _pose(mapping, path) -> Pose:
-    """The pose of ``mapping``'s ``rotation`` (3x3 numbers) and
-    ``translation`` (three numbers)."""
-    rotation = _field(mapping, "rotation", path, shape=(3, 3))
-    translation = _field(mapping, "translation", path, shape=(3,))
+def _value(value, at, types, shape):
+    if shape:
+        if type(value) is not list or len(value) != shape[0]:
+            raise SceneFormatError(f"field '{at}' must be a list of {shape[0]} entries")
+        return np.array([_value(v, f"{at}[{i}]", types, shape[1:])
+                         for i, v in enumerate(value)], dtype=float)
+    if type(value) not in types:
+        raise SceneFormatError(f"field '{at}' must be {_KINDS[types]}")
+    if types is _NUMBER and type(value) is int and abs(value) >= _FLOAT_OVERFLOW:
+        raise SceneFormatError(f"field '{at}' holds an integer too large for a float")
+    return value
+
+
+def _shown(value) -> str:  # 10**400 is cut to its ends
+    text = repr(value)
+    return text if len(text) <= 20 else f"{text[:8]}...{text[-4:]} ({len(text)} characters)"
+
+
+def _pose(rotation, translation, where) -> Pose:
     try:
         return Pose(rotation, translation)
     except ContractViolation as exc:
-        raise SceneFormatError(f"invalid pose at {path[:-1]}: {exc}") from None
+        raise SceneFormatError(f"invalid pose at {where}: {exc}") from None
 
 
-def scene_from_dict(doc: dict) -> SceneBundle:
-    fmt = _require(doc, "format", "")
-    if fmt != SCENE_FORMAT:
-        raise SceneFormatError(f"field 'format' is '{fmt}', expected '{SCENE_FORMAT}'")
-    version = _field(doc, "version", types=_INTEGER)
+def _parse_json(text, where):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError names the line
+        raise SceneFormatError(f"{where}: not valid JSON ({exc})") from None
+
+
+#: a scene archive's members: the header, the observation and the extras
+_MEMBERS = {f"{name}.npy" for name in ("header", *(name for name, _, _ in _SCENE_ARRAYS),
+                                       "object_points", "ground_truth.rotation",
+                                       "ground_truth.translation", "ground_truth.labels")}
+
+
+def _array(archive, name, dtype, shape) -> np.ndarray:
+    """Member ``name`` of a scene archive, checked before any data is read: a
+    ``.npy`` array of exactly ``dtype`` and ``shape`` (None: up to ``MAX_OBJECT_POINTS``),
+    stored uncompressed in no more bytes than those take plus 1,024."""
+    dtype, most = np.dtype(dtype), [MAX_OBJECT_POINTS if s is None else s for s in shape]
+    if f"{name}.npy" not in archive.namelist():
+        raise SceneFormatError(f"missing array '{name}'")
+    info, limit = archive.getinfo(f"{name}.npy"), 1024 + dtype.itemsize * math.prod(most)
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise SceneFormatError(f"array '{name}' must be stored uncompressed")
+    try:
+        with archive.open(info) as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("only version 1.0 .npy headers are read")
+            got_shape, _, got = np.lib.format.read_array_header_1_0(fh)
+            fits = (len(got_shape) == len(shape)
+                    and (got == dtype or got.kind == dtype.kind == "U"
+                         and got.itemsize <= dtype.itemsize)
+                    and all(g == s or s is None and g <= m
+                            for g, s, m in zip(got_shape, shape, most)))
+            fh.seek(0)
+            values = (fits and info.file_size <= limit
+                      and np.lib.format.read_array(fh, allow_pickle=False))
+    except (ValueError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise SceneFormatError(f"array '{name}' cannot be read: {exc}") from None
+    if not fits:
+        raise SceneFormatError(f"array '{name}' must be {dtype} of shape {shape}, not {got} "
+                               f"of shape {got_shape}".replace("None", f"<={MAX_OBJECT_POINTS}"))
+    if info.file_size > limit:
+        raise SceneFormatError(f"array '{name}' must be stored in <= {limit} bytes")
+    return values
+
+
+def load_scene(path) -> SceneBundle:
+    """Read the scene archive at ``path``; a refusal names the array, field or entry."""
+    with open(path, "rb") as fh:
+        try:
+            archive = zipfile.ZipFile(fh)
+        except zipfile.BadZipFile:
+            fh.seek(0)
+            if fh.read(1) == b"{":
+                raise UnsupportedVersionError(
+                    f"{path} is a JSON scene file (version 1 or 2); this build reads version "
+                    f"{SCENE_VERSION} (.npz): regenerate it with 'crfpose generate'") from None
+            raise SceneFormatError(f"{path} is not a scene file (a .npz archive)") from None
+        with archive:
+            return _scene_from_archive(archive, set(archive.namelist()))
+
+
+def _scene_from_archive(archive, names) -> SceneBundle:
+    for member in sorted(names - _MEMBERS):
+        raise SceneFormatError(f"unknown array '{member.removesuffix('.npy')}'")
+    header = _parse_json(str(_array(archive, "header", "<U1024", ())), "array 'header'")
+    if _field(header, "format", types=_STRING) != SCENE_FORMAT:
+        raise SceneFormatError(f"field 'format' must be '{SCENE_FORMAT}'")
+    version = _field(header, "version", types=_INTEGER)
     if version != SCENE_VERSION:
-        raise UnsupportedVersionError(
-            f"unsupported scene version {version!r}; this build reads version {SCENE_VERSION}")
-    width = _field(doc, "grid_width", types=_INTEGER)
-    height = _field(doc, "grid_height", types=_INTEGER)
-    diameter = _field(doc, "object_diameter")
-    arrays = {name: _field(doc, name, "", _INTEGER if dtype is np.int64 else _NUMBER,
-                           (width * height, *shape), f"{width}x{height}")
+        raise UnsupportedVersionError(f"unsupported scene version {_shown(version)}; "
+                                      f"this build reads version {SCENE_VERSION}")
+    width, height = (_field(header, key, types=_INTEGER, limit=MAX_GRID_SIDE)
+                     for key in ("grid_width", "grid_height"))
+    arrays = {name: _array(archive, name, dtype, (width * height, *shape))
               for name, dtype, shape in _SCENE_ARRAYS}
     try:
         obs = SceneObservation(grid_width=width, grid_height=height,
-                               object_diameter=diameter, **arrays)
+                               object_diameter=_field(header, "object_diameter"), **arrays)
     except ContractViolation as exc:
         raise SceneFormatError(str(exc)) from None
-    # SceneObservation stores every entry past a node's count as 0; any other
+    # SceneObservation stores each entry past a node's count as 0, so another
     # value there (-0.0 too) would not be written back as it was read
     for name, given in arrays.items():
-        stored = getattr(obs, name)
-        bad = np.argwhere((stored != given) | (np.signbit(stored) != np.signbit(given)))
-        if bad.size:
-            u = bad[0][0]
-            at = "".join(f"[{i}]" for i in bad[0])
-            raise SceneFormatError(f"field '{name}{at}' is past the {obs.candidate_count[u]} "
-                                   f"candidates of node {u} and must be 0")
+        stored = getattr(obs, name).view(np.int64)
+        for u, *slot in np.argwhere(stored != given.view(np.int64))[:1]:
+            raise SceneFormatError(f"field '{name}[{u}]{''.join(f'[{i}]' for i in slot)}' is past "
+                                   f"the {obs.candidate_count[u]} candidates of node {u} "
+                                   "and must be 0")
     object_points = None
-    if "object_points" in doc:
-        object_points = _field(doc, "object_points", shape=(None, 3))
+    if "object_points.npy" in names:
+        object_points = _array(archive, "object_points", float, (None, 3))
         if not fixes_rotation(object_points):
             raise SceneFormatError("field 'object_points' must be finite and fix a rotation "
                                    "(three or more points, not all on one line)")
     ground_truth = None
-    if "ground_truth" in doc:
-        pose = _pose(doc["ground_truth"], "ground_truth.")
-        labels = _field(doc["ground_truth"], "labels", "ground_truth.", _INTEGER, (None,))
-        if len(labels) != obs.node_count:
-            raise SceneFormatError(f"field 'ground_truth.labels' has {len(labels)} labels "
-                                   f"for {obs.node_count} nodes")
-        # node u's labels are its candidates and its outlier, 0..count[u]
-        bad = np.flatnonzero((labels < 0) | (labels > obs.candidate_count))
-        if bad.size:
-            u = int(bad[0])
+    if any(name.startswith("ground_truth.") for name in names):
+        pose = _pose(_array(archive, "ground_truth.rotation", float, (3, 3)),
+                     _array(archive, "ground_truth.translation", float, (3,)), "ground_truth")
+        labels = _array(archive, "ground_truth.labels", np.int64, (obs.node_count,))
+        for u in np.flatnonzero((labels < 0) | (labels > obs.candidate_count))[:1]:
             raise SceneFormatError(f"field 'ground_truth.labels[{u}]' must be a label of "
                                    f"node {u} (0..{obs.candidate_count[u]})")
         ground_truth = GroundTruth(pose=pose, labels=tuple(labels.tolist()))
-    return SceneBundle(observation=obs, object_points=object_points,
-                       ground_truth=ground_truth)
+    return SceneBundle(obs, object_points, ground_truth)
 
 
 def save_scene(bundle: SceneBundle, path) -> None:
-    """Write ``bundle`` as a scene archive (version 3) at ``path``, whatever
-    its suffix: one uncompressed ``.npz`` of the header text and the arrays."""
+    """Write ``bundle`` to ``path`` as a version-3 scene archive, whatever its suffix."""
     obs = bundle.observation
     header = {"format": SCENE_FORMAT, "version": SCENE_VERSION, "grid_width": obs.grid_width,
               "grid_height": obs.grid_height, "object_diameter": obs.object_diameter}
@@ -447,18 +445,6 @@ def save_scene(bundle: SceneBundle, path) -> None:
         np.savez(fh, **arrays)
 
 
-def _load_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SceneFormatError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})") from None
-
-
-def load_scene(path) -> SceneBundle:
-    return scene_from_dict(_load_json(path))
-
-
 # ---------------------------------------------------------------------------
 # scenario files (input to scene generation)
 
@@ -466,7 +452,7 @@ def load_scene(path) -> SceneBundle:
 #: sizes are JSON integers
 _SCENARIO_NUMBERS = ("visible_fraction", "inlier_rate", "coord_noise_sigma",
                      "depth_noise_sigma")
-_SCENARIO_INTEGERS = ("seed", "grid_width", "grid_height")
+_SCENARIO_GRID = ("grid_width", "grid_height")
 #: the ``object`` keys each shape reads besides ``shape``
 _SHAPE_KEYS = {"sphere": ("points", "radius"), "box": ("points", "extents"),
                "xyz": ("path",)}
@@ -494,9 +480,7 @@ def _object_points(obj, seed) -> np.ndarray:
         return load_xyz(_field(obj, "path", "object.", _STRING))
     kwargs = {}
     if "points" in obj:
-        kwargs["count"] = _field(obj, "points", "object.", _INTEGER)
-        if kwargs["count"] < 1:
-            raise SceneFormatError("field 'object.points' must be >= 1")
+        kwargs["count"] = _field(obj, "points", "object.", _INTEGER, limit=MAX_OBJECT_POINTS)
     if shape == "sphere":
         if "radius" in obj:
             kwargs["radius"] = float(_field(obj, "radius", "object."))
@@ -511,20 +495,23 @@ def scenario_from_dict(doc: dict, seed_override: int | None = None) -> Synthetic
     default.  Every key is optional and an unknown one is refused; ``seed``,
     the grid sizes and ``object.points`` are JSON integers, every other
     number a JSON number; an error names the field path."""
-    _known(doc, "", (*_SCENARIO_NUMBERS, *_SCENARIO_INTEGERS, "object", "pose", "confidence"))
-    given = {k: _field(doc, k, types=_INTEGER) for k in _SCENARIO_INTEGERS if k in doc}
+    _known(doc, "", (*_SCENARIO_NUMBERS, *_SCENARIO_GRID, "seed", "object", "pose",
+                     "confidence"))
+    given = {k: _field(doc, k, types=_INTEGER, limit=MAX_GRID_SIDE)
+             for k in _SCENARIO_GRID if k in doc}
     given.update((k, float(_field(doc, k))) for k in _SCENARIO_NUMBERS if k in doc)
-    seed = given.pop("seed", 0)
+    seed = _field(doc, "seed", types=_INTEGER) if "seed" in doc else 0
     if seed_override is not None:
         seed = int(seed_override)
     if seed < 0:
-        raise SceneFormatError(f"field 'seed' must be >= 0, not {seed}")
+        raise SceneFormatError(f"field 'seed' must be >= 0, not {_shown(seed)}")
     if "object" in doc:
         given["object_points"] = _object_points(doc["object"], seed)
     if "pose" in doc:
         pose = _known(doc["pose"], "pose.", ("random", "rotation", "translation"))
         if not ("random" in pose and _field(pose, "random", "pose.", _BOOLEAN)):
-            given["true_pose"] = _pose(pose, "pose.")
+            given["true_pose"] = _pose(_field(pose, "rotation", "pose.", shape=(3, 3)),
+                                       _field(pose, "translation", "pose.", shape=(3,)), "pose")
     try:
         if "confidence" in doc:
             conf = _known(doc["confidence"], "confidence.",
@@ -537,12 +524,11 @@ def scenario_from_dict(doc: dict, seed_override: int | None = None) -> Synthetic
 
 
 def load_scenario(path, seed_override: int | None = None) -> SyntheticScenario:
-    return scenario_from_dict(_load_json(path), seed_override)
+    with open(path) as fh:
+        return scenario_from_dict(_parse_json(fh.read(), path), seed_override)
 
 
 def generate_bundle(sc: SyntheticScenario) -> SceneBundle:
     """Scene plus the extras a solver run needs (model cloud, ground truth)."""
     scene, truth = generate_scene(sc)
-    return SceneBundle(observation=scene,
-                       object_points=sc.object_points.copy(),
-                       ground_truth=GroundTruth(pose=sc.true_pose, labels=truth))
+    return SceneBundle(scene, sc.object_points.copy(), GroundTruth(sc.true_pose, truth))

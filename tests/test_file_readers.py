@@ -162,7 +162,7 @@ def test_overflowing_beta_times_gamma_names_the_line():
     # refused before the typed reader too; held here with the rest
     ({"inlier_rate": float("nan")}, "inlier_rate outside"),
     ({"inlier_rate": "0.5"}, "field 'inlier_rate' must be a number"),
-    ({"grid_height": 0}, "grid_height must be >= 1"),
+    ({"grid_height": 0}, "field 'grid_height' must be >= 1, not 0"),
     ({"object": {"shape": "cone"}}, "field 'object.shape' is 'cone'"),
     ({"object": {"shape": "sphere", "radiu": 0.02}}, "unknown field 'object.radiu'"),
     ({"object": {"shape": "box", "radius": 0.02}}, "unknown field 'object.radius'"),
@@ -184,6 +184,14 @@ def test_overflowing_beta_times_gamma_names_the_line():
     # used to exit 1 with "int too large to convert to float", no field named
     ({"inlier_rate": 10**400}, "field 'inlier_rate' holds an integer too large for a float"),
     ({"object": {"radius": -10**400}}, "field 'object.radius' holds an integer too large"),
+    # sizes are bounded before anything is allocated, and a value out of
+    # range is quoted by its ends; these exited 1 naming no field
+    ({"grid_width": 10**29},
+     r"field 'grid_width' must be <= 1024, not 10000000\.\.\.0000 \(30 characters\)$"),
+    ({"grid_height": 1025}, "field 'grid_height' must be <= 1024, not 1025$"),
+    ({"object": {"points": 10**29}}, "field 'object.points' must be <= 100000, not 1000"),
+    ({"seed": -10**400},
+     r"field 'seed' must be >= 0, not -1000000\.\.\.0000 \(402 characters\)$"),
 # the names the cases were first collected under, kept so that a message
 # edit renames no case
 ], ids=[
@@ -216,6 +224,7 @@ def test_overflowing_beta_times_gamma_names_the_line():
     "doc26-confidence values must be finite",
     "doc27-field 'inlier_rate' holds an integer too large for a float",
     "doc28-field 'object.radius' holds an integer too large",
+    "grid-10**29", "grid-1025", "points-10**29", "seed-minus-10**400",
 ])
 def test_bad_scenario_values_exit_2_naming_the_field(tmp_path, capsys, doc, message):
     # each of these was once read as something else, ignored, or an exit 1
@@ -229,3 +238,12 @@ def test_bad_scenario_values_exit_2_naming_the_field(tmp_path, capsys, doc, mess
     with pytest.raises(SceneFormatError, match=message):
         scenario_from_dict(doc)
 
+
+
+def test_scenario_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError here, which used to exit 1
+    path = tmp_path / "scenario.json"
+    path.write_text('{"seed": ' + "9" * 5000 + "}")
+    code = main(["generate", "--config", str(path), "--out", str(tmp_path / "scene.json")])
+    assert code == 2
+    assert f"error: {path}: not valid JSON (Exceeds the limit" in capsys.readouterr().err

@@ -11,8 +11,9 @@ from crfpose.pipeline import (ConfigError, PipelineConfig, canonical_report,
                               desk_scale_config, parse_config, solve_scene,
                               write_report)
 from crfpose.posemodel import STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS
-from crfpose.synth import default_scenario, generate_bundle, save_scene, scene_to_dict
+from crfpose.synth import default_scenario, generate_bundle, save_scene
 from test_posefit import HUGE_ROTATION
+from test_synth import VERSION_1_SCENE, edited, read_archive, write_archive
 
 SCENARIO = {
     "seed": 3, "grid_width": 32, "grid_height": 24,
@@ -248,49 +249,34 @@ def test_cli_malformed_scenario_exits_2(tmp_path, capsys):
 
 
 def test_cli_malformed_scene_field_exits_2(tmp_path, capsys):
-    doc = scene_to_dict(generate_bundle(default_scenario(seed=0, grid_width=20,
-                                                         grid_height=15)))
-    doc["points"][5] = [0.0, 1.0]
     scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps(doc))
-    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
-    assert "points[5]" in capsys.readouterr().err
-    doc["points"][5] = [0.0, 1.0, 2.0]
-    doc["ground_truth"]["labels"][3] = "x"
-    scene.write_text(json.dumps(doc))
-    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
-    assert "ground_truth.labels[3]" in capsys.readouterr().err
-    doc["ground_truth"]["labels"][3] = doc["candidate_count"][3] + 1
-    scene.write_text(json.dumps(doc))
-    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
-    assert "ground_truth.labels[3]" in capsys.readouterr().err
-    doc["ground_truth"]["labels"][3] = 0
-    rotation = doc["ground_truth"]["rotation"]
-    doc["ground_truth"]["rotation"] = HUGE_ROTATION
-    scene.write_text(json.dumps(doc))
-    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
-    assert "ground_truth: rotation is not orthonormal" in capsys.readouterr().err
-    doc["ground_truth"]["rotation"] = rotation
-    for version in ("true", "2.0"):
-        scene.write_text(json.dumps(doc).replace('"version": 2', f'"version": {version}'))
+    save_scene(generate_bundle(default_scenario(seed=0, grid_width=20, grid_height=15)), scene)
+    header, arrays = read_archive(scene)
+    for edits, message in [
+            ([("points", (5, 1), float("nan"))], "field 'points[5]' is not finite"),
+            ([("ground_truth.labels", None, lambda a: a.astype(str))],
+             "array 'ground_truth.labels' must be int64"),
+            ([("ground_truth.labels", 3, arrays["candidate_count"][3] + 1)],
+             "field 'ground_truth.labels[3]' must be a label of node 3"),
+            ([("ground_truth.rotation", None, lambda a: HUGE_ROTATION)],
+             "ground_truth: rotation is not orthonormal"),
+            ([("header", "version", True)], "field 'version' must be an integer"),
+            ([("header", "version", 3.0)], "field 'version' must be an integer"),
+            # candidate 11 of node 7 left in place
+            ([("candidate_count", 7, 11)],
+             "field 'coords[7][11][0]' is past the 11 candidates of node 7")]:
+        write_archive(scene, *edited(header, arrays, edits))
         assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
-        assert "field 'version' must be an integer" in capsys.readouterr().err
-    doc["candidate_count"][7] = 11  # candidate 11 of node 7 left in place
-    scene.write_text(json.dumps(doc))
-    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
-    assert "field 'coords[7][11][0]' is past the 11 candidates of node 7" \
-        in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_cli_version_1_scene_exits_2(tmp_path, capsys):
     scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps({
-        "format": "crfpose-scene", "version": 1, "grid_width": 1, "grid_height": 1,
-        "object_diameter": 0.05,
-        "nodes": [{"x": [0.0, 0.0, 1.0],
-                   "candidates": [{"l": [0.0, 0.0, 0.0], "p": 0.9, "pixel": 2, "tree": 1}]}]}))
+    scene.write_text(json.dumps(VERSION_1_SCENE))
     assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
-    assert "unsupported scene version 1; this build reads version 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "is a JSON scene file (version 1 or 2); this build reads version 3" in err
+    assert "regenerate it with 'crfpose generate'" in err
 
 
 def test_cli_missing_scene_exits_2(tmp_path):
@@ -318,14 +304,13 @@ def test_cli_path_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
 
 
 def test_cli_scene_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
-    # used to exit 1 with "int too large to convert to float", no field named
-    doc = scene_to_dict(generate_bundle(default_scenario(seed=0, grid_width=20,
-                                                         grid_height=15)))
-    doc["object_points"][4][0] = 10**400
+    # used to exit 1 with "int too large to convert to float", no field named;
+    # the header is the one place left where a scene holds JSON numbers
     scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps(doc))
+    save_scene(generate_bundle(default_scenario(seed=0, grid_width=20, grid_height=15)), scene)
+    write_archive(scene, *edited(*read_archive(scene), [("header", "object_diameter", 10**400)]))
     assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
-    assert "field 'object_points[4][0]' holds an integer too large" in capsys.readouterr().err
+    assert "field 'object_diameter' holds an integer too large" in capsys.readouterr().err
 
 
 def test_cli_unknown_and_bad_config_key_exits_2(tmp_path, capsys):

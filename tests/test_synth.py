@@ -1,18 +1,20 @@
-import copy
 import hashlib
+import io
 import json
+import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crfpose.model import ContractViolation
 from crfpose.posemodel import MAX_CANDIDATES
-from crfpose.synth import (SceneFormatError,
+from crfpose.synth import (MAX_OBJECT_POINTS, SceneFormatError,
                            UnsupportedVersionError, default_scenario,
                            generate_bundle, generate_scene, load_scene,
                            load_scenario, load_xyz, object_diameter,
                            sample_box_cloud, sample_sphere_cloud, save_scene,
-                           scenario_from_dict, scene_from_dict, scene_to_dict)
+                           scenario_from_dict)
 
 
 def test_object_diameter_matches_double_loop():
@@ -148,62 +150,135 @@ def test_scene_file_bytes_are_pinned(tmp_path, overrides, digest):
     assert archive_digest(path) == digest
 
 
-#: each per-slot array's entry past a node's candidate count
-SLOT_ZERO = {"coords": [0.0] * 3, "confidence": 0.0, "source_pixel": 0, "source_tree": 0}
+#: the per-slot arrays, padded with 0 past each node's candidate count
+SLOT_ARRAYS = ("coords", "confidence", "source_pixel", "source_tree")
+_DROP = object()  # deletes the member or header field instead of setting it
 
 
-def cut_candidates(doc, node, kept):
-    """Keep the first ``kept`` candidates of ``node``, zeroing the rest."""
-    doc["candidate_count"][node] = kept
-    for name, zero in SLOT_ZERO.items():
-        doc[name][node][kept:] = [copy.deepcopy(zero) for _ in range(MAX_CANDIDATES - kept)]
+def read_archive(path) -> tuple[dict, dict]:
+    """(header, arrays) of a scene archive, in member order, read by numpy alone."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    return json.loads(str(arrays.pop("header"))), arrays
 
 
-def test_scene_with_fewer_candidates_round_trips():
-    doc = scene_to_dict(generate_bundle(default_scenario(seed=10, grid_width=20,
-                                                         grid_height=15)))
-    for node, kept in ((0, 0), (5, 1), (7, 11)):
-        cut_candidates(doc, node, kept)
-        doc["ground_truth"]["labels"][node] = kept  # the outlier, label 12 before
-    scene = scene_from_dict(doc).observation
+def write_archive(path, header, arrays):
+    """A scene archive laid out as ``save_scene`` lays it out, of any header
+    (a dict, or its text) and arrays, object arrays too (``np.savez``
+    pickles them)."""
+    text = header if isinstance(header, str) else json.dumps(header)
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(text), **arrays)
+
+
+def _put(array, index, value):
+    array[index] = value
+    return array
+
+
+def edited(header, arrays, edits):
+    """Copies of ``header`` and ``arrays`` with each ``(name, index, value)``
+    of ``edits`` applied: header field ``index`` if ``name`` is "header",
+    else entry ``index`` of array ``name``, or with an index of None the
+    whole array, replaced by ``value(array)`` (None for a new one).  A
+    value of ``_DROP`` deletes the field or the array."""
+    header, arrays = dict(header), {name: array.copy() for name, array in arrays.items()}
+    for name, index, value in edits:
+        target = header if name == "header" else arrays
+        key = index if name == "header" else name
+        if value is _DROP:
+            del target[key]
+        elif name == "header":
+            header[index] = value
+        elif index is None:
+            arrays[name] = value(arrays.get(name))
+        else:
+            arrays[name][index] = value
+    return header, arrays
+
+
+def cut(node, kept):
+    """Edits that keep the first ``kept`` candidates of ``node``, the rest 0."""
+    return [("candidate_count", node, kept)] + [
+        (name, (node, slice(kept, None)), 0) for name in SLOT_ARRAYS]
+
+
+def test_scene_with_fewer_candidates_round_trips(tmp_path):
+    path = tmp_path / "scene.json"
+    save_scene(generate_bundle(default_scenario(seed=10, grid_width=20, grid_height=15)), path)
+    edits = [e for node, kept in ((0, 0), (5, 1), (7, 11)) for e in cut(node, kept)]
+    # each cut node's label becomes its outlier, 12 before
+    edits += [("ground_truth.labels", node, kept) for node, kept in ((0, 0), (5, 1), (7, 11))]
+    write_archive(path, *edited(*read_archive(path), edits))
+    scene = load_scene(path).observation
     assert scene.candidate_count[[0, 5, 7, 8]].tolist() == [0, 1, 11, 12]
     assert not scene.coords[5, 1:].any() and not scene.confidence[7, 11:].any()
     # written back byte for byte
-    assert json.dumps(scene_to_dict(scene_from_dict(doc)), indent=1) == json.dumps(doc, indent=1)
+    again = tmp_path / "again.json"
+    save_scene(load_scene(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
-def test_scene_file_holds_the_padded_arrays():
+def test_scene_without_extras_round_trips(tmp_path):
     bundle = generate_bundle(default_scenario(seed=0, grid_width=4, grid_height=3))
-    doc = scene_to_dict(bundle)
-    assert list(doc)[5:11] == list(SCENE_ARRAYS)
+    path = tmp_path / "scene.json"
+    save_scene(replace(bundle, object_points=None, ground_truth=None), path)
+    assert list(read_archive(path)[1]) == list(SCENE_ARRAYS)
+    loaded = load_scene(path)
+    assert loaded.object_points is None and loaded.ground_truth is None
+    assert_same_scene(loaded.observation, bundle.observation)
+
+
+def test_scene_file_holds_the_padded_arrays(tmp_path):
+    bundle = generate_bundle(default_scenario(seed=0, grid_width=4, grid_height=3))
+    path = tmp_path / "scene.json"
+    save_scene(bundle, path)
+    header, arrays = read_archive(path)
+    assert header == {"format": "crfpose-scene", "version": 3, "grid_width": 4,
+                      "grid_height": 3, "object_diameter": bundle.observation.object_diameter}
+    assert list(arrays) == [*SCENE_ARRAYS, "object_points", "ground_truth.rotation",
+                            "ground_truth.translation", "ground_truth.labels"]
     for name in SCENE_ARRAYS:
-        assert doc[name] == getattr(bundle.observation, name).tolist(), name
+        expected = getattr(bundle.observation, name)
+        assert arrays[name].dtype == expected.dtype and np.array_equal(arrays[name], expected)
+    assert arrays["ground_truth.labels"].tolist() == list(bundle.ground_truth.labels)
+    # stored, with numpy's fixed 1980 timestamp: the same bytes on every save
+    with zipfile.ZipFile(path) as archive:
+        for info in archive.infolist():
+            assert info.compress_type == zipfile.ZIP_STORED, info.filename
+            assert info.date_time == (1980, 1, 1, 0, 0, 0), info.filename
 
 
-def test_scene_missing_field_names_the_field():
-    doc = scene_to_dict(generate_bundle(default_scenario(seed=8)))
-    del doc["points"]
-    with pytest.raises(SceneFormatError, match=r"missing required field 'points'"):
-        scene_from_dict(doc)
-    doc2 = scene_to_dict(generate_bundle(default_scenario(seed=8)))
-    del doc2["confidence"][0][2]
-    with pytest.raises(SceneFormatError, match=r"'confidence\[0\]' must be a list of 12"):
-        scene_from_dict(doc2)
-    doc3 = scene_to_dict(generate_bundle(default_scenario(seed=8)))
-    del doc3["grid_width"]
-    with pytest.raises(SceneFormatError, match="grid_width"):
-        scene_from_dict(doc3)
+@pytest.fixture(scope="module")
+def wide_scene(tmp_path_factory):
+    """(header, arrays) of a 20x15 scene."""
+    path = tmp_path_factory.mktemp("scene") / "scene.json"
+    save_scene(generate_bundle(default_scenario(seed=10, grid_width=20, grid_height=15)), path)
+    return read_archive(path)
 
 
-def test_scene_version_mismatch(tmp_path):
-    doc = scene_to_dict(generate_bundle(default_scenario(seed=9)))
-    doc["version"] = 99
-    with pytest.raises(UnsupportedVersionError):
-        scene_from_dict(doc)
-    doc["version"] = 2
-    doc["format"] = "something-else"
-    with pytest.raises(SceneFormatError):
-        scene_from_dict(doc)
+def test_scene_missing_field_names_the_field(tmp_path, wide_scene):
+    path = tmp_path / "scene.json"
+    for edit, message in [
+            (("points", None, _DROP), r"^missing array 'points'$"),
+            (("confidence", None, lambda a: a[:, :11]),
+             r"^array 'confidence' must be float64 of shape \(300, 12\), "
+             r"not float64 of shape \(300, 11\)$"),
+            (("header", "grid_width", _DROP), r"^missing required field 'grid_width'$")]:
+        write_archive(path, *edited(*wide_scene, [edit]))
+        with pytest.raises(SceneFormatError, match=message):
+            load_scene(path)
+
+
+def test_scene_version_mismatch(tmp_path, wide_scene):
+    path = tmp_path / "scene.json"
+    write_archive(path, *edited(*wide_scene, [("header", "version", 99)]))
+    with pytest.raises(UnsupportedVersionError,
+                       match="^unsupported scene version 99; this build reads version 3$"):
+        load_scene(path)
+    write_archive(path, *edited(*wide_scene, [("header", "format", "something-else")]))
+    with pytest.raises(SceneFormatError, match="^field 'format' must be 'crfpose-scene'$"):
+        load_scene(path)
 
 
 #: a version-1 document: one dict per node and per candidate
@@ -213,71 +288,187 @@ VERSION_1_SCENE = {
     "nodes": [{"x": [0.0, 0.0, 1.0],
                "candidates": [{"l": [0.0, 0.0, 0.0], "p": 0.9, "pixel": 2, "tree": 1}]}],
 }
+#: a version-2 document: the six arrays as nested JSON lists
+VERSION_2_SCENE = {
+    "format": "crfpose-scene", "version": 2, "grid_width": 1, "grid_height": 1,
+    "object_diameter": 0.05, "points": [[0.0, 0.0, 1.0]], "candidate_count": [1],
+    "coords": [[[0.0] * 3] * 12], "confidence": [[0.9] + [0.0] * 11],
+    "source_pixel": [[2] + [0] * 11], "source_tree": [[1] + [0] * 11],
+}
 
 
-def test_version_1_scene_is_refused():
+@pytest.mark.parametrize("doc", [VERSION_1_SCENE, VERSION_2_SCENE], ids=["v1", "v2"])
+def test_json_scenes_are_refused(tmp_path, doc):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n")
     with pytest.raises(UnsupportedVersionError) as info:
-        scene_from_dict(json.loads(json.dumps(VERSION_1_SCENE)))
-    assert str(info.value) == "unsupported scene version 1; this build reads version 2"
+        load_scene(path)
+    assert str(info.value) == (
+        f"{path} is a JSON scene file (version 1 or 2); this build reads version 3 (.npz): "
+        "regenerate it with 'crfpose generate'")
 
 
-def test_scene_malformed_json_reports_line(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": "crfpose-scene",\n  broken\n}')
-    with pytest.raises(SceneFormatError, match="line 2"):
+def test_version_1_scene_is_refused(tmp_path):
+    # version 1 meets the same refusal as every JSON scene, before any parse
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(VERSION_1_SCENE))
+    with pytest.raises(UnsupportedVersionError, match="version 1 or 2"):
         load_scene(path)
 
 
-def test_confidence_out_of_range_rejected():
-    doc = scene_to_dict(generate_bundle(default_scenario(seed=10)))
-    doc["confidence"][0][0] = 1.5
-    with pytest.raises(SceneFormatError):
-        scene_from_dict(doc)
+@pytest.mark.parametrize("data", [b"", b"PK\x03\x04 a cut zip", b"\x93NUMPY one array"],
+                         ids=["empty", "cut-zip", "npy"])
+def test_scene_file_that_is_not_a_zip_is_refused(tmp_path, data):
+    path = tmp_path / "scene.npz"
+    path.write_bytes(data)
+    with pytest.raises(SceneFormatError) as info:
+        load_scene(path)
+    assert str(info.value) == f"{path} is not a scene file (a .npz archive)"
 
 
-@pytest.mark.parametrize("field, value, message", [
-    (("points", 3, 0), float("nan"), r"'points\[3\]' is not finite"),
-    (("coords", 0, 2, 1), float("inf"), r"'coords\[0\]\[2\]' is not finite"),
-    (("object_diameter",), float("inf"), "object_diameter"),
-    (("object_points", 0, 0), float("nan"), "object_points"),
-    (("ground_truth", "rotation", 1, 2), float("nan"),
-     r"ground_truth: rotation is not finite"),
-    (("ground_truth", "translation", 0), float("nan"),
+def test_scene_malformed_json_reports_line(tmp_path, wide_scene):
+    path = tmp_path / "scene.json"
+    write_archive(path, '{"format": "crfpose-scene",\n  broken\n}', wide_scene[1])
+    with pytest.raises(SceneFormatError, match=r"^array 'header': not valid JSON \(.*line 2"):
+        load_scene(path)
+
+
+def _member_bytes(array=None, header=None, data=b""):
+    """A ``.npy`` member of ``array``, or of a ``.npy`` header dict and raw data."""
+    out = io.BytesIO()
+    if array is not None:
+        np.lib.format.write_array(out, array)
+    else:
+        np.lib.format.write_array_header_1_0(out, header)
+        out.write(data)
+    return out.getvalue()
+
+
+def test_members_are_checked_before_their_data_is_read(tmp_path, wide_scene):
+    header, arrays = wide_scene
+    members = {"header": _member_bytes(np.array(json.dumps(header))),
+               **{name: _member_bytes(array) for name, array in arrays.items()}}
+    path = tmp_path / "scene.json"
+
+    def refusal(**replaced):
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in {**members, **replaced}.items():
+                archive.writestr(f"{name}.npy", data)
+        with pytest.raises(SceneFormatError) as info:
+            load_scene(path)
+        return str(info.value)
+
+    coords = {"descr": "<f8", "fortran_order": False, "shape": (300, 12, 3)}
+    # a header that claims 10**12 rows in 100 bytes is refused before any
+    # allocation; so is one whose data is cut short
+    assert refusal(coords=_member_bytes(header={**coords, "shape": (10**12, 12, 3)},
+                                        data=b"\0" * 100)) == (
+        "array 'coords' must be float64 of shape (300, 12, 3), "
+        "not float64 of shape (1000000000000, 12, 3)")
+    assert refusal(coords=_member_bytes(header=coords, data=b"\0" * 100)) == (
+        "array 'coords' cannot be read: EOF: reading array data, expected 86400 bytes got 100")
+    # a member longer than its array and a .npy header can take
+    assert refusal(points=members["points"] + b"\0" * 1024) == (
+        "array 'points' must be stored in <= 8224 bytes")
+    assert refusal(header=_member_bytes(np.array("x" * 2000))) == (
+        "array 'header' must be <U1024 of shape (), not <U2000 of shape ()")
+    # only version 1.0 .npy headers are read
+    assert refusal(points=b"\x93NUMPY\x02\x00" + members["points"][8:]) == (
+        "array 'points' cannot be read: only version 1.0 .npy headers are read")
+    assert refusal(points=b"not a .npy member").startswith("array 'points' cannot be read: ")
+
+
+def test_compressed_scene_is_refused(tmp_path, wide_scene):
+    path = tmp_path / "scene.json"
+    header, arrays = wide_scene
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, header=np.array(json.dumps(header)), **arrays)
+    with pytest.raises(SceneFormatError,
+                       match=r"^array 'header' must be stored uncompressed$"):
+        load_scene(path)
+
+
+def test_confidence_out_of_range_rejected(tmp_path, wide_scene):
+    path = tmp_path / "scene.json"
+    write_archive(path, *edited(*wide_scene, [("confidence", (0, 0), 1.5)]))
+    with pytest.raises(SceneFormatError, match=r"'confidence\[0\]\[0\]' is outside \[0,1\]"):
+        load_scene(path)
+
+
+def _objects(index, value):
+    """The array as Python objects, with ``value`` at ``index``: what a
+    pickled member would carry."""
+    return lambda a: _put(a.astype(object), index, value)
+
+
+_INT64_MAX, _INT64_MIN = 2**63 - 1, -2**63
+_COLLINEAR = np.array([[0.001 * k, 0.002 * k, -0.001 * k] for k in range(50)])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("points", (3, 0), float("nan")), r"'points\[3\]' is not finite"),
+    (("coords", (0, 2, 1), float("inf")), r"'coords\[0\]\[2\]' is not finite"),
+    (("header", "object_diameter", float("inf")), "object_diameter must be positive and finite"),
+    (("object_points", (0, 0), float("nan")), "object_points' must be finite and fix"),
+    (("ground_truth.rotation", (1, 2), float("nan")),
+     "invalid pose at ground_truth: rotation is not finite"),
+    (("ground_truth.translation", 0, float("nan")),
      r"ground_truth: translation is not finite"),
-    (("ground_truth", "translation", 2), float("-inf"),
+    (("ground_truth.translation", 2, float("-inf")),
      r"ground_truth: translation is not finite"),
-    # wrong lengths and types, which name the field's path
-    (("points", 5), [0.0, 1.0], r"'points\[5\]' must be a list of 3 entries"),
-    (("points", 5), [0.0, 0.0, 1.0, 2.0], r"'points\[5\]' must be a list of 3 entries"),
-    (("coords", 5, 2), [0.0, 0.0], r"'coords\[5\]\[2\]' must be a list of 3 entries"),
-    (("coords", 5, 2), [0.0] * 4, r"'coords\[5\]\[2\]' must be a list of 3 entries"),
-    (("coords", 5, 2, 1), "0.0", r"'coords\[5\]\[2\]\[1\]' must be a number"),
-    (("confidence", 5, 2), "0.5", r"'confidence\[5\]\[2\]' must be a number"),
-    (("source_pixel", 5, 2), 1.7, r"'source_pixel\[5\]\[2\]' must be an integer"),
-    (("grid_width",), "x", "grid_width"),
-    (("ground_truth", "labels", 3), "x", r"ground_truth\.labels\[3\]' must be an integer"),
-    (("ground_truth", "labels", 3), 2.5, r"ground_truth\.labels\[3\]' must be an integer"),
-    (("ground_truth", "labels", 3), "2", r"ground_truth\.labels\[3\]' must be an integer"),
-    (("ground_truth", "labels"), "12", r"ground_truth\.labels' must be a list"),
-    (("object_points", 1), [0.0, 1.0], r"object_points\[1\]' must be a list of 3"),
-    (("object_points", 1, 2), "0.5", r"object_points\[1\]\[2\]' must be a number"),
-    (("object_points",), [], "object_points"),
+    # wrong shapes and dtypes, which name the array
+    (("points", None, lambda a: a[:, :2]),
+     r"^array 'points' must be float64 of shape \(300, 3\), not float64 of shape \(300, 2\)$"),
+    (("points", None, lambda a: np.hstack([a, a[:, :1]])),
+     r"^array 'points' must be float64 of shape \(300, 3\), not float64 of shape \(300, 4\)$"),
+    (("coords", None, lambda a: a[..., :2]),
+     r"^array 'coords' must be float64 of shape \(300, 12, 3\), not float64 of shape "
+     r"\(300, 12, 2\)$"),
+    (("coords", None, lambda a: np.concatenate([a, a[..., :1]], axis=2)),
+     r"not float64 of shape \(300, 12, 4\)$"),
+    (("coords", None, lambda a: a.astype(str)),
+     r"^array 'coords' must be float64 of shape \(300, 12, 3\), not <U32 of shape"),
+    (("confidence", None, lambda a: a.astype(str)),
+     r"^array 'confidence' must be float64 of shape \(300, 12\), not <U32"),
+    (("source_pixel", None, lambda a: _put(a.astype(float), (5, 2), 1.7)),
+     r"^array 'source_pixel' must be int64 of shape \(300, 12\), not float64"),
+    (("header", "grid_width", "x"), "^field 'grid_width' must be an integer$"),
+    (("ground_truth.labels", None, lambda a: a.astype(str)),
+     r"^array 'ground_truth\.labels' must be int64 of shape \(300,\), not <U21"),
+    (("ground_truth.labels", None, lambda a: _put(a.astype(float), 3, 2.5)),
+     r"^array 'ground_truth\.labels' must be int64 of shape \(300,\), not float64"),
+    (("ground_truth.labels", None, lambda a: a.astype(np.int32)),
+     r"^array 'ground_truth\.labels' must be int64 of shape \(300,\), not int32"),
+    (("ground_truth.labels", None, lambda a: np.array(12)),
+     r"^array 'ground_truth\.labels' must be int64 of shape \(300,\), not int64 of shape \(\)$"),
+    (("object_points", None, lambda a: a[:, :2]),
+     r"^array 'object_points' must be float64 of shape \(<=100000, 3\), not float64 of shape "
+     r"\(300, 2\)$"),
+    (("object_points", None, lambda a: a.astype(str)),
+     r"^array 'object_points' must be float64 of shape \(<=100000, 3\), not <U"),
+    (("object_points", None, lambda a: a[:0]), "object_points' must be finite and fix a rotation"),
     # one point, or 50 collinear ones, cannot fix a rotation; both used to
     # load and score correct: true
-    (("object_points",), [[0.01, 0.02, 0.03]], "object_points' must be finite and fix"),
-    (("object_points",), [[0.001 * k, 0.002 * k, -0.001 * k] for k in range(50)],
+    (("object_points", None, lambda a: np.array([[0.01, 0.02, 0.03]])),
+     "object_points' must be finite and fix"),
+    (("object_points", None, lambda a: _COLLINEAR),
      "object_points' must be finite and fix a rotation"),
     # its column sum overflows; this exited 1 with "SVD did not converge"
-    (("object_points",), [[1.7e308, 0, 0], [1.7e308, 1, 0], [0, 0, 1]],
+    (("object_points", None, lambda a: np.array([[1.7e308, 0, 0], [1.7e308, 1, 0], [0, 0, 1]])),
      "object_points' must be finite and fix a rotation"),
-    # JSON integers a float cannot hold; these exited 1 or named no field
-    (("object_points", 1, 2), 10**400,
-     r"object_points\[1\]\[2\]' holds an integer too large for a float"),
-    (("confidence", 5, 2), -10**400,
-     r"'confidence\[5\]\[2\]' holds an integer too large for a float"),
-    # indices no int64 holds; these named no field
-    (("source_pixel", 5, 2), 2**64, r"^field 'source_pixel\[5\]\[2\]' is outside 0\.\.3$"),
-    (("source_tree", 5, 2), -10**400, r"^field 'source_tree\[5\]\[2\]' is outside 0\.\.2$"),
+    # Python integers a float cannot hold only come as pickled objects,
+    # refused by dtype before anything is unpickled
+    (("object_points", None, _objects((1, 2), 10**400)),
+     r"^array 'object_points' must be float64 of shape \(<=100000, 3\), not object of shape"),
+    (("confidence", None, _objects((5, 2), -10**400)),
+     r"^array 'confidence' must be float64 of shape \(300, 12\), not object"),
+    # the int64 extremes are indices like any other
+    (("source_pixel", (5, 2), _INT64_MAX), r"^field 'source_pixel\[5\]\[2\]' is outside 0\.\.3$"),
+    (("source_tree", (5, 2), _INT64_MIN), r"^field 'source_tree\[5\]\[2\]' is outside 0\.\.2$"),
+    # a cloud past MAX_OBJECT_POINTS is refused by its .npy header
+    (("object_points", None, lambda a: np.zeros((MAX_OBJECT_POINTS + 1, 3))),
+     rf"^array 'object_points' must be float64 of shape \(<={MAX_OBJECT_POINTS}, 3\), "
+     rf"not float64 of shape \({MAX_OBJECT_POINTS + 1}, 3\)$"),
 # the names the cases were first collected under, kept so that a message
 # edit renames no case
 ], ids=[
@@ -307,96 +498,123 @@ def test_confidence_out_of_range_rejected():
     "field23-value23-object_points' must be finite and fix a rotation",
     "object_points-overflowing-sum",
     "object_points-10**400", "p-minus-10**400", "pixel-2**64", "tree-minus-10**400",
+    "object_points-past-the-limit",
 ])
-def test_non_finite_scene_input_rejected(tmp_path, field, value, message):
-    doc = scene_to_dict(generate_bundle(default_scenario(
-        seed=10, grid_width=20, grid_height=15)))
-    target = doc
-    for key in field[:-1]:
-        target = target[key]
-    target[field[-1]] = value
+def test_non_finite_scene_input_rejected(tmp_path, wide_scene, edit, message):
     path = tmp_path / "scene.json"
-    path.write_text(json.dumps(doc))  # written as NaN / Infinity literals
+    write_archive(path, *edited(*wide_scene, [edit]))
     with pytest.raises(SceneFormatError, match=message):
         load_scene(path)
 
 
 @pytest.fixture(scope="module")
-def small_scene_doc():
-    return scene_to_dict(generate_bundle(default_scenario(seed=0, grid_width=4,
-                                                          grid_height=3)))
+def small_scene(tmp_path_factory):
+    """(header, arrays) of a 4x3 scene."""
+    path = tmp_path_factory.mktemp("scene") / "scene.json"
+    save_scene(generate_bundle(default_scenario(seed=0, grid_width=4, grid_height=3)), path)
+    return read_archive(path)
 
 
-_DROP = object()  # deletes the key instead of setting it
-#: node 5 cut to its first three candidates, the rest zero
-_CUT = [(("candidate_count", 5), 3)] + [
-    ((name, 5, j), zero) for name, zero in SLOT_ZERO.items() for j in range(3, 12)]
+_CUT = cut(5, 3)
+_FLOAT32 = lambda a: a.astype(np.float32)  # noqa: E731
 
 
 @pytest.mark.parametrize("edits, message", [
-    ([(("points", 5), 7)], "field 'points[5]' must be a list of 3 entries"),
-    ([(("coords", 5, 2), "x")], "field 'coords[5][2]' must be a list of 3 entries"),
-    ([(("coords",), _DROP)], "missing required field 'coords'"),
-    ([(("coords", 5), {})], "field 'coords[5]' must be a list of 12 entries"),
-    ([(("coords", 5, 12), [0.0] * 3)], "field 'coords[5]' must be a list of 12 entries"),
-    ([(("points", 5, 1), True)], "field 'points[5][1]' must be a number"),
-    ([(("coords", 5, 2, 0), True)], "field 'coords[5][2][0]' must be a number"),
-    ([(("confidence", 5, 2), True)], "field 'confidence[5][2]' must be a number"),
-    ([(("source_pixel", 5, 2), True)], "field 'source_pixel[5][2]' must be an integer"),
-    ([(("source_tree", 5, 2), True)], "field 'source_tree[5][2]' must be an integer"),
-    ([(("points", 5, 2), 10**400)],
-     "field 'points[5][2]' holds an integer too large for a float"),
-    ([(("coords", 5, 2, 1), -10**400)],
-     "field 'coords[5][2][1]' holds an integer too large for a float"),
-    # the least integer that float() refuses, past one it rounds down
-    ([(("coords", 5, 1, 0), 2**1024 - 2**970 - 1), (("coords", 5, 2, 1), 2**1024 - 2**970)],
-     "field 'coords[5][2][1]' holds an integer too large for a float"),
-    ([(("source_pixel", 5, 2), 3.0)], "field 'source_pixel[5][2]' must be an integer"),
-    ([(("source_tree", 5, 2), "4")], "field 'source_tree[5][2]' must be an integer"),
-    # the first fault in document order is the one reported
-    ([(("source_tree", 5, 0), None), (("source_tree", 4, 11), 1.5)],
-     "field 'source_tree[4][11]' must be an integer"),
-    ([(("confidence", 5, 2), "0.5"), (("coords", 5, 2), [0.0])],
-     "field 'coords[5][2]' must be a list of 3 entries"),
-    # the version is an integer field like any other; these loaded as 1
-    ([(("version",), True)], "field 'version' must be an integer"),
-    ([(("version",), 1.0)], "field 'version' must be an integer"),
-    # one label per node, each a candidate or the outlier; these loaded
-    ([(("ground_truth", "labels"), [1])],
-     "field 'ground_truth.labels' has 1 labels for 12 nodes"),
-    ([(("ground_truth", "labels"), [-5] * 40)],
-     "field 'ground_truth.labels' has 40 labels for 12 nodes"),
-    ([(("ground_truth", "labels", 12), 0)],
-     "field 'ground_truth.labels' has 13 labels for 12 nodes"),
-    ([(("ground_truth", "labels", 4), -1)],
+    ([("points", None, lambda a: a[:, 0])],
+     "array 'points' must be float64 of shape (12, 3), not float64 of shape (12,)"),
+    ([("coords", None, lambda a: a[..., 0])],
+     "array 'coords' must be float64 of shape (12, 12, 3), not float64 of shape (12, 12)"),
+    ([("coords", None, _DROP)], "missing array 'coords'"),
+    ([("coords", None, lambda a: a[0, 0, 0])],
+     "array 'coords' must be float64 of shape (12, 12, 3), not float64 of shape ()"),
+    ([("coords", None, lambda a: np.concatenate([a, a[:, :1]], axis=1))],
+     "array 'coords' must be float64 of shape (12, 12, 3), not float64 of shape (12, 13, 3)"),
+    ([("points", None, lambda a: a > 0)],
+     "array 'points' must be float64 of shape (12, 3), not bool of shape (12, 3)"),
+    ([("coords", None, lambda a: a > 0)],
+     "array 'coords' must be float64 of shape (12, 12, 3), not bool of shape (12, 12, 3)"),
+    ([("confidence", None, lambda a: a > 0)],
+     "array 'confidence' must be float64 of shape (12, 12), not bool of shape (12, 12)"),
+    ([("source_pixel", None, lambda a: a > 0)],
+     "array 'source_pixel' must be int64 of shape (12, 12), not bool of shape (12, 12)"),
+    ([("source_tree", None, lambda a: a > 0)],
+     "array 'source_tree' must be int64 of shape (12, 12), not bool of shape (12, 12)"),
+    ([("points", None, _objects((5, 2), 10**400))],
+     "array 'points' must be float64 of shape (12, 3), not object of shape (12, 3)"),
+    ([("coords", None, _objects((5, 2, 1), -10**400))],
+     "array 'coords' must be float64 of shape (12, 12, 3), not object of shape (12, 12, 3)"),
+    # integers in a float array, even ones a float holds exactly
+    ([("coords", None, lambda a: _put(a.astype(np.int64), (5, 2, 1), 2**53))],
+     "array 'coords' must be float64 of shape (12, 12, 3), not int64 of shape (12, 12, 3)"),
+    ([("source_pixel", None, lambda a: a.astype(float))],
+     "array 'source_pixel' must be int64 of shape (12, 12), not float64 of shape (12, 12)"),
+    ([("source_tree", None, lambda a: a.astype(str))],
+     "array 'source_tree' must be int64 of shape (12, 12), not <U21 of shape (12, 12)"),
+    # the first fault in array order is the one reported
+    ([("source_tree", (5, 0), 7), ("source_tree", (4, 11), 5)],
+     "field 'source_tree[4][11]' is outside 0..2"),
+    ([("confidence", None, _FLOAT32), ("coords", None, _FLOAT32)],
+     "array 'coords' must be float64 of shape (12, 12, 3), not float32 of shape (12, 12, 3)"),
+    # the version is an integer field like any other
+    ([("header", "version", True)], "field 'version' must be an integer"),
+    ([("header", "version", 3.0)], "field 'version' must be an integer"),
+    # one label per node, each a candidate or the outlier
+    ([("ground_truth.labels", None, lambda a: a[:1])],
+     "array 'ground_truth.labels' must be int64 of shape (12,), not int64 of shape (1,)"),
+    ([("ground_truth.labels", None, lambda a: np.full(40, -5))],
+     "array 'ground_truth.labels' must be int64 of shape (12,), not int64 of shape (40,)"),
+    ([("ground_truth.labels", None, lambda a: np.append(a, 0))],
+     "array 'ground_truth.labels' must be int64 of shape (12,), not int64 of shape (13,)"),
+    ([("ground_truth.labels", 4, -1)],
      "field 'ground_truth.labels[4]' must be a label of node 4 (0..12)"),
-    ([(("ground_truth", "labels", 6), 13)],
+    ([("ground_truth.labels", 6, 13)],
      "field 'ground_truth.labels[6]' must be a label of node 6 (0..12)"),
-    ([(("candidate_count", 6), 0), (("coords", 6), [[0.0] * 3] * 12),
-      (("confidence", 6), [0.0] * 12), (("source_pixel", 6), [0] * 12),
-      (("source_tree", 6), [0] * 12)],
-     "field 'ground_truth.labels[6]' must be a label of node 6 (0..0)"),
-    ([(("ground_truth", "labels", 4), 10**400), (("ground_truth", "labels", 9), 13)],
+    (cut(6, 0), "field 'ground_truth.labels[6]' must be a label of node 6 (0..0)"),
+    ([("ground_truth.labels", 4, _INT64_MAX), ("ground_truth.labels", 9, 13)],
      "field 'ground_truth.labels[4]' must be a label of node 4 (0..12)"),
-    ([(("ground_truth", "labels", 9), -2**64)],
+    ([("ground_truth.labels", 9, _INT64_MIN)],
      "field 'ground_truth.labels[9]' must be a label of node 9 (0..12)"),
-    # new with the array layout: the shapes, the count and the padding
-    ([(("points", 11), _DROP)],
-     "field 'points' must be a list of one entry per node of the 4x3 grid"),
-    ([(("source_tree",), {})],
-     "field 'source_tree' must be a list of one entry per node of the 4x3 grid"),
-    ([(("candidate_count", 5), [12])], "field 'candidate_count[5]' must be an integer"),
-    ([(("candidate_count", 5), 12.0)], "field 'candidate_count[5]' must be an integer"),
-    ([(("candidate_count", 5), 13)], "field 'candidate_count[5]' is outside 0..12"),
-    ([(("candidate_count", 5), 2**64)], "field 'candidate_count[5]' is outside 0..12"),
-    ([(("candidate_count", 5), 3)],
+    # the shapes follow the header's grid; the count and the padding
+    ([("points", None, lambda a: a[:11])],
+     "array 'points' must be float64 of shape (12, 3), not float64 of shape (11, 3)"),
+    ([("source_tree", None, lambda a: a[0, 0])],
+     "array 'source_tree' must be int64 of shape (12, 12), not int64 of shape ()"),
+    ([("candidate_count", None, lambda a: a[:, None])],
+     "array 'candidate_count' must be int64 of shape (12,), not int64 of shape (12, 1)"),
+    ([("candidate_count", None, lambda a: a.astype(float))],
+     "array 'candidate_count' must be int64 of shape (12,), not float64 of shape (12,)"),
+    ([("candidate_count", 5, 13)], "field 'candidate_count[5]' is outside 0..12"),
+    ([("candidate_count", 5, _INT64_MAX)], "field 'candidate_count[5]' is outside 0..12"),
+    ([("candidate_count", 5, 3)],
      "field 'coords[5][3][0]' is past the 3 candidates of node 5 and must be 0"),
-    (_CUT + [(("source_pixel", 5, 11), 2)],
+    (_CUT + [("source_pixel", (5, 11), 2)],
      "field 'source_pixel[5][11]' is past the 3 candidates of node 5 and must be 0"),
-    (_CUT + [(("coords", 5, 7, 2), -0.0)],
+    (_CUT + [("coords", (5, 7, 2), -0.0)],
      "field 'coords[5][7][2]' is past the 3 candidates of node 5 and must be 0"),
-    (_CUT + [(("confidence", 5, 4), float("nan"))],
+    (_CUT + [("confidence", (5, 4), float("nan"))],
      "field 'confidence[5][4]' is past the 3 candidates of node 5 and must be 0"),
+    # new with the archive: members, the header and its bounds, byte order
+    ([("extra", None, lambda _: np.zeros(3))], "unknown array 'extra'"),
+    ([("ground_truth.rotation", None, _DROP)], "missing array 'ground_truth.rotation'"),
+    ([("ground_truth.labels", None, lambda a: a.astype(object))],
+     "array 'ground_truth.labels' must be int64 of shape (12,), not object of shape (12,)"),
+    ([("coords", None, lambda a: a.astype(">f8"))],
+     "array 'coords' must be float64 of shape (12, 12, 3), not >f8 of shape (12, 12, 3)"),
+    ([("header", "format", 3)], "field 'format' must be a string"),
+    ([("header", "version", 10**400)],
+     "unsupported scene version 10000000...0000 (401 characters); this build reads version 3"),
+    ([("header", "grid_width", 10**400)],
+     "field 'grid_width' must be <= 1024, not 10000000...0000 (401 characters)"),
+    ([("header", "grid_width", 1025)], "field 'grid_width' must be <= 1024, not 1025"),
+    ([("header", "grid_height", 0)], "field 'grid_height' must be >= 1, not 0"),
+    ([("header", "grid_height", -10**400)],
+     "field 'grid_height' must be >= 1, not -1000000...0000 (402 characters)"),
+    ([("header", "grid_width", 3)],
+     "array 'points' must be float64 of shape (9, 3), not float64 of shape (12, 3)"),
+    ([("header", "object_diameter", _DROP)], "missing required field 'object_diameter'"),
+    ([("header", "object_diameter", "0.05")], "field 'object_diameter' must be a number"),
+    ([("header", "object_diameter", 10**400)],
+     "field 'object_diameter' holds an integer too large for a float"),
 ], ids=["node-not-object", "candidate-not-object", "no-candidates", "candidates-not-list",
         "13-candidates", "x-true", "l-true", "p-true", "pixel-true", "tree-true",
         "x-10**400", "l-minus-10**400", "l-least-overflow", "pixel-float", "tree-string",
@@ -405,21 +623,16 @@ _CUT = [(("candidate_count", 5), 3)] + [
         "label-of-a-cut-candidate", "label-10**400", "label-minus-2**64",
         "points-short", "array-not-list", "count-list", "count-float",
         "count-13", "count-2**64", "padding-left-in-place", "padding-pixel",
-        "padding-minus-zero", "padding-nan"])
-def test_scene_reader_messages_are_exact(small_scene_doc, edits, message):
-    doc = json.loads(json.dumps(small_scene_doc))
-    for path, value in edits:
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        if value is _DROP:
-            del target[path[-1]]
-        elif isinstance(target, list) and path[-1] == len(target):
-            target.append(copy.deepcopy(value))
-        else:
-            target[path[-1]] = copy.deepcopy(value)
+        "padding-minus-zero", "padding-nan",
+        "unknown-array", "rotation-without-labels", "pickled-labels", "big-endian",
+        "format-not-string", "version-10**400", "grid-10**400", "grid-past-limit", "grid-0",
+        "grid-minus-10**400", "grid-of-other-size", "no-diameter", "diameter-string",
+        "diameter-10**400"])
+def test_scene_reader_messages_are_exact(tmp_path, small_scene, edits, message):
+    path = tmp_path / "scene.json"
+    write_archive(path, *edited(*small_scene, edits))
     with pytest.raises(SceneFormatError) as info:
-        scene_from_dict(doc)
+        load_scene(path)
     assert str(info.value) == message
 
 
