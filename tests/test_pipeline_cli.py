@@ -2,6 +2,7 @@ import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from crfpose import pipeline
@@ -13,7 +14,8 @@ from crfpose.pipeline import (ConfigError, PipelineConfig, canonical_report,
 from crfpose.posemodel import STAGE_ONE_DEFAULTS, STAGE_TWO_DEFAULTS
 from crfpose.synth import default_scenario, generate_bundle, save_scene
 from test_posefit import HUGE_ROTATION
-from test_synth import VERSION_1_SCENE, edited, read_archive, write_archive
+from test_synth import (DROP, VERSION_1_SCENE, VERSION_2_SCENE, edited, read_archive,
+                        write_archive)
 
 SCENARIO = {
     "seed": 3, "grid_width": 32, "grid_height": 24,
@@ -268,6 +270,43 @@ def test_cli_malformed_scene_field_exits_2(tmp_path, capsys):
         write_archive(scene, *edited(header, arrays, edits))
         assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edits, message", [
+    ("not-a-zip", "is not a scene file (a .npz archive)"),
+    ("json-v2", "is a JSON scene file (version 1 or 2); this build reads version 3 (.npz): "
+                "regenerate it with 'crfpose generate'"),
+    ([("points", None, lambda a: a.astype(object))],
+     "array 'points' must be float64 of shape (300, 3), not object"),
+    ([("coords", None, DROP)], "missing array 'coords'"),
+    ([("extra", None, lambda _: np.zeros(3))], "unknown array 'extra'"),
+    ([("coords", None, lambda a: a.astype(np.float32))],
+     "array 'coords' must be float64 of shape (300, 12, 3), not float32"),
+    ([("candidate_count", None, lambda a: a.astype(float))],
+     "array 'candidate_count' must be int64 of shape (300,), not float64"),
+    ([("confidence", None, lambda a: a[:, :11])],
+     "array 'confidence' must be float64 of shape (300, 12), not float64 of shape (300, 11)"),
+    ([("points", (3, 2), float("nan"))], "field 'points[3]' is not finite"),
+    ([("candidate_count", 5, 3)], "field 'coords[5][3][0]' is past the 3 candidates of node 5"),
+    ([("candidate_count", 5, 3), ("coords", (5, slice(3, None)), 0.0),
+      ("coords", (5, 7, 2), -0.0)], "field 'coords[5][7][2]' is past the 3 candidates"),
+    ([("ground_truth.labels", 4, 13)], "field 'ground_truth.labels[4]' must be a label of node 4"),
+], ids=["not-a-zip", "json-v2", "object-array", "missing-array", "unknown-array",
+        "float32-coords", "float-count", "short-shape", "nan-point", "padding-left",
+        "padding-minus-zero", "label-out-of-range"])
+def test_cli_refused_scene_archives_exit_2(tmp_path, capsys, edits, message):
+    scene = tmp_path / "scene.json"
+    save_scene(generate_bundle(default_scenario(seed=0, grid_width=20, grid_height=15)), scene)
+    if edits == "not-a-zip":
+        scene.write_bytes(b"\x00 not an archive")
+    elif edits == "json-v2":
+        scene.write_text(json.dumps(VERSION_2_SCENE))
+    else:
+        write_archive(scene, *edited(*read_archive(scene), edits))
+    assert main(["solve", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_version_1_scene_exits_2(tmp_path, capsys):

@@ -152,7 +152,7 @@ def test_scene_file_bytes_are_pinned(tmp_path, overrides, digest):
 
 #: the per-slot arrays, padded with 0 past each node's candidate count
 SLOT_ARRAYS = ("coords", "confidence", "source_pixel", "source_tree")
-_DROP = object()  # deletes the member or header field instead of setting it
+DROP = object()  # deletes the member or header field instead of setting it
 
 
 def read_archive(path) -> tuple[dict, dict]:
@@ -181,12 +181,12 @@ def edited(header, arrays, edits):
     of ``edits`` applied: header field ``index`` if ``name`` is "header",
     else entry ``index`` of array ``name``, or with an index of None the
     whole array, replaced by ``value(array)`` (None for a new one).  A
-    value of ``_DROP`` deletes the field or the array."""
+    value of ``DROP`` deletes the field or the array."""
     header, arrays = dict(header), {name: array.copy() for name, array in arrays.items()}
     for name, index, value in edits:
         target = header if name == "header" else arrays
         key = index if name == "header" else name
-        if value is _DROP:
+        if value is DROP:
             del target[key]
         elif name == "header":
             header[index] = value
@@ -260,11 +260,11 @@ def wide_scene(tmp_path_factory):
 def test_scene_missing_field_names_the_field(tmp_path, wide_scene):
     path = tmp_path / "scene.json"
     for edit, message in [
-            (("points", None, _DROP), r"^missing array 'points'$"),
+            (("points", None, DROP), r"^missing array 'points'$"),
             (("confidence", None, lambda a: a[:, :11]),
              r"^array 'confidence' must be float64 of shape \(300, 12\), "
              r"not float64 of shape \(300, 11\)$"),
-            (("header", "grid_width", _DROP), r"^missing required field 'grid_width'$")]:
+            (("header", "grid_width", DROP), r"^missing required field 'grid_width'$")]:
         write_archive(path, *edited(*wide_scene, [edit]))
         with pytest.raises(SceneFormatError, match=message):
             load_scene(path)
@@ -524,7 +524,7 @@ _FLOAT32 = lambda a: a.astype(np.float32)  # noqa: E731
      "array 'points' must be float64 of shape (12, 3), not float64 of shape (12,)"),
     ([("coords", None, lambda a: a[..., 0])],
      "array 'coords' must be float64 of shape (12, 12, 3), not float64 of shape (12, 12)"),
-    ([("coords", None, _DROP)], "missing array 'coords'"),
+    ([("coords", None, DROP)], "missing array 'coords'"),
     ([("coords", None, lambda a: a[0, 0, 0])],
      "array 'coords' must be float64 of shape (12, 12, 3), not float64 of shape ()"),
     ([("coords", None, lambda a: np.concatenate([a, a[:, :1]], axis=1))],
@@ -595,7 +595,7 @@ _FLOAT32 = lambda a: a.astype(np.float32)  # noqa: E731
      "field 'confidence[5][4]' is past the 3 candidates of node 5 and must be 0"),
     # new with the archive: members, the header and its bounds, byte order
     ([("extra", None, lambda _: np.zeros(3))], "unknown array 'extra'"),
-    ([("ground_truth.rotation", None, _DROP)], "missing array 'ground_truth.rotation'"),
+    ([("ground_truth.rotation", None, DROP)], "missing array 'ground_truth.rotation'"),
     ([("ground_truth.labels", None, lambda a: a.astype(object))],
      "array 'ground_truth.labels' must be int64 of shape (12,), not object of shape (12,)"),
     ([("coords", None, lambda a: a.astype(">f8"))],
@@ -611,7 +611,7 @@ _FLOAT32 = lambda a: a.astype(np.float32)  # noqa: E731
      "field 'grid_height' must be >= 1, not -1000000...0000 (402 characters)"),
     ([("header", "grid_width", 3)],
      "array 'points' must be float64 of shape (9, 3), not float64 of shape (12, 3)"),
-    ([("header", "object_diameter", _DROP)], "missing required field 'object_diameter'"),
+    ([("header", "object_diameter", DROP)], "missing required field 'object_diameter'"),
     ([("header", "object_diameter", "0.05")], "field 'object_diameter' must be a number"),
     ([("header", "object_diameter", 10**400)],
      "field 'object_diameter' holds an integer too large for a float"),
