@@ -104,7 +104,8 @@ def sample_box_cloud(count: int = 300, extents=(0.04, 0.03, 0.02),
     pts = rng.uniform(-0.5, 0.5, size=(count, 3)) * ex
     face = rng.integers(0, 3, size=count)
     side = rng.integers(0, 2, size=count)
-    pts[np.arange(count), face] = (side - 0.5) * ex[face]
+    for k in range(count):
+        pts[k, face[k]] = (side[k] - 0.5) * ex[face[k]]
     return pts
 
 
@@ -113,9 +114,10 @@ def load_xyz(path) -> np.ndarray:
     rows = []
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
+            line = line.strip()
+            if not line or line.startswith("#"):
                 continue
+            parts = line.split()
             if len(parts) != 3:
                 raise SceneFormatError(f"{path}:{ln}: expected three columns")
             try:
@@ -187,7 +189,8 @@ def generate_scene(sc: SyntheticScenario) -> tuple[SceneObservation, tuple[int, 
                 cy + (r - (h - 1) / 2.0) * spacing)
 
     # object points -> nearest node; per node keep the laterally closest point
-    anchor: dict[int, tuple[float, int]] = {}  # node -> (squared distance, point)
+    anchor: dict[int, int] = {}
+    anchor_d: dict[int, float] = {}
     for k in range(cam.shape[0]):
         c = round((cam[k, 0] - cx) / spacing + (w - 1) / 2.0)
         r = round((cam[k, 1] - cy) / spacing + (h - 1) / 2.0)
@@ -196,8 +199,9 @@ def generate_scene(sc: SyntheticScenario) -> tuple[SceneObservation, tuple[int, 
         u = r * w + c
         gx, gy = node_center(r, c)
         d = (cam[k, 0] - gx) ** 2 + (cam[k, 1] - gy) ** 2
-        if u not in anchor or d < anchor[u][0]:
-            anchor[u] = (d, k)
+        if u not in anchor or d < anchor_d[u]:
+            anchor[u] = k
+            anchor_d[u] = d
     object_nodes = sorted(anchor)
     if not object_nodes:
         raise ContractViolation("degenerate scenario: object covers no grid node")
@@ -208,8 +212,11 @@ def generate_scene(sc: SyntheticScenario) -> tuple[SceneObservation, tuple[int, 
     if n_visible == 0:
         raise ContractViolation("degenerate scenario: no visible object nodes")
     angle = rng.uniform(0.0, 2.0 * math.pi)
-    cos, sin = math.cos(angle), math.sin(angle)
-    visible = set(sorted(object_nodes, key=lambda u: (u % w * cos + u // w * sin, u))[:n_visible])
+    direction = (math.cos(angle), math.sin(angle))
+    def sweep_key(u):
+        r, c = divmod(u, w)
+        return (c * direction[0] + r * direction[1], u)
+    visible = set(sorted(object_nodes, key=sweep_key)[:n_visible])
 
     obj_lo = sc.object_points.min(axis=0)
     obj_hi = sc.object_points.max(axis=0)
@@ -223,7 +230,7 @@ def generate_scene(sc: SyntheticScenario) -> tuple[SceneObservation, tuple[int, 
     for u in range(n):
         true_slot, band = -1, "background"
         if u in visible:
-            k = anchor[u][1]
+            k = anchor[u]
             points[u] = cam[k]
             if sc.depth_noise_sigma > 0:
                 points[u, 2] += rng.normal(0.0, sc.depth_noise_sigma)
@@ -333,7 +340,7 @@ _MEMBERS = {f"{name}.npy" for name in ("header", *(name for name, _, _ in _SCENE
 
 
 def _array(archive, name, dtype, shape) -> np.ndarray:
-    """Member ``name`` of a scene archive, checked before any data is read: a
+    """Member ``name`` of a scene archive, checked before its data is read: a
     ``.npy`` array of exactly ``dtype`` and ``shape`` (None: up to ``MAX_OBJECT_POINTS``),
     stored uncompressed in no more bytes than those take plus 1,024."""
     dtype, most = np.dtype(dtype), [MAX_OBJECT_POINTS if s is None else s for s in shape]
@@ -352,17 +359,16 @@ def _array(archive, name, dtype, shape) -> np.ndarray:
                          and got.itemsize <= dtype.itemsize)
                     and all(g == s or s is None and g <= m
                             for g, s, m in zip(got_shape, shape, most)))
-            fh.seek(0)
-            values = (fits and info.file_size <= limit
-                      and np.lib.format.read_array(fh, allow_pickle=False))
+            if fits and info.file_size <= limit:
+                fh.seek(0)
+                return np.lib.format.read_array(fh, allow_pickle=False)
     except (ValueError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:
         raise SceneFormatError(f"array '{name}' cannot be read: {exc}") from None
     if not fits:
-        raise SceneFormatError(f"array '{name}' must be {dtype} of shape {shape}, not {got} "
-                               f"of shape {got_shape}".replace("None", f"<={MAX_OBJECT_POINTS}"))
-    if info.file_size > limit:
-        raise SceneFormatError(f"array '{name}' must be stored in <= {limit} bytes")
-    return values
+        sides = [f"<={m}" if s is None else str(s) for s, m in zip(shape, most)]
+        raise SceneFormatError(f"array '{name}' must be {dtype} of shape ({', '.join(sides)}"
+                               f"{',' * (len(shape) == 1)}), not {got} of shape {got_shape}")
+    raise SceneFormatError(f"array '{name}' must be stored in <= {limit} bytes")
 
 
 def load_scene(path) -> SceneBundle:
@@ -382,8 +388,9 @@ def load_scene(path) -> SceneBundle:
 
 
 def _scene_from_archive(archive, names) -> SceneBundle:
-    for member in sorted(names - _MEMBERS):
-        raise SceneFormatError(f"unknown array '{member.removesuffix('.npy')}'")
+    unknown = sorted(names - _MEMBERS)
+    if unknown:
+        raise SceneFormatError(f"unknown array '{unknown[0].removesuffix('.npy')}'")
     header = _parse_json(str(_array(archive, "header", "<U1024", ())), "array 'header'")
     if _field(header, "format", types=_STRING) != SCENE_FORMAT:
         raise SceneFormatError(f"field 'format' must be '{SCENE_FORMAT}'")
@@ -403,8 +410,9 @@ def _scene_from_archive(archive, names) -> SceneBundle:
     # SceneObservation stores each entry past a node's count as 0, so another
     # value there (-0.0 too) would not be written back as it was read
     for name, given in arrays.items():
-        stored = getattr(obs, name).view(np.int64)
-        for u, *slot in np.argwhere(stored != given.view(np.int64))[:1]:
+        bad = np.argwhere(getattr(obs, name).view(np.int64) != given.view(np.int64))
+        if bad.size:
+            u, *slot = bad[0]
             raise SceneFormatError(f"field '{name}[{u}]{''.join(f'[{i}]' for i in slot)}' is past "
                                    f"the {obs.candidate_count[u]} candidates of node {u} "
                                    "and must be 0")
@@ -419,11 +427,14 @@ def _scene_from_archive(archive, names) -> SceneBundle:
         pose = _pose(_array(archive, "ground_truth.rotation", float, (3, 3)),
                      _array(archive, "ground_truth.translation", float, (3,)), "ground_truth")
         labels = _array(archive, "ground_truth.labels", np.int64, (obs.node_count,))
-        for u in np.flatnonzero((labels < 0) | (labels > obs.candidate_count))[:1]:
+        bad = np.flatnonzero((labels < 0) | (labels > obs.candidate_count))
+        if bad.size:
+            u = bad[0]
             raise SceneFormatError(f"field 'ground_truth.labels[{u}]' must be a label of "
                                    f"node {u} (0..{obs.candidate_count[u]})")
         ground_truth = GroundTruth(pose=pose, labels=tuple(labels.tolist()))
-    return SceneBundle(obs, object_points, ground_truth)
+    return SceneBundle(observation=obs, object_points=object_points,
+                       ground_truth=ground_truth)
 
 
 def save_scene(bundle: SceneBundle, path) -> None:
@@ -477,7 +488,11 @@ def _object_points(obj, seed) -> np.ndarray:
                                f"{', '.join(_SHAPE_KEYS)}")
     _known(obj, "object.", ("shape", *_SHAPE_KEYS[shape]))
     if shape == "xyz":
-        return load_xyz(_field(obj, "path", "object.", _STRING))
+        points = load_xyz(_field(obj, "path", "object.", _STRING))
+        if len(points) > MAX_OBJECT_POINTS:
+            raise SceneFormatError(f"field 'object.path' must name a cloud of <= "
+                                   f"{MAX_OBJECT_POINTS} points, not {len(points)}")
+        return points
     kwargs = {}
     if "points" in obj:
         kwargs["count"] = _field(obj, "points", "object.", _INTEGER, limit=MAX_OBJECT_POINTS)
@@ -531,4 +546,6 @@ def load_scenario(path, seed_override: int | None = None) -> SyntheticScenario:
 def generate_bundle(sc: SyntheticScenario) -> SceneBundle:
     """Scene plus the extras a solver run needs (model cloud, ground truth)."""
     scene, truth = generate_scene(sc)
-    return SceneBundle(scene, sc.object_points.copy(), GroundTruth(sc.true_pose, truth))
+    return SceneBundle(observation=scene,
+                       object_points=sc.object_points.copy(),
+                       ground_truth=GroundTruth(pose=sc.true_pose, labels=truth))

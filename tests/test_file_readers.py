@@ -11,8 +11,8 @@ from crfpose.cli import main
 from crfpose.pipeline import ConfigError, PipelineConfig, parse_config
 from crfpose.posefit import IcpConfig
 from crfpose.posemodel import HyperParams
-from crfpose.synth import (SceneFormatError, default_scenario, generate_bundle,
-                           save_scene, scenario_from_dict)
+from crfpose.synth import (MAX_OBJECT_POINTS, SceneFormatError, default_scenario,
+                           generate_bundle, save_scene, scenario_from_dict)
 from crfpose.trws import TrwsConfig
 from test_synth import archive_digest
 
@@ -150,6 +150,13 @@ def test_overflowing_beta_times_gamma_names_the_line():
         parse_config(text)
 
 
+def _xyz_past_the_limit(tmp_path):
+    """A scenario naming an .xyz cloud one point past ``MAX_OBJECT_POINTS``."""
+    path = tmp_path / "cloud.xyz"
+    path.write_text("0 0 0\n1 0 0\n0 1 0\n" + "0 0 1\n" * (MAX_OBJECT_POINTS - 2))
+    return {"object": {"shape": "xyz", "path": str(path)}}
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"grid_width": 20.7}, "field 'grid_width' must be an integer"),
     ({"inlier_rat": 0.5}, "unknown field 'inlier_rat'"),
@@ -192,6 +199,9 @@ def test_overflowing_beta_times_gamma_names_the_line():
     ({"object": {"points": 10**29}}, "field 'object.points' must be <= 100000, not 1000"),
     ({"seed": -10**400},
      r"field 'seed' must be >= 0, not -1000000\.\.\.0000 \(402 characters\)$"),
+    (_xyz_past_the_limit,
+     rf"field 'object\.path' must name a cloud of <= {MAX_OBJECT_POINTS} points, "
+     rf"not {MAX_OBJECT_POINTS + 1}$"),
 # the names the cases were first collected under, kept so that a message
 # edit renames no case
 ], ids=[
@@ -224,10 +234,12 @@ def test_overflowing_beta_times_gamma_names_the_line():
     "doc26-confidence values must be finite",
     "doc27-field 'inlier_rate' holds an integer too large for a float",
     "doc28-field 'object.radius' holds an integer too large",
-    "grid-10**29", "grid-1025", "points-10**29", "seed-minus-10**400",
+    "grid-10**29", "grid-1025", "points-10**29", "seed-minus-10**400", "xyz-past-the-limit",
 ])
 def test_bad_scenario_values_exit_2_naming_the_field(tmp_path, capsys, doc, message):
     # each of these was once read as something else, ignored, or an exit 1
+    if callable(doc):
+        doc = doc(tmp_path)
     if isinstance(doc, dict):
         doc = {"grid_width": 12, "grid_height": 9, **doc}
     path = tmp_path / "scenario.json"

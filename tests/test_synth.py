@@ -613,9 +613,17 @@ _FLOAT32 = lambda a: a.astype(np.float32)  # noqa: E731
     ([("header", "object_diameter", "0.05")], "field 'object_diameter' must be a number"),
     ([("header", "object_diameter", 10**400)],
      "field 'object_diameter' holds an integer too large for a float"),
+    # 2**1024 - 2**970 is the least integer magnitude float() refuses: one
+    # less is read, so the fault reported is the count's
+    ([("header", "object_diameter", 2**1024 - 2**970)],
+     "field 'object_diameter' holds an integer too large for a float"),
+    ([("header", "object_diameter", -(2**1024 - 2**970))],
+     "field 'object_diameter' holds an integer too large for a float"),
+    ([("header", "object_diameter", 2**1024 - 2**970 - 1), ("candidate_count", 5, 13)],
+     "field 'candidate_count[5]' is outside 0..12"),
 ], ids=["node-not-object", "candidate-not-object", "no-candidates", "candidates-not-list",
         "13-candidates", "x-true", "l-true", "p-true", "pixel-true", "tree-true",
-        "x-10**400", "l-minus-10**400", "l-least-overflow", "pixel-float", "tree-string",
+        "x-10**400", "l-minus-10**400", "coords-int64", "pixel-float", "tree-string",
         "first-node-fault", "first-candidate-fault", "version-true", "version-float",
         "one-label", "40-labels", "13-labels", "label-minus-1", "label-past-outlier",
         "label-of-a-cut-candidate", "label-10**400", "label-minus-2**64",
@@ -625,7 +633,8 @@ _FLOAT32 = lambda a: a.astype(np.float32)  # noqa: E731
         "unknown-array", "rotation-without-labels", "pickled-labels", "big-endian",
         "format-not-string", "version-10**400", "grid-10**400", "grid-past-limit", "grid-0",
         "grid-minus-10**400", "grid-of-other-size", "no-diameter", "diameter-string",
-        "diameter-10**400"])
+        "diameter-10**400", "l-least-overflow", "diameter-minus-least-overflow",
+        "diameter-below-overflow"])
 def test_scene_reader_messages_are_exact(tmp_path, small_scene, edits, message):
     path = tmp_path / "scene.json"
     write_archive(path, *edited(*small_scene, edits))
